@@ -12,10 +12,10 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from . import fans, lp, polytopes, toric
+from . import dd, fans, polytopes, toric
 from .fans import Fan
 from .polytopes import Polytope
-from .rationals import Vec, dot, fmt, rat, vec
+from .rationals import fmt, rat
 from .toric import HermitianToricLine, ToricDivisor
 
 
@@ -93,14 +93,9 @@ def leq(b1: CartierB, b2: CartierB) -> bool:
     if b1.fan.dim != b2.fan.dim:
         raise ValueError("dimension mismatch")
     common = fans.common_refinement(b1.fan, b2.fan)
-    n = common.dim
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for r in common.rays:
-        rv = vec(r)
-        a_ub.append([-x for x in rv])
-        b_ub.append(b1.psi(r) - b2.psi(r))
-    return lp.feasible(a_ub, b_ub) is not None
+    rows = [(r, b2.psi(r) - b1.psi(r)) for r in common.rays]
+    _, rays = dd.homogenized_rays(rows, common.dim)
+    return any(r[-1] > 0 for r in rays)
 
 
 def numerically_equal(b1: CartierB, b2: CartierB) -> bool:

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .linalg import nullspace, rank, rref
-from .rationals import IntVec, primitive
+from .rationals import IntVec, Vec, primitive, rat, vec
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[IntVec]:
@@ -129,3 +129,15 @@ def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fractio
 
     rays = sorted(rays)
     return lin, rays
+
+
+def homogenized_rays(rows: Iterable[tuple[Sequence, object]], dim: int) -> tuple[list[Vec], list[IntVec]]:
+    """(lineality basis, extreme rays) of the cone {(x, t) : <w, x> >= c t, t >= 0}.
+
+    The polyhedron {x : <w, x> >= c for all rows (w, c)} is its slice t = 1: the
+    polyhedron is empty exactly when no extreme ray has a positive last
+    coordinate, and its vertices are those rays scaled to t = 1.
+    """
+    hrows = [vec(w) + (-rat(c),) for w, c in rows]
+    hrows.append((Fraction(0),) * dim + (Fraction(1),))
+    return extreme_rays(hrows, dim + 1)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import dd, lp
-from .linalg import det, rank, solve
+from . import dd
+from .linalg import rank, solve
 from .rationals import IntVec, Vec, dot, primitive, vec
 
 Cone = tuple[int, ...]
@@ -20,7 +20,6 @@ class Fan:
     rays: tuple[IntVec, ...]
     cones: tuple[Cone, ...]
     complete: bool = False
-    smooth: bool = False
 
     def ray_index(self, v: Sequence) -> int | None:
         p = primitive(vec(v))
@@ -54,7 +53,7 @@ def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int 
     remap = {r: i for i, r in enumerate(uniq)}
     new_cones = sorted({tuple(sorted({remap[prim[i]] for i in c})) for c in cones})
     base = Fan(n, tuple(uniq), tuple(new_cones))
-    return Fan(n, base.rays, base.cones, is_complete(base), is_smooth(base))
+    return Fan(n, base.rays, base.cones, is_complete(base))
 
 
 def fan_from_json(data: dict) -> Fan:
@@ -64,28 +63,12 @@ def fan_from_json(data: dict) -> Fan:
 def cone_contains(fan: Fan, cone: Cone, v: Sequence) -> bool:
     """Exact membership of v in the cone spanned by the listed rays."""
     x = vec(v)
-    gens = fan.cone_rays(cone)
     if fan.is_simplicial_cone(cone):
+        # a square full-rank system has exactly one solution: the coordinates of x in the rays
+        gens = fan.cone_rays(cone)
         cols = [[Fraction(g[i]) for g in gens] for i in range(fan.dim)]
-        lam = solve(cols, x)
-        if lam is None:
-            return False
-        # simplicial full-rank solve is unique; verify and sign-check
-        for i in range(fan.dim):
-            if sum(Fraction(g[i]) * l for g, l in zip(gens, lam)) != x[i]:
-                return False
-        return all(l >= 0 for l in lam)
-    k = len(gens)
-    a_eq = [[Fraction(g[i]) for g in gens] for i in range(fan.dim)]
-    b_eq = list(x)
-    a_ub = []
-    b_ub = []
-    for j in range(k):
-        row = [Fraction(0)] * k
-        row[j] = Fraction(-1)
-        a_ub.append(row)
-        b_ub.append(Fraction(0))
-    return lp.feasible(a_ub, b_ub, a_eq, b_eq)
+        return all(l >= 0 for l in solve(cols, x))
+    return all(dot(a, x) >= 0 for a in cone_halfspaces(fan, cone))
 
 
 def find_cone(fan: Fan, v: Sequence) -> Cone | None:
@@ -134,16 +117,6 @@ def is_complete(fan: Fan) -> bool:
         for key in _cone_facet_keys(fan, cone):
             counts[key] = counts.get(key, 0) + 1
     return all(c == 2 for c in counts.values())
-
-
-def is_smooth(fan: Fan) -> bool:
-    for cone in fan.cones:
-        if len(cone) != fan.dim:
-            return False
-        d = det([list(map(Fraction, fan.rays[i])) for i in cone])
-        if abs(d) != 1:
-            return False
-    return True
 
 
 def stellar_refine(fan: Fan, w: Sequence) -> Fan:
@@ -200,7 +173,7 @@ def _fan_from_cone_rays(cones_rays: list[list[IntVec]], dim: int) -> Fan:
     idx = {r: i for i, r in enumerate(all_rays)}
     cones = sorted({tuple(sorted(idx[r] for r in rays)) for rays in cones_rays})
     base = Fan(dim, tuple(all_rays), tuple(cones))
-    return Fan(dim, base.rays, base.cones, is_complete(base), is_smooth(base))
+    return Fan(dim, base.rays, base.cones, is_complete(base))
 
 
 def refines(fine: Fan, coarse: Fan) -> bool:

@@ -95,7 +95,3 @@ def det(rows: Sequence[Sequence]) -> Fraction:
                 f = m[i][c] / inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return sign * result
-
-
-def mat_vec(rows: Sequence[Sequence], v: Sequence) -> tuple[Fraction, ...]:
-    return tuple(sum((Fraction(a) * Fraction(b) for a, b in zip(row, v, strict=True)), Fraction(0)) for row in rows)

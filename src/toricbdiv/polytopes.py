@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import dd, lp
+from . import dd
 from .linalg import det, rank
 from .rationals import IntVec, Vec, dot, fmt, primitive, rat, vadd, vec, vsub
 
@@ -28,7 +28,6 @@ class Polytope:
     dim: int
     vertices: tuple[Vec, ...]
     halfspaces: tuple[Halfspace, ...]
-    canonical: bool = True
 
     # vertices are the canonical invariant; halfspace lists of lower-dimensional
     # bodies can differ between construction routes
@@ -159,9 +158,7 @@ def canonicalize(raw_vertices: Iterable[Sequence]) -> Polytope:
 
 def from_halfspaces(rows: Iterable[tuple[Sequence, Fraction]], dim: int) -> Polytope:
     """Bounded intersection of halfspaces <w, x> >= c; errors on empty or unbounded."""
-    hrows = [tuple(vec(w)) + (-rat(c),) for w, c in rows]
-    hrows.append(tuple(Fraction(0) for _ in range(dim)) + (Fraction(1),))
-    lin, rays = dd.extreme_rays(hrows, dim + 1)
+    lin, rays = dd.homogenized_rays(rows, dim)
     verts = [tuple(Fraction(x, r[dim]) for x in r[:dim]) for r in rays if r[dim] > 0]
     if not verts:
         raise ValueError("empty polytope")
@@ -315,30 +312,23 @@ class HausdorffDist:
 
 
 def _farthest(p: Polytope, q: Polytope) -> Fraction:
-    n = p.dim
+    """Largest sup-norm distance from a vertex of P to Q.
+
+    For every t > 0, Q + t[-1,1]^n has the facet normals of Q + [-1,1]^n, with
+    offsets min_Q <w, .> - t |w|_1, so v lies within t of Q exactly when
+    t >= (c - <w, v>)/|w|_1 + 1 on every facet <w, x> >= c of Q + [-1,1]^n.
+    """
+    grown = minkowski_sum(q, canonicalize(product((-1, 1), repeat=q.dim)))
     worst = Fraction(0)
-    for v in p.vertices:
-        a_ub: list[list[Fraction]] = []
-        b_ub: list[Fraction] = []
-        for w, c in q.halfspaces:
-            a_ub.append([-Fraction(x) for x in w] + [Fraction(0)])
-            b_ub.append(-c)
-        for i in range(n):
-            e = [Fraction(0)] * n
-            e[i] = Fraction(1)
-            a_ub.append(e + [Fraction(-1)])
-            b_ub.append(v[i])
-            a_ub.append([-x for x in e] + [Fraction(-1)])
-            b_ub.append(-v[i])
-        res = lp.lp_min([Fraction(0)] * n + [Fraction(1)], a_ub, b_ub)
-        if res.status != lp.OPTIMAL:
-            raise AssertionError("distance LP must be solvable")
-        worst = max(worst, res.value)
+    for w, c in grown.halfspaces:
+        norm = sum(abs(x) for x in w)
+        for v in p.vertices:
+            worst = max(worst, (c - dot(w, v)) / norm + 1)
     return worst
 
 
 def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
-    """Hausdorff distance in the sup norm, exact via vertex/face LPs."""
+    """Hausdorff distance in the sup norm, exact: the larger of the two vertex-to-body distances."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     return HausdorffDist(max(_farthest(p, q), _farthest(q, p)))
@@ -349,32 +339,12 @@ def translate_into(p: Polytope, q: Polytope) -> Vec | None:
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
     n = p.dim
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for w, c in q.halfspaces:
-        support = min(dot(w, v) for v in p.vertices)
-        a_ub.append([-Fraction(x) for x in w])
-        b_ub.append(support - c)
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(-1)
-        a_ub.append(e)
-        b_ub.append(Fraction(0))
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    sol: list[Fraction] = []
-    for i in range(n):
-        c_obj = [Fraction(0)] * n
-        c_obj[i] = Fraction(1)
-        res = lp.lp_min(c_obj, a_ub, b_ub, a_eq, b_eq)
-        if res.status != lp.OPTIMAL:
-            return None
-        sol.append(res.value)
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        a_eq.append(row)
-        b_eq.append(res.value)
-    return tuple(sol)
+    # the feasible shifts form a polytope (Q is bounded); its lex-minimal point is a vertex
+    rows = [(w, c - min(dot(w, v) for v in p.vertices)) for w, c in q.halfspaces]
+    rows += [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    _, rays = dd.homogenized_rays(rows, n)
+    verts = [tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0]
+    return min(verts, default=None)
 
 
 def _lattice_rows(p: Polytope) -> np.ndarray:

@@ -30,10 +30,6 @@ def vec(xs: Iterable) -> Vec:
     return tuple(rat(x) for x in xs)
 
 
-def fmt_vec(v: Sequence[Fraction]) -> list[str]:
-    return [fmt(x) for x in v]
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
@@ -44,15 +40,6 @@ def vadd(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
 
 def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vscale(t, v: Sequence[Fraction]) -> Vec:
-    t = rat(t)
-    return tuple(t * a for a in v)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
 
 
 def primitive(v: Sequence) -> IntVec:

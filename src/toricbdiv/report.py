@@ -95,12 +95,18 @@ def _rat(value, where: str) -> Fraction:
         raise CliError(2, f"bad rational '{value}' in {where}")
 
 
-def fan_of(scn: dict, where: str) -> Fan:
-    data = need(scn, "fan", where)
+def _fan(data, where: str) -> Fan:
     try:
+        # a negative index would silently pick a ray from the end of the list
+        if any(not 0 <= i < len(data["rays"]) for cone in data["cones"] for i in cone):
+            raise ValueError("cone index out of range")
         return fans.fan_from_json(data)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise CliError(2, f"bad fan in {where}: {exc}")
+
+
+def fan_of(scn: dict, where: str) -> Fan:
+    return _fan(need(scn, "fan", where), where)
 
 
 def divisor_of(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
@@ -113,11 +119,21 @@ def divisor_of(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
 
 
 def metric_of(fan: Fan, data: dict, where: str) -> toric.ToricMetric:
-    need(data, "divisor", where)
+    divisor = need(data, "divisor", where)
     pieces = need(data, "pieces", where)
+    if not isinstance(pieces, list):
+        raise CliError(2, f"pieces must be a list in {where}")
     if not pieces:
         raise CliError(3, "model polytope empty")
-    return toric.metric_from_json(fan, data)
+    line = divisor_of(fan, divisor, where)
+    parsed = []
+    for i, piece in enumerate(pieces):
+        at = f"{where} pieces[{i}]"
+        slope = need(piece, "slope", at)
+        if not isinstance(slope, list) or len(slope) != fan.dim:
+            raise CliError(2, f"slope of length {fan.dim} expected in {at}")
+        parsed.append(([_rat(x, at) for x in slope], _rat(piece.get("offset", 0), at)))
+    return toric.metric(line, parsed)
 
 
 def metrics_of(fan: Fan, scn: dict, where: str) -> list[toric.HermitianToricLine]:
@@ -141,8 +157,14 @@ def weil_of(fan: Fan, data: dict, where: str) -> bdiv.WeilNefB:
 
 def flag_of(scn: dict, where: str) -> okounkov.FlagValuation:
     data = need(scn, "flag", where)
-    cone = need(data, "cone", where)
-    return okounkov.flag(cone, data.get("order"))
+    try:
+        cone = [[int(x) for x in ray] for ray in need(data, "cone", where)]
+        order = data.get("order")
+        if order is not None:
+            order = [[int(x) for x in row] for row in order]
+    except (ValueError, TypeError) as exc:
+        raise CliError(2, f"bad flag in {where}: {exc}")
+    return okounkov.flag(cone, order)
 
 
 def ideal_of(data: dict, where: str) -> ideals.MonomialIdeal:
@@ -153,13 +175,21 @@ def ideal_of(data: dict, where: str) -> ideals.MonomialIdeal:
 
 
 def bundles_of(fan: Fan, scn: dict, where: str) -> dict[str, chern.SplitToricBundle]:
+    decls = need(scn, "bundles", where)
+    if not isinstance(decls, dict):
+        raise CliError(2, f"bundles must map names to declarations in {where}")
     table = {}
-    for name, decl in need(scn, "bundles", where).items():
-        summands = [toric.hermitian(metric_of(fan, m, f"{where} bundle {name}"))
-                    for m in need(decl, "summands", where)]
-        table[name] = chern.split_bundle(summands)
+    for name, decl in decls.items():
+        summands = need(decl, "summands", where)
+        if not isinstance(summands, list):
+            raise CliError(2, f"summands must be a list in {where} bundle {name}")
+        table[name] = chern.split_bundle(
+            [toric.hermitian(metric_of(fan, m, f"{where} bundle {name}")) for m in summands])
     return table
 
 
 def chain_of(scn: dict, where: str) -> list[Fan]:
-    return [fans.fan_from_json(f) for f in need(scn, "chain", where)]
+    chain = need(scn, "chain", where)
+    if not isinstance(chain, list):
+        raise CliError(2, f"chain must be a list of fans in {where}")
+    return [_fan(f, f"{where} chain[{i}]") for i, f in enumerate(chain)]

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lp_oracle as lp
 from toricbdiv import bdiv, fans, polytopes, toric
 from toricbdiv.rationals import fmt, rat
 from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
@@ -128,6 +131,40 @@ def test_leq_invariant_under_linear_shift():
                              for v, r in zip(b.values, b.fan.rays)])
     assert numerically_equal(b, shifted)
     assert b.polytope() == polytopes.translate(shifted.polytope(), [-1, 2])
+
+
+def _leq_lp(b1, b2):
+    """b1 <= b2 by LP: some m has <m, r> >= psi_2(r) - psi_1(r) on every common ray."""
+    common = fans.common_refinement(b1.fan, b2.fan)
+    a_ub = [[-Fraction(x) for x in r] for r in common.rays]
+    b_ub = [b1.psi(r) - b2.psi(r) for r in common.rays]
+    return lp.feasible(a_ub, b_ub) is not None
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from([p2, p1xp1]),
+       st.sampled_from([p2, p1xp1]))
+@settings(max_examples=25, deadline=None)
+def test_leq_matches_lp_oracle(seed, fan1, fan2):
+    rng = random.Random(seed)
+    b1 = bdiv_of_metric(rand_weighted(rng, fan1())).cartier
+    b2 = bdiv_of_metric(rand_weighted(rng, fan2())).cartier
+    for x, y in ((b1, b2), (b2, b1)):
+        assert leq(x, y) is _leq_lp(x, y)
+
+
+# the upper half-plane is not complete: {m : <m, r> >= c_r} keeps the recession
+# ray (0, 1), so even an empty system has extreme rays, all with t = 0
+HALF_PLANE = fans.make_fan([(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+
+
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_leq_matches_lp_oracle_on_incomplete_fan(values1, values2):
+    b1 = cartier(HALF_PLANE, values1)
+    b2 = cartier(fans.stellar_refine(HALF_PLANE, (1, 1)), values2)
+    for x, y in ((b1, b2), (b2, b1)):
+        assert leq(x, y) is _leq_lp(x, y)
 
 
 # -- sums ----------------------------------------------------------------------

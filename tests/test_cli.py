@@ -261,6 +261,50 @@ def test_parse_errors(tmp_path):
     assert "missing key 'fan'" in report_of(text)["error"]["message"]
 
 
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda s: s["fan"]["cones"].append([0, 3]), "cone index out of range",
+                 id="cone-index-past-end"),
+    pytest.param(lambda s: s["fan"]["cones"].append([0, -1]), "cone index out of range",
+                 id="cone-index-negative"),
+    pytest.param(lambda s: s["fan"]["rays"].append(["1/0", "1"]), "bad fan in",
+                 id="ray-zero-denominator"),
+    pytest.param(lambda s: s["metric"]["pieces"].append({"offset": "1"}), "missing key 'slope'",
+                 id="piece-without-slope"),
+    pytest.param(lambda s: s["metric"]["pieces"].append({"slope": ["1/0", "0"]}),
+                 "bad rational '1/0'", id="slope-zero-denominator"),
+    pytest.param(lambda s: s["metric"]["divisor"]["coeffs"].update({"0,1": "1/0"}),
+                 "bad rational '1/0'", id="coeff-zero-denominator"),
+    pytest.param(lambda s: s["metric"]["pieces"].append({"slope": ["1", "0", "0"]}),
+                 "slope of length 2", id="slope-too-long"),
+    pytest.param(lambda s: s["metric"]["pieces"].append({"slope": ["1"]}),
+                 "slope of length 2", id="slope-too-short"),
+    pytest.param(lambda s: s["metric"].update({"pieces": 5}), "pieces must be a list",
+                 id="pieces-not-a-list"),
+])
+def test_malformed_scenario_is_input_error(tmp_path, edit, message):
+    scn = {"fan": json.loads(json.dumps(P2_FAN)), "metric": metric_json(3, [(0, 0), (1, 0)])}
+    edit(scn)
+    code, text = run(["volume", "--scenario", mk(tmp_path, "bad.json", scn)])
+    assert code == 2
+    assert message in report_of(text)["error"]["message"]
+
+
+def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
+    base = {"fan": P2_FAN, "metric": metric_json(3, [(0, 0), (1, 0)])}
+    cases = [(["okounkov"], {"flag": {"cone": [[1, 0], ["x", 1]]}}, "bad flag"),
+             (["okounkov"], {"flag": {"cone": 5}}, "bad flag"),
+             (["profile"], {"chain": [{"rays": [[1, 0]], "cones": [[1]]}]}, "chain[0]"),
+             (["profile"], {"chain": 5}, "chain must be a list"),
+             (["chern"], {"bundles": [1], "expression": "c1(E)"}, "bundles must map"),
+             (["chern"], {"bundles": {"E": {"summands": 1}}, "expression": "c1(E)"},
+              "summands must be a list")]
+    for i, (argv, extra, message) in enumerate(cases):
+        path = mk(tmp_path, f"bad{i}.json", {**base, **extra})
+        code, text = run(argv + ["--scenario", path])
+        assert code == 2, (argv, extra)
+        assert message in report_of(text)["error"]["message"]
+
+
 def test_bad_tolerance(tmp_path):
     scn2 = mk(tmp_path, "w2.json", {
         "fan": P2_FAN,
@@ -298,6 +342,21 @@ def test_batch(tmp_path):
     assert rep["outputs"]["worst_exit"] == 2
     assert runs[0]["report"]["outputs"]["gens"] == [[1, 0], [0, 1]]
     assert runs[2]["report"]["outputs"]["gens"] == [[0, 0]]
+
+
+def test_batch_isolates_a_malformed_scenario(tmp_path):
+    metric = metric_json(3, [(1, 0), (3, 0), (1, 2)])
+    good = mk(tmp_path, "good.json", {"fan": P2_FAN, "metric": metric})
+    bad = mk(tmp_path, "bad.json", {"fan": {"rays": P2_FAN["rays"], "cones": [[0, 7]]},
+                                    "metric": metric})
+    manifest = mk(tmp_path, "runs.json", [["volume", "--scenario", bad],
+                                          ["volume", "--scenario", good]])
+    code, text = run(["batch", manifest])
+    assert code == 2
+    runs = report_of(text)["outputs"]["runs"]
+    assert [r["exit"] for r in runs] == [2, 0]
+    assert "cone index out of range" in runs[0]["report"]["error"]["message"]
+    assert runs[1]["report"]["outputs"]["value"] == "4"
 
 
 def test_batch_bare_list_and_empty(tmp_path):

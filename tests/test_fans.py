@@ -1,6 +1,11 @@
 """Fans: construction, containment, refinement, common refinements."""
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lp_oracle as lp
 from toricbdiv import fans
 from toricbdiv.fans import (common_refinement, complete_fan_2d, fan_from_json,
                             make_fan, product_fan, projective_space_fan,
@@ -11,7 +16,7 @@ from conftest import p1, p1xp1, p2
 
 def test_projective_plane_fan():
     f = p2()
-    assert f.dim == 2 and f.complete and f.smooth
+    assert f.dim == 2 and f.complete
     assert f.rays == ((-1, -1), (0, 1), (1, 0))
     assert len(f.cones) == 3
 
@@ -34,6 +39,39 @@ def test_cone_membership():
     assert fans.cone_contains(f, cone, (2, 3))
     assert not fans.cone_contains(f, cone, (-1, 0))
     assert fans.find_cone(f, (-2, -5)) is not None
+
+
+def _cone_contains_lp(fan, cone, v):
+    """Membership by LP: v is a combination of the cone's rays with weights >= 0."""
+    gens = fan.cone_rays(cone)
+    k = len(gens)
+    a_eq = [[Fraction(g[i]) for g in gens] for i in range(fan.dim)]
+    a_ub = [[Fraction(-int(i == j)) for i in range(k)] for j in range(k)]
+    return lp.feasible(a_ub, [Fraction(0)] * k, a_eq, list(v)) is not None
+
+
+small = st.integers(min_value=-3, max_value=3)
+point3 = st.tuples(small, small, small)
+# square pyramid {|x| + |y| <= z}: four rays in R^3, so not simplicial
+PYRAMID = make_fan([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)], [[0, 1, 2, 3]])
+
+
+@given(point3)
+@settings(max_examples=150, deadline=None)
+def test_cone_contains_matches_lp_oracle_on_square_pyramid(v):
+    cone = PYRAMID.cones[0]
+    assert not PYRAMID.is_simplicial_cone(cone)
+    assert fans.cone_contains(PYRAMID, cone, v) is _cone_contains_lp(PYRAMID, cone, v)
+
+
+@given(st.lists(point3.filter(any), min_size=1, max_size=6),
+       st.lists(point3, min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_cone_contains_matches_lp_oracle_on_random_cones(rays, points):
+    fan = make_fan(rays, [range(len(rays))], 3)
+    cone = fan.cones[0]
+    for v in points:
+        assert fans.cone_contains(fan, cone, v) is _cone_contains_lp(fan, cone, v)
 
 
 def test_stellar_refine_p2():
@@ -82,7 +120,7 @@ def test_refine_by_slopes():
 
 def test_product_fan():
     f = p1xp1()
-    assert f.complete and f.smooth
+    assert f.complete
     assert f.rays == ((-1, 0), (0, -1), (0, 1), (1, 0))
     assert len(f.cones) == 4
 
@@ -92,12 +130,6 @@ def test_complete_fan_2d():
     assert f == p2()
 
 
-def test_smoothness_detection():
-    weighted = make_fan([(1, 0), (1, 2), (-1, -1), (0, -1)],
-                        [[0, 1], [1, 2], [2, 3], [3, 0]])
-    assert not weighted.smooth
-
-
 def test_p1_fan():
     f = p1()
-    assert f.rays == ((-1,), (1,)) and f.complete and f.smooth
+    assert f.rays == ((-1,), (1,)) and f.complete

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from toricbdiv import ideals, lp, toric
+import lp_oracle as lp
+from toricbdiv import ideals, toric
 from toricbdiv.ideals import (TestIdealQuery, frobenius_bracket, make_ideal,
                               multiplier_ideal_monomial, multiplier_ideal_snc,
                               unit_ideal)

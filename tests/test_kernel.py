@@ -1,11 +1,12 @@
-"""Exact rational kernel: parsing, linear algebra, simplex, extreme rays."""
+"""Exact rational kernel: parsing, linear algebra, extreme rays, and the simplex test oracle."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricbdiv import dd, linalg, lp
+import lp_oracle as lp
+from toricbdiv import dd, linalg
 from toricbdiv.rationals import dot, fmt, primitive, rat, vec
 
 ints = st.integers(min_value=-5, max_value=5)

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lp_oracle as lp
 from toricbdiv import polytopes
 from toricbdiv.polytopes import (Polytope, canonicalize, from_halfspaces,
                                  hausdorff_linf, lattice_count, lattice_points,
                                  minkowski_sum, mixed_volume, translate,
                                  translate_into, volume)
+from toricbdiv.rationals import dot
 
 coord = st.integers(min_value=-4, max_value=4)
 point2 = st.tuples(coord, coord)
@@ -195,6 +197,90 @@ def test_translate_into_lex_minimal_and_nonnegative():
     # q shifted to negative coordinates is unreachable with v >= 0
     q_neg = translate(q, (-5, 0))
     assert translate_into(p, q_neg) is None
+
+
+# -- differential tests against the simplex oracle ----------------------------
+
+def _farthest_lp(p, q):
+    """Largest sup-norm distance from a vertex of P to Q: one LP per vertex."""
+    n = p.dim
+    worst = Fraction(0)
+    for v in p.vertices:
+        a_ub, b_ub = [], []
+        for w, c in q.halfspaces:
+            a_ub.append([-Fraction(x) for x in w] + [Fraction(0)])
+            b_ub.append(-c)
+        for i in range(n):
+            e = [Fraction(0)] * n
+            e[i] = Fraction(1)
+            a_ub.append(e + [Fraction(-1)])
+            b_ub.append(v[i])
+            a_ub.append([-x for x in e] + [Fraction(-1)])
+            b_ub.append(-v[i])
+        res = lp.lp_min([Fraction(0)] * n + [Fraction(1)], a_ub, b_ub)
+        assert res.status == lp.OPTIMAL
+        worst = max(worst, res.value)
+    return worst
+
+
+def _translate_into_lp(p, q):
+    """Lex-minimal shift by n LPs, each fixing the coordinate the last one minimized."""
+    n = p.dim
+    a_ub, b_ub = [], []
+    for w, c in q.halfspaces:
+        a_ub.append([-Fraction(x) for x in w])
+        b_ub.append(min(dot(w, v) for v in p.vertices) - c)
+    for i in range(n):
+        e = [Fraction(0)] * n
+        e[i] = Fraction(-1)
+        a_ub.append(e)
+        b_ub.append(Fraction(0))
+    a_eq, b_eq, sol = [], [], []
+    for i in range(n):
+        c_obj = [Fraction(0)] * n
+        c_obj[i] = Fraction(1)
+        res = lp.lp_min(c_obj, a_ub, b_ub, a_eq, b_eq)
+        if res.status != lp.OPTIMAL:
+            return None
+        sol.append(res.value)
+        a_eq.append([Fraction(int(j == i)) for j in range(n)])
+        b_eq.append(res.value)
+    return tuple(sol)
+
+
+half = st.integers(min_value=-6, max_value=6).map(lambda x: Fraction(x, 2))
+
+
+@st.composite
+def bodies(draw, n):
+    """Hulls of 1-6 points of R^n, so points and segments come up; some are flat."""
+    pts = draw(st.lists(st.tuples(*[half] * n), min_size=1, max_size=6))
+    pinned = draw(st.sampled_from([None, None] + list(range(n))))
+    if pinned is not None:
+        pts = [v[:pinned] + (Fraction(0),) + v[pinned + 1:] for v in pts]
+    return canonicalize(pts)
+
+
+def _bodies_in_one_dim(count):
+    return st.integers(min_value=1, max_value=3).flatmap(
+        lambda n: st.tuples(*[bodies(n)] * count))
+
+
+@given(_bodies_in_one_dim(2))
+@settings(max_examples=90, deadline=None)
+def test_hausdorff_matches_lp_oracle(pq):
+    p, q = pq
+    assert hausdorff_linf(p, q).value == max(_farthest_lp(p, q), _farthest_lp(q, p))
+
+
+@given(_bodies_in_one_dim(3), st.booleans())
+@settings(max_examples=90, deadline=None)
+def test_translate_into_matches_lp_oracle(pqr, grow):
+    p, q, r = pqr
+    if grow:
+        # P + v lies in P + R for every v in R, so these mostly have an answer
+        q = minkowski_sum(p, r)
+    assert translate_into(p, q) == _translate_into_lp(p, q)
 
 
 def test_from_halfspaces_round_trip():
