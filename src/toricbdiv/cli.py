@@ -13,10 +13,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bdiv, chern, ideals, okounkov, polytopes, toric
-from .rationals import fmt, rat
+from .rationals import fmt
 from .report import (CliError, Report, bundles_of, chain_of, divisor_of,
-                     fan_of, file_digest, flag_of, ideal_of, load_json,
-                     metric_of, metrics_of, need, weil_of)
+                     fan_of, file_digest, flag_of, ideal_of, int_of, load_json,
+                     metric_of, metrics_of, need, need_list, rat_of, weil_of)
 
 _SUITES = ("chern-weil-line", "okouniden", "segre-comm", "dfvol",
            "test-vs-multiplier")
@@ -73,10 +73,7 @@ def _tol_of(args, scn: dict) -> Fraction:
     raw = getattr(args, "tol", None)
     if raw is None:
         raw = scn.get("tol", "1/1000000")
-    try:
-        t = rat(raw)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise CliError(2, f"bad rational '{raw}' in --tol")
+    t = rat_of(raw, "--tol")
     if t <= 0:
         raise CliError(2, "tolerance must be positive")
     return t
@@ -169,7 +166,7 @@ def _cmd_partial(args):
     fan = fan_of(scn, args.scenario)
     nu = flag_of(scn, args.scenario)
     h = _metric_of_scn(fan, scn, args.scenario)
-    k_max = args.kmax if args.kmax is not None else int(scn.get("kmax", 20))
+    k_max = args.kmax if args.kmax is not None else int_of(scn.get("kmax", 20), args.scenario)
     hulls, limit = okounkov.partial_okounkov(h, nu, k_max)
     hull_list, dists = [], []
     for p in hulls:
@@ -186,10 +183,7 @@ def _cmd_partial(args):
 def _cmd_mideal(args):
     data = load_json(args.ideal)
     ideal = ideal_of(data, args.ideal)
-    try:
-        c = rat(args.c)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise CliError(2, f"bad rational '{args.c}' in --c")
+    c = rat_of(args.c, "--c")
     out = ideals.multiplier_ideal_monomial(ideal, c)
     inputs = {"ideal": file_digest(args.ideal), "c": fmt(c)}
     return inputs, out.to_json(), None
@@ -198,10 +192,7 @@ def _cmd_mideal(args):
 def _cmd_tideal(args):
     data = load_json(args.ideal)
     ideal = ideal_of(data, args.ideal)
-    try:
-        lam = rat(args.lam)
-    except (ValueError, TypeError, ZeroDivisionError):
-        raise CliError(2, f"bad rational '{args.lam}' in --lam")
+    lam = rat_of(args.lam, "--lam")
     query = ideals.TestIdealQuery(ideal, lam, args.p, args.emax)
     out = ideals.test_ideal(query)
     inputs = {"ideal": file_digest(args.ideal), "lam": fmt(lam),
@@ -243,7 +234,7 @@ def _cmd_export_plot(args):
         body = okounkov.okounkov_of_class(divisor_of(fan, scn["divisor"], "divisor"), nu)
     else:
         h = _metric_of_scn(fan, scn, args.scenario)
-        _, body = okounkov.partial_okounkov(h, nu, int(scn.get("kmax", 1)))
+        _, body = okounkov.partial_okounkov(h, nu, int_of(scn.get("kmax", 1), args.scenario))
     payload = {"approximate": True,
                "vertices": [[float(x) for x in v] for v in body.body.vertices]}
     _write_json(args.out, payload)
@@ -290,7 +281,7 @@ def _suite_segre_comm(args, scn):
 def _suite_dfvol(args, scn):
     fan = fan_of(scn, args.scenario)
     h = _metric_of_scn(fan, scn, args.scenario)
-    k_max = args.kmax if args.kmax is not None else int(scn.get("kmax", 12))
+    k_max = args.kmax if args.kmax is not None else int_of(scn.get("kmax", 12), args.scenario)
     lhs = bdiv.vol(bdiv.bdiv_of_metric(h).cartier)
     exact, seq = ideals.volume_of_pair(h, k_max)
     rhs = math.factorial(fan.dim) * exact
@@ -302,9 +293,9 @@ def _suite_dfvol(args, scn):
 
 def _suite_test_vs_multiplier(args, scn):
     ideal = ideal_of(need(scn, "ideal", args.scenario), args.scenario)
-    lams = [rat(x) for x in need(scn, "lams", args.scenario)]
-    ps = [int(x) for x in need(scn, "ps", args.scenario)]
-    e_max = int(scn.get("emax", 12))
+    lams = [rat_of(x, args.scenario) for x in need_list(scn, "lams", args.scenario)]
+    ps = [int_of(x, args.scenario) for x in need_list(scn, "ps", args.scenario)]
+    e_max = int_of(scn.get("emax", 12), args.scenario)
     grid, verdict = [], "equal"
     for lam in lams:
         mult = ideals.multiplier_ideal_monomial(ideal, lam)

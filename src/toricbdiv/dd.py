@@ -10,29 +10,40 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import nullspace, rank, rref
-from .rationals import IntVec, Vec, primitive, rat, vec
+from .linalg import inverse_directions, nullspace
+from .rationals import IntVec, Vec, idot, int_row, primitive, rat, vec
 
 
 def _int_rows(rows: Sequence[Sequence]) -> list[IntVec]:
-    out = []
+    """Nonzero rows as primitive integer vectors, deduplicated in first-seen order."""
+    uniq: dict[IntVec, None] = {}
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        if all(x == 0 for x in fr):
+        ints = int_row(row)[0]
+        if any(ints):
+            uniq[primitive(ints)] = None
+    return list(uniq)
+
+
+def _independent_rows(rows: Sequence[IntVec], dim: int) -> list[int]:
+    """Indices of the first rows, in order, that extend the span of those before them,
+    found by one incremental integer elimination; stops at dim of them."""
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for i, row in enumerate(rows):
+        v = list(row)
+        for c, b in basis:
+            if v[c]:
+                f, p = v[c], b[c]
+                v = [p * x - f * y for x, y in zip(v, b)]
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
             continue
-        out.append(primitive(fr))
-    # dedupe, keep first-seen order
-    seen: set[IntVec] = set()
-    uniq = []
-    for r in out:
-        if r not in seen:
-            seen.add(r)
-            uniq.append(r)
-    return uniq
-
-
-def _idot(u: Sequence[int], v: Sequence[Fraction | int]):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+        g = gcd(*v)
+        basis.append((c, [x // g for x in v]))
+        chosen.append(i)
+        if len(chosen) == dim:
+            break
+    return chosen
 
 
 def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fraction, ...]], list[IntVec]]:
@@ -41,45 +52,38 @@ def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fractio
     if not A:
         basis = [tuple(Fraction(i == j) for i in range(dim)) for j in range(dim)]
         return basis, []
-    lin = nullspace(A, dim)
+    # initial simplicial subcone from dim independent constraints; only a
+    # rank-deficient A has lineality, whose basis then joins the constraints
+    chosen = _independent_rows(A, dim)
+    lin = nullspace(A, dim) if len(chosen) < dim else []
     constraints: list[IntVec] = list(A)
     for l in lin:
         lv = primitive(l)
         constraints.append(lv)
         constraints.append(tuple(-x for x in lv))
-
-    # initial simplicial subcone from dim independent constraints
-    chosen: list[int] = []
-    rows_so_far: list[IntVec] = []
-    for i, row in enumerate(constraints):
-        if rank(rows_so_far + [row]) > len(chosen):
-            chosen.append(i)
-            rows_so_far.append(row)
-            if len(chosen) == dim:
-                break
+    if lin:
+        chosen = _independent_rows(constraints, dim)
     if len(chosen) < dim:
         raise AssertionError("pointed phase expected full-rank constraint set")
 
     # rays of {B x >= 0} are the columns of B^{-1}
-    aug = [list(map(Fraction, rows_so_far[i])) + [Fraction(i == j) for j in range(dim)] for i in range(dim)]
-    red, piv = rref(aug)
-    if piv != list(range(dim)):
+    inv_cols = inverse_directions([constraints[i] for i in chosen])
+    if inv_cols is None:
         raise AssertionError("initial constraint block must be invertible")
-    inv_cols = [[red[i][dim + j] for i in range(dim)] for j in range(dim)]
     rays: list[IntVec] = [primitive(col) for col in inv_cols]
     chosen_set = set(chosen)
     zsets: list[int] = []
     for r in rays:
         z = 0
         for idx in chosen:
-            if _idot(constraints[idx], r) == 0:
+            if idot(constraints[idx], r) == 0:
                 z |= 1 << idx
         zsets.append(z)
 
     for t, row in enumerate(constraints):
         if t in chosen_set:
             continue
-        vals = [_idot(row, r) for r in rays]
+        vals = [idot(row, r) for r in rays]
         if all(v >= 0 for v in vals):
             for k, v in enumerate(vals):
                 if v == 0:
@@ -88,6 +92,8 @@ def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fractio
         keep_idx = [k for k, v in enumerate(vals) if v > 0]
         zero_idx = [k for k, v in enumerate(vals) if v == 0]
         neg_idx = [k for k, v in enumerate(vals) if v < 0]
+        # a new ray records its tight rows among the starting rows and rows 0..t
+        seen_rows = chosen + [idx for idx in range(t + 1) if idx not in chosen_set]
         new_rays: list[IntVec] = []
         new_z: list[int] = []
         for p in keep_idx:
@@ -101,14 +107,10 @@ def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fractio
                 if not adjacent:
                     continue
                 vp, vq = vals[p], vals[q]
-                combo = tuple(vp * b - vq * a for a, b in zip(rays[p], rays[q], strict=True))
-                nr = primitive(combo)
+                nr = primitive([vp * b - vq * a for a, b in zip(rays[p], rays[q], strict=True)])
                 z = 0
-                for idx in chosen:
-                    if _idot(constraints[idx], nr) == 0:
-                        z |= 1 << idx
-                for idx in range(len(constraints)):
-                    if idx <= t and idx not in chosen_set and _idot(constraints[idx], nr) == 0:
+                for idx in seen_rows:
+                    if idot(constraints[idx], nr) == 0:
                         z |= 1 << idx
                 new_rays.append(nr)
                 new_z.append(z)

@@ -3,12 +3,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import dd
 from .linalg import rank, solve
-from .rationals import IntVec, Vec, dot, primitive, vec
+from .rationals import IntVec, Vec, dot, idot, primitive, vec, vsub
 
 Cone = tuple[int, ...]
 
@@ -32,7 +31,7 @@ class Fan:
         return [self.rays[i] for i in cone]
 
     def is_simplicial_cone(self, cone: Cone) -> bool:
-        return len(cone) == self.dim and rank([list(map(Fraction, self.rays[i])) for i in cone]) == self.dim
+        return len(cone) == self.dim and rank(self.cone_rays(cone)) == self.dim
 
     def to_json(self) -> dict:
         return {"rays": [list(r) for r in self.rays], "cones": [list(c) for c in self.cones]}
@@ -66,7 +65,7 @@ def cone_contains(fan: Fan, cone: Cone, v: Sequence) -> bool:
     if fan.is_simplicial_cone(cone):
         # a square full-rank system has exactly one solution: the coordinates of x in the rays
         gens = fan.cone_rays(cone)
-        cols = [[Fraction(g[i]) for g in gens] for i in range(fan.dim)]
+        cols = [[g[i] for g in gens] for i in range(fan.dim)]
         return all(l >= 0 for l in solve(cols, x))
     return all(dot(a, x) >= 0 for a in cone_halfspaces(fan, cone))
 
@@ -78,31 +77,21 @@ def find_cone(fan: Fan, v: Sequence) -> Cone | None:
     return None
 
 
-def _dual_description(rays: list[IntVec], dim: int) -> tuple[list[Vec], list[IntVec]]:
-    """Lineality basis and extreme rays of the dual cone {y : <y, r> >= 0}."""
-    rows = [tuple(Fraction(x) for x in r) for r in rays]
-    lin, extr = dd.extreme_rays(rows, dim)
-    return lin, extr
-
-
-def cone_halfspaces(fan: Fan, cone: Cone) -> list[Vec]:
-    """Rows a with cone = {x : <a, x> >= 0 for all rows}."""
-    lin, extr = _dual_description(fan.cone_rays(cone), fan.dim)
-    rows: list[Vec] = [tuple(Fraction(x) for x in r) for r in extr]
+def cone_halfspaces(fan: Fan, cone: Cone) -> list[IntVec]:
+    """Integer rows a with cone = {x : <a, x> >= 0 for all rows}."""
+    lin, extr = dd.extreme_rays(fan.cone_rays(cone), fan.dim)
+    rows = list(extr)
     for l in lin:
-        rows.append(l)
-        rows.append(tuple(-x for x in l))
+        lv = primitive(l)
+        rows.append(lv)
+        rows.append(tuple(-x for x in lv))
     return rows
 
 
 def _cone_facet_keys(fan: Fan, cone: Cone) -> list[frozenset[int]]:
     """Each facet of a full-dimensional cone as the frozenset of rays lying on it."""
-    _, normals = _dual_description(fan.cone_rays(cone), fan.dim)
-    keys = []
-    for a in normals:
-        tight = frozenset(i for i in cone if dot(vec(a), vec(fan.rays[i])) == 0)
-        keys.append(tight)
-    return keys
+    _, normals = dd.extreme_rays(fan.cone_rays(cone), fan.dim)
+    return [frozenset(i for i in cone if idot(a, fan.rays[i]) == 0) for a in normals]
 
 
 def is_complete(fan: Fan) -> bool:
@@ -111,8 +100,7 @@ def is_complete(fan: Fan) -> bool:
         return False
     counts: dict[frozenset[int], int] = {}
     for cone in fan.cones:
-        gens = [list(map(Fraction, r)) for r in fan.cone_rays(cone)]
-        if rank(gens) < fan.dim:
+        if rank(fan.cone_rays(cone)) < fan.dim:
             return False
         for key in _cone_facet_keys(fan, cone):
             counts[key] = counts.get(key, 0) + 1
@@ -132,48 +120,44 @@ def stellar_refine(fan: Fan, w: Sequence) -> Fan:
         if cone not in hit:
             new_cones.append(tuple(fan.rays[i] for i in cone))
             continue
-        _, normals = _dual_description(fan.cone_rays(cone), fan.dim)
+        _, normals = dd.extreme_rays(fan.cone_rays(cone), fan.dim)
         for a in normals:
-            av = vec(a)
-            if dot(av, vec(wp)) == 0:
+            if idot(a, wp) == 0:
                 continue
-            facet = tuple(fan.rays[i] for i in cone if dot(av, vec(fan.rays[i])) == 0)
+            facet = tuple(fan.rays[i] for i in cone if idot(a, fan.rays[i]) == 0)
             new_cones.append(facet + (wp,))
     all_rays = list(fan.rays) + [wp]
     idx = {r: i for i, r in enumerate(all_rays)}
     return make_fan(all_rays, [tuple(idx[r] for r in c) for c in new_cones], fan.dim)
 
 
-def _intersect_full_dim(h1: list[Vec], h2: list[Vec], dim: int) -> list[IntVec] | None:
-    lin, rays = dd.extreme_rays(h1 + h2, dim)
-    if lin:
-        return None
-    if rank([list(r) for r in rays]) < dim:
-        return None
-    return rays
+def _fan_from_cells(cells: Iterable[list[IntVec]], dim: int, complete: bool) -> Fan:
+    """Fan of the full-dimensional pointed cells {x : <a, x> >= 0 for all rows a of the cell}.
+
+    The cells meet the cones of the fans being refined with each other or with
+    regions that cover space, so they cover the same support: the result is
+    complete when those fans are (`complete`), and is_complete is not rerun.
+    All cones of a fan share one lineality space, so either every cell has
+    lineality and no cone is left, or none has.
+    """
+    cones_rays: list[list[IntVec]] = []
+    for rows in cells:
+        lin, rays = dd.extreme_rays(rows, dim)
+        if not lin and rank(rays) == dim:
+            cones_rays.append(rays)
+    all_rays = sorted({r for rays in cones_rays for r in rays})
+    idx = {r: i for i, r in enumerate(all_rays)}
+    cones = sorted({tuple(sorted(idx[r] for r in rays)) for rays in cones_rays})
+    return Fan(dim, tuple(all_rays), tuple(cones), complete and bool(cones))
 
 
 def common_refinement(f1: Fan, f2: Fan) -> Fan:
     """Fan whose cones are the full-dimensional intersections of cones from both fans."""
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
-    h1 = {c: cone_halfspaces(f1, c) for c in f1.cones}
-    h2 = {c: cone_halfspaces(f2, c) for c in f2.cones}
-    cones_rays: list[list[IntVec]] = []
-    for c1 in f1.cones:
-        for c2 in f2.cones:
-            rays = _intersect_full_dim(h1[c1], h2[c2], f1.dim)
-            if rays is not None:
-                cones_rays.append(rays)
-    return _fan_from_cone_rays(cones_rays, f1.dim)
-
-
-def _fan_from_cone_rays(cones_rays: list[list[IntVec]], dim: int) -> Fan:
-    all_rays = sorted({r for rays in cones_rays for r in rays})
-    idx = {r: i for i, r in enumerate(all_rays)}
-    cones = sorted({tuple(sorted(idx[r] for r in rays)) for rays in cones_rays})
-    base = Fan(dim, tuple(all_rays), tuple(cones))
-    return Fan(dim, base.rays, base.cones, is_complete(base))
+    h1 = [cone_halfspaces(f1, c) for c in f1.cones]
+    h2 = [cone_halfspaces(f2, c) for c in f2.cones]
+    return _fan_from_cells((a + b for a in h1 for b in h2), f1.dim, f1.complete and f2.complete)
 
 
 def refines(fine: Fan, coarse: Fan) -> bool:
@@ -192,15 +176,10 @@ def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
     pts = list(dict.fromkeys(slopes))
     if len(pts) == 1:
         return fan
-    hs = {c: cone_halfspaces(fan, c) for c in fan.cones}
-    cones_rays: list[list[IntVec]] = []
-    for k, m in enumerate(pts):
-        region = [tuple(mj - mi for mj, mi in zip(other, m)) for other in pts if other != m]
-        for c in fan.cones:
-            rays = _intersect_full_dim(hs[c], region, fan.dim)
-            if rays is not None:
-                cones_rays.append(rays)
-    return _fan_from_cone_rays(cones_rays, fan.dim)
+    hs = [cone_halfspaces(fan, c) for c in fan.cones]
+    # the regions {v : <other - m, v> >= 0 for every other slope} cover space
+    regions = [[primitive(vsub(other, m)) for other in pts if other != m] for m in pts]
+    return _fan_from_cells((h + region for region in regions for h in hs), fan.dim, fan.complete)
 
 
 def projective_space_fan(n: int) -> Fan:

@@ -46,12 +46,12 @@ def flag(cone_rays: Sequence[Sequence[int]], order: Sequence[Sequence[int]] | No
     n = len(rays)
     if any(len(r) != n for r in rays):
         raise ValueError("dimension mismatch")
-    if abs(det([[Fraction(x) for x in r] for r in rays])) != 1:
+    if abs(det(rays)) != 1:
         raise ValueError("flag cone must be smooth")
     if order is None:
         order = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     a = tuple(tuple(int(x) for x in row) for row in order)
-    if abs(det([[Fraction(x) for x in row] for row in a])) != 1:
+    if abs(det(a)) != 1:
         raise ValueError("order matrix must be unimodular")
     return FlagValuation(rays, a)
 

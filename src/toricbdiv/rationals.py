@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -42,16 +43,27 @@ def vsub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
+def idot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Dot product of integer vectors of the same length, as an int."""
+    return sum(map(mul, u, v))
+
+
+def int_row(v: Sequence) -> tuple[list[int], int]:
+    """(v * den, den) with den the lcm of the denominators of the entries of v."""
+    den = 1
+    for x in v:
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return [x.numerator for x in v], 1
+    return [x.numerator * (den // x.denominator) for x in v], den
+
+
 def primitive(v: Sequence) -> IntVec:
     """Scale a nonzero rational vector to a primitive integer vector, keeping direction."""
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for x in fracs:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fracs]
-    g = 0
-    for a in ints:
-        g = gcd(g, a)
+    ints = int_row(v)[0]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(a // g for a in ints)

@@ -88,11 +88,28 @@ def need(data: dict, key: str, where: str):
     return data[key]
 
 
-def _rat(value, where: str) -> Fraction:
+def need_list(data: dict, key: str, where: str) -> list:
+    value = need(data, key, where)
+    if not isinstance(value, list):
+        raise CliError(2, f"{key} must be a list in {where}")
+    return value
+
+
+def rat_of(value, where: str) -> Fraction:
     try:
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError):
         raise CliError(2, f"bad rational '{value}' in {where}")
+
+
+def int_of(value, where: str) -> int:
+    """An integer given as a JSON int or a string of one."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise CliError(2, f"bad integer '{value}' in {where}")
 
 
 def _fan(data, where: str) -> Fan:
@@ -112,17 +129,17 @@ def fan_of(scn: dict, where: str) -> Fan:
 def divisor_of(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
     coeffs = need(data, "coeffs", where)
     if isinstance(coeffs, dict):
-        coeffs = {k: _rat(v, where) for k, v in coeffs.items()}
+        coeffs = {k: rat_of(v, where) for k, v in coeffs.items()}
+    elif isinstance(coeffs, list):
+        coeffs = [rat_of(v, where) for v in coeffs]
     else:
-        coeffs = [_rat(v, where) for v in coeffs]
+        raise CliError(2, f"coeffs must be a list or a map in {where}")
     return toric.divisor(fan, coeffs)
 
 
 def metric_of(fan: Fan, data: dict, where: str) -> toric.ToricMetric:
     divisor = need(data, "divisor", where)
-    pieces = need(data, "pieces", where)
-    if not isinstance(pieces, list):
-        raise CliError(2, f"pieces must be a list in {where}")
+    pieces = need_list(data, "pieces", where)
     if not pieces:
         raise CliError(3, "model polytope empty")
     line = divisor_of(fan, divisor, where)
@@ -132,20 +149,20 @@ def metric_of(fan: Fan, data: dict, where: str) -> toric.ToricMetric:
         slope = need(piece, "slope", at)
         if not isinstance(slope, list) or len(slope) != fan.dim:
             raise CliError(2, f"slope of length {fan.dim} expected in {at}")
-        parsed.append(([_rat(x, at) for x in slope], _rat(piece.get("offset", 0), at)))
+        parsed.append(([rat_of(x, at) for x in slope], rat_of(piece.get("offset", 0), at)))
     return toric.metric(line, parsed)
 
 
 def metrics_of(fan: Fan, scn: dict, where: str) -> list[toric.HermitianToricLine]:
     out = []
-    for i, data in enumerate(need(scn, "metrics", where)):
+    for i, data in enumerate(need_list(scn, "metrics", where)):
         out.append(toric.hermitian(metric_of(fan, data, f"{where} metrics[{i}]")))
     return out
 
 
 def weil_of(fan: Fan, data: dict, where: str) -> bdiv.WeilNefB:
     approx = []
-    for i, m in enumerate(need(data, "approximants", where)):
+    for i, m in enumerate(need_list(data, "approximants", where)):
         h = toric.hermitian(metric_of(fan, m, f"{where} approximants[{i}]"))
         approx.append(bdiv.bdiv_of_metric(h).cartier)
     limit = None

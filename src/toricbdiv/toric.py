@@ -66,16 +66,10 @@ def zero_divisor(fan: Fan) -> ToricDivisor:
 
 
 def _cone_functional(d: ToricDivisor, cone: fans.Cone) -> Vec | None:
-    """Linear functional m with <m, v_rho> = -a_rho on the cone's rays."""
-    rows = [[Fraction(x) for x in d.fan.rays[i]] for i in cone]
+    """Linear functional m with <m, v_rho> = -a_rho on the cone's rays, or None if none exists."""
+    rows = d.fan.cone_rays(cone)
     rhs = tuple(-d.coeffs[i] for i in cone)
-    m = solve(rows, rhs)
-    if m is None:
-        return None
-    for row, b in zip(rows, rhs):
-        if dot(tuple(row), m) != b:
-            return None
-    return m
+    return solve(rows, rhs)
 
 
 def psi_value(d: ToricDivisor, v: Sequence) -> Fraction:

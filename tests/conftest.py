@@ -22,6 +22,11 @@ def p1cubed() -> fans.Fan:
     return fans.product_fan(p1xp1(), p1())
 
 
+def half_plane() -> fans.Fan:
+    """The upper half-plane as the first two quadrants: a fan that is not complete."""
+    return fans.make_fan([(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+
+
 def o_p2(d) -> toric.ToricDivisor:
     """O(d) on the projective plane: d times the divisor of the ray (-1,-1)."""
     return toric.divisor(p2(), {(1, 0): 0, (0, 1): 0, (-1, -1): d})

@@ -15,7 +15,7 @@ from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
                             intersect_nef, leq, numerically_equal, vol, weil,
                             zero_bdiv)
 
-from conftest import (minimal_line, o_p1p1, o_p2, p1, p1xp1, p2,
+from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1xp1, p2,
                       rand_weighted, weighted_line)
 
 
@@ -154,7 +154,7 @@ def test_leq_matches_lp_oracle(seed, fan1, fan2):
 
 # the upper half-plane is not complete: {m : <m, r> >= c_r} keeps the recession
 # ray (0, 1), so even an empty system has extreme rays, all with t = 0
-HALF_PLANE = fans.make_fan([(1, 0), (0, 1), (-1, 0)], [[0, 1], [1, 2]])
+HALF_PLANE = half_plane()
 
 
 @given(st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3),

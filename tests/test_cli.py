@@ -1,10 +1,13 @@
 """Command line contract: exit codes, report shapes, byte stability."""
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import toricbdiv
 from toricbdiv import cli
 from toricbdiv.cli import run
 
@@ -305,6 +308,44 @@ def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
         assert message in report_of(text)["error"]["message"]
 
 
+TVM = {"ideal": {"nvars": 2, "gens": [[1, 0], [0, 1]]}, "lams": ["1/2"], "ps": [2], "emax": 12}
+W3 = metric_json(3, [(1, 0), (3, 0), (1, 2)])
+
+
+@pytest.mark.parametrize("argv, scn, message", [
+    pytest.param(["verify", "--suite", "test-vs-multiplier"], {**TVM, "lams": ["1/0"]},
+                 "bad rational '1/0'", id="lams-zero-denominator"),
+    pytest.param(["verify", "--suite", "test-vs-multiplier"], {**TVM, "lams": "1/2"},
+                 "lams must be a list", id="lams-not-a-list"),
+    pytest.param(["verify", "--suite", "test-vs-multiplier"], {**TVM, "ps": ["x"]},
+                 "bad integer 'x'", id="ps-not-an-integer"),
+    pytest.param(["verify", "--suite", "test-vs-multiplier"], {**TVM, "ps": [2.5]},
+                 "bad integer '2.5'", id="ps-fractional"),
+    pytest.param(["verify", "--suite", "test-vs-multiplier"], {**TVM, "emax": "many"},
+                 "bad integer 'many'", id="emax-not-an-integer"),
+    pytest.param(["partial-okounkov"], {"fan": P2_FAN, "metric": W3, "kmax": "4.5",
+                                        "flag": {"cone": [[1, 0], [0, 1]]}},
+                 "bad integer '4.5'", id="kmax-not-an-integer"),
+    pytest.param(["volume"], {"fan": P2_FAN, "metric": {**W3, "divisor": {"coeffs": 5}}},
+                 "coeffs must be a list or a map", id="coeffs-not-a-list"),
+    pytest.param(["mass"], {"fan": P2_FAN, "metrics": 5}, "metrics must be a list",
+                 id="metrics-not-a-list"),
+    pytest.param(["volume"], {"fan": P2_FAN, "weil": {"approximants": 5}},
+                 "approximants must be a list", id="approximants-not-a-list"),
+])
+def test_malformed_suite_and_list_inputs_are_input_errors(tmp_path, argv, scn, message):
+    code, text = run(argv + ["--scenario", mk(tmp_path, "bad.json", scn)])
+    assert code == 2
+    assert message in report_of(text)["error"]["message"]
+
+
+def test_integer_strings_still_count_as_integers(tmp_path):
+    scn = mk(tmp_path, "tvm.json", {**TVM, "ps": ["2"], "emax": "12"})
+    code, text = run(["verify", "--suite", "test-vs-multiplier", "--scenario", scn])
+    assert code == 0
+    assert report_of(text)["outputs"]["grid"] == [{"lam": "1/2", "p": 2, "match": True}]
+
+
 def test_bad_tolerance(tmp_path):
     scn2 = mk(tmp_path, "w2.json", {
         "fan": P2_FAN,
@@ -359,6 +400,19 @@ def test_batch_isolates_a_malformed_scenario(tmp_path):
     assert runs[1]["report"]["outputs"]["value"] == "4"
 
 
+def test_batch_isolates_a_zero_denominator_lam(tmp_path):
+    bad = mk(tmp_path, "bad.json", {**TVM, "lams": ["1/0"]})
+    good = mk(tmp_path, "good.json", TVM)
+    suite = ["verify", "--suite", "test-vs-multiplier", "--scenario"]
+    manifest = mk(tmp_path, "runs.json", [suite + [bad], suite + [good]])
+    code, text = run(["batch", manifest])
+    assert code == 2
+    runs = report_of(text)["outputs"]["runs"]
+    assert [r["exit"] for r in runs] == [2, 0]
+    assert "bad rational '1/0'" in runs[0]["report"]["error"]["message"]
+    assert runs[1]["report"]["verdict"] == "equal"
+
+
 def test_batch_bare_list_and_empty(tmp_path):
     ideal = mk(tmp_path, "x.json", {"nvars": 1, "gens": [[1]]})
     manifest = mk(tmp_path, "bare.json",
@@ -378,8 +432,11 @@ def test_batch_bare_list_and_empty(tmp_path):
 
 def test_console_script(tmp_path):
     ideal = mk(tmp_path, "xy.json", {"nvars": 2, "gens": [[1, 0], [0, 1]]})
+    # the child imports the package from where this process found it
+    src = str(Path(toricbdiv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "toricbdiv.cli",
                            "mideal", "--ideal", ideal, "--c", "5/2"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["gens"] == [[1, 0], [0, 1]]

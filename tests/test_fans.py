@@ -11,7 +11,7 @@ from toricbdiv.fans import (common_refinement, complete_fan_2d, fan_from_json,
                             make_fan, product_fan, projective_space_fan,
                             refine_by_slopes, refines, stellar_refine)
 
-from conftest import p1, p1xp1, p2
+from conftest import half_plane, p1, p1cubed, p1xp1, p2
 
 
 def test_projective_plane_fan():
@@ -116,6 +116,52 @@ def test_refine_by_slopes():
     f = refine_by_slopes(p2(), [(0, 0), (1, 1)])
     assert {(1, -1), (-1, 1)} <= set(f.rays)
     assert refines(f, p2())
+
+
+HALF_PLANE = half_plane()
+BASE_FANS = {"P2": p2(), "P1xP1": p1xp1(), "P1^3": p1cubed(), "half-plane": HALF_PLANE}
+small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 2]))
+
+
+def _slopes(dim):
+    return st.lists(st.tuples(*[small] * dim), min_size=1, max_size=4)
+
+
+@given(st.sampled_from(sorted(BASE_FANS)).flatmap(
+    lambda name: st.tuples(st.just(name), _slopes(BASE_FANS[name].dim), _slopes(BASE_FANS[name].dim))))
+@settings(max_examples=40, deadline=None)
+def test_refinement_completeness_flag_matches_is_complete(case):
+    name, s1, s2 = case
+    base = BASE_FANS[name]
+    f1 = refine_by_slopes(base, s1)
+    f2 = refine_by_slopes(base, s2)
+    assert f1.complete == fans.is_complete(f1) == base.complete
+    both = common_refinement(f1, f2)
+    assert both.complete == fans.is_complete(both) == base.complete
+    with_p = common_refinement(both, p2() if base.dim == 2 else p1cubed())
+    assert with_p.complete == fans.is_complete(with_p) == base.complete
+
+
+def test_refinements_of_the_half_plane_are_incomplete():
+    f = refine_by_slopes(HALF_PLANE, [(0, 0), (1, 1), (-1, 2)])
+    assert len(f.cones) > len(HALF_PLANE.cones)
+    assert not f.complete and not fans.is_complete(f)
+    g = common_refinement(p2(), HALF_PLANE)
+    assert refines(g, HALF_PLANE)
+    assert not g.complete and not fans.is_complete(g)
+
+
+def test_refinements_of_a_fan_with_lineality():
+    # two half-planes: every cone of a fan has the same lineality space, so the
+    # cells of a refinement either all keep a line (and are left out) or none does
+    f = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
+    assert f.complete
+    quadrants = refine_by_slopes(f, [(0, 0), (1, 0)])
+    assert len(quadrants.cones) == 4
+    assert quadrants.complete and fans.is_complete(quadrants)
+    lines = refine_by_slopes(f, [(0, 0), (0, 1)])
+    assert lines.cones == ()
+    assert not lines.complete and not fans.is_complete(lines)
 
 
 def test_product_fan():

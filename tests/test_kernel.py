@@ -1,10 +1,11 @@
-"""Exact rational kernel: parsing, linear algebra, extreme rays, and the simplex test oracle."""
+"""Exact rational kernel: parsing, linear algebra, extreme rays, and the test oracles."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_kernel as fk
 import lp_oracle as lp
 from toricbdiv import dd, linalg
 from toricbdiv.rationals import dot, fmt, primitive, rat, vec
@@ -112,3 +113,104 @@ def test_extreme_rays_orthant():
 def test_extreme_rays_halfplane_has_lineality():
     lin, rays = dd.extreme_rays([[1, 0]], 2)
     assert len(lin) == 1 and primitive(lin[0]) in ((0, 1), (0, -1))
+
+
+# -- the integer kernel against the Fraction kernel it replaced ----------------------
+
+fracs = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def matrices(draw, ncols=None, nrows=None):
+    """Fraction matrices with 1-4 columns; extra rows are combinations of the
+    drawn ones, so rank-deficient matrices come up often."""
+    ncols = ncols or draw(st.integers(1, 4))
+    rows = st.lists(fracs, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(rows, min_size=1, max_size=nrows or 4))
+    total = nrows or draw(st.integers(len(base), len(base) + 2))
+    coefs = draw(st.lists(st.lists(fracs, min_size=len(base), max_size=len(base)),
+                          min_size=total - len(base), max_size=total - len(base)))
+    extra = [[sum((c * r[j] for c, r in zip(cs, base)), Fraction(0)) for j in range(ncols)]
+             for cs in coefs]
+    return draw(st.permutations(base + extra))
+
+
+@given(matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_and_nullspace_match_fraction_kernel(rows):
+    assert linalg.rank(rows) == fk.rank(rows)
+    assert linalg.nullspace(rows) == fk.nullspace(rows)
+
+
+@given(matrices(), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_solve_matches_fraction_kernel(rows, consistent, data):
+    n = len(rows[0])
+    if consistent:
+        x0 = data.draw(st.lists(fracs, min_size=n, max_size=n))
+        rhs = [sum((a * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
+    else:
+        rhs = data.draw(st.lists(fracs, min_size=len(rows), max_size=len(rows)))
+    expected = fk.solve(rows, rhs)
+    assert linalg.solve(rows, rhs) == expected
+    if consistent:
+        assert expected is not None
+
+
+@given(st.integers(1, 4).flatmap(lambda n: matrices(ncols=n, nrows=n)))
+@settings(max_examples=200, deadline=None)
+def test_det_matches_fraction_kernel(rows):
+    d = linalg.det(rows)
+    assert d == fk.det(rows) and isinstance(d, Fraction)
+
+
+def test_kernel_edge_cases_match_fraction_kernel():
+    inconsistent = ([[1, 2], [2, 4]], [1, 3])
+    assert linalg.solve(*inconsistent) is None is fk.solve(*inconsistent)
+    assert linalg.nullspace([], 3) == fk.nullspace([], 3)
+    assert linalg.nullspace([[0, 0, 0]]) == fk.nullspace([[0, 0, 0]])
+    assert linalg.det([]) == fk.det([]) == 1
+    with pytest.raises(ValueError, match="square"):
+        linalg.det([[1, 2]])
+
+
+def _check_extreme_rays(rows, dim):
+    lin, rays = dd.extreme_rays(rows, dim)
+    old_lin, old_rays = fk.extreme_rays(rows, dim)
+    assert lin == old_lin
+    assert rays == old_rays
+
+
+row_ints = st.integers(-3, 3)
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(row_ints, min_size=n, max_size=n), min_size=n, max_size=n + 3)))
+@settings(max_examples=150, deadline=None)
+def test_extreme_rays_match_fraction_kernel_on_pointed_cones(rows):
+    # the unit rows make the cone pointed; the others cut it
+    n = len(rows[0])
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    _check_extreme_rays(unit + rows, n)
+
+
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.tuples(st.lists(st.lists(fracs, min_size=n, max_size=n), min_size=1, max_size=5),
+                        st.lists(st.integers(0, n - 1), min_size=1, max_size=n - 1, unique=True))))
+@settings(max_examples=150, deadline=None)
+def test_extreme_rays_match_fraction_kernel_with_lineality(case):
+    # zeroing some coordinates in every row puts their axes in the lineality space
+    rows, zeroed = case
+    rows = [[Fraction(0) if j in zeroed else x for j, x in enumerate(r)] for r in rows]
+    _check_extreme_rays(rows, len(rows[0]))
+
+
+@given(st.integers(2, 3).flatmap(
+    lambda n: st.tuples(st.lists(st.lists(fracs, min_size=n - 1, max_size=n - 1), min_size=1, max_size=6),
+                        st.lists(fracs, min_size=n - 1, max_size=n - 1), fracs)))
+@settings(max_examples=150, deadline=None)
+def test_extreme_rays_match_fraction_kernel_on_lifted_flat_polytopes(case):
+    # points on the hyperplane x_n = <a, x'> + b, lifted by a last coordinate 1, as canonicalize does
+    pts, a, b = case
+    rows = [list(p) + [sum((u * v for u, v in zip(a, p)), b), Fraction(1)] for p in pts]
+    _check_extreme_rays(rows, len(rows[0]))
