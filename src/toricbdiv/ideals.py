@@ -284,6 +284,7 @@ def test_ideal(query: TestIdealQuery) -> MonomialIdeal:
         return unit_ideal(i.nvars)
     e = 1
     prev: MonomialIdeal | None = None
+    jump = (0, 0)
     while e <= query.e_max:
         cur = _power_bracket(i, math.ceil(lam * p**e), p**e)
         if prev is not None and cur == prev:
@@ -295,7 +296,14 @@ def test_ideal(query: TestIdealQuery) -> MonomialIdeal:
             probe = _power_bracket(i, math.ceil(lam * p**f), p**f)
             if probe == cur:
                 return cur
+            jump = (e, f)
             e, cur = f, probe
         prev = cur
         e += 1
+    # a probe that failed at e_max skipped the exponents below it; as the chain
+    # increases, a value at k < e_max equal to the one at e_max is stable on [k, e_max]
+    k = query.e_max - 1
+    if jump[1] == query.e_max and jump[0] < k:
+        if _power_bracket(i, math.ceil(lam * p**k), p**k) == prev:
+            return prev
     raise ValueError("no stabilization by e_max")

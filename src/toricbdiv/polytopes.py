@@ -15,8 +15,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import dd
-from .linalg import det, rank
-from .rationals import IntVec, Vec, dot, fmt, primitive, rat, vadd, vec, vsub
+from .linalg import rank
+from .rationals import (IntVec, Vec, dot, fmt, idot, int_row, primitive, rat,
+                        vadd, vec, vsub)
 
 Halfspace = tuple[IntVec, Fraction]
 
@@ -69,7 +70,7 @@ def _cross(o: Vec, a: Vec, b: Vec) -> Fraction:
 
 
 def _chain2d(pts: list[Vec]) -> list[Vec]:
-    """Counterclockwise hull of >= 3 non-collinear sorted points (Andrew's chain)."""
+    """Counterclockwise hull of sorted points (Andrew's chain); of collinear ones, the two ends."""
     lower: list[Vec] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
@@ -208,76 +209,75 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     return canonicalize({vadd(a, b) for a in p.vertices for b in q.vertices})
 
 
-def _facet_vertices(p: Polytope, w: IntVec, c: Fraction) -> list[Vec]:
-    return [v for v in p.vertices if dot(w, v) == c]
+def _sum_normals(bodies: Sequence[Sequence[IntVec]]) -> list[IntVec]:
+    """Primitive facet normals of the hull of a Minkowski sum of integer point sets;
+    for a sum of codimension 1 the two normals of its hyperplane, below that none."""
+    pts = {tuple(map(sum, zip(*combo))) for combo in product(*bodies)}
+    m = len(next(iter(pts)))
+    lin, rays = dd.extreme_rays([p + (1,) for p in pts], m + 1)
+    if lin:
+        a = primitive(lin[0][:m])
+        return [a, tuple(-x for x in a)] if len(lin) == 1 else []
+    return [primitive(r[:m]) for r in rays if any(r[:m])]
 
 
-def _drop_coord(points: list[Vec], j: int) -> list[Vec]:
-    return [v[:j] + v[j + 1:] for v in points]
-
-
-def _triangulate(p: Polytope) -> list[tuple[Vec, ...]]:
-    """Simplices covering a full-dimensional polytope (vertex tuples)."""
-    n = p.dim
-    verts = p.vertices
-    if len(verts) == n + 1:
-        return [verts]
-    if n == 1:
-        return [(verts[0], verts[-1])]
-    if n == 2:
-        hull = _chain2d(list(verts))
-        return [(hull[0], hull[i], hull[i + 1]) for i in range(1, len(hull) - 1)]
-    v0 = verts[0]
-    simplices: list[tuple[Vec, ...]] = []
-    for w, c in p.halfspaces:
-        if dot(w, v0) == c:
-            continue
-        fverts = _facet_vertices(p, w, c)
-        j = next(i for i, x in enumerate(w) if x != 0)
-        proj = _drop_coord(fverts, j)
-        back = {pr: orig for pr, orig in zip(proj, fverts)}
-        sub = canonicalize(proj)
-        for simplex in _triangulate(sub):
-            simplices.append(tuple(back[s] for s in simplex) + (v0,))
-    return simplices
-
-
-def _det(vectors: list[Vec]) -> Fraction:
-    return det([list(v) for v in vectors])
-
-
-def volume(p: Polytope) -> Fraction:
-    """Euclidean volume in the ambient dimension (0 for lower-dimensional bodies)."""
-    n = p.dim
-    if n == 0:
-        return Fraction(0)
-    if len(p.vertices) <= n or affine_rank(list(p.vertices)) < n:
-        return Fraction(0)
-    total = Fraction(0)
-    fact = math.factorial(n)
-    for simplex in _triangulate(p):
-        base = simplex[-1]
-        d = _det([vsub(v, base) for v in simplex[:-1]])
-        total += abs(d) / fact
+def _mixed2(a: Sequence[IntVec], b: Sequence[IntVec]) -> int:
+    """2 V(A, B) in the plane: the sum over the counter-clockwise edges e of B of
+    -min_A <rot90(e), .>, rot90(e) being the inner normal of e as long as e. A
+    segment B is the 2-gon of its ends, a point has no edges."""
+    hull = _chain2d(sorted(b))
+    total = 0
+    for v, u in zip(hull, hull[1:] + hull[:1]):
+        ex, ey = u[0] - v[0], u[1] - v[1]
+        total -= min(ex * y - ey * x for x, y in a)
     return total
 
 
-def _group_bodies(ps: Sequence[Polytope]) -> tuple[list[Polytope], list[int]]:
-    reps: list[Polytope] = []
-    mult: list[int] = []
-    for body in ps:
-        for i, r in enumerate(reps):
-            if r.vertices == body.vertices:
-                mult[i] += 1
-                break
-        else:
-            reps.append(body)
-            mult.append(1)
-    return reps, mult
+def _mixed(groups: list[tuple[tuple[IntVec, ...], int, Sequence[IntVec] | None]]) -> int:
+    """m! V(K1,...,Km) for integer point sets given as (points, multiplicity, facet
+    normals or None), the multiplicities summing to the dimension m.
+
+    Minkowski's facet formula (Schneider, Convex Bodies, 5.1), K1 of least
+    multiplicity: m V(K1,...,Km) sums, over the facet normals w of K2+...+Km,
+    -min_{K1} <w, .> times the (m-1)-volume of the faces F_w K2, ..., F_w Km.
+    Dropping a coordinate j with w_j != 0 maps the lattice of w's hyperplane
+    onto one of index |w_j|, so that volume is the mixed volume of the dropped
+    faces divided by |w_j|, exactly on lattice bodies.
+    """
+    m = sum(k for _, k, _ in groups)
+    if len(groups) == 1 and len(groups[0][0]) <= m:
+        return 0
+    if m == 1:
+        xs = [v[0] for v in groups[0][0]]
+        return max(xs) - min(xs)
+    i = min(range(len(groups)), key=lambda t: groups[t][1])
+    head = groups[i][0]
+    tail = [(pts, k - (t == i), nrm) for t, (pts, k, nrm) in enumerate(groups) if k - (t == i)]
+    if m == 2:
+        return _mixed2(head, tail[0][0])
+    normals = tail[0][2] if len(tail) == 1 else None
+    total = 0
+    for w in normals or _sum_normals([pts for pts, _, _ in tail]):
+        j = next(t for t, x in enumerate(w) if x)
+        faces: dict[tuple[IntVec, ...], int] = {}
+        for pts, k, _ in tail:
+            vals = [idot(w, v) for v in pts]
+            lo = min(vals)
+            face = tuple(v[:j] + v[j + 1:] for v, x in zip(pts, vals) if x == lo)
+            faces[face] = faces.get(face, 0) + k
+        sub = _mixed([(face, k, None) for face, k in faces.items()])
+        if sub:
+            total -= min(idot(w, v) for v in head) * (sub // abs(w[j]))
+    return total
 
 
 def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
-    """Mixed volume V(P1,...,Pn), normalized so V(P,...,P) = volume(P)."""
+    """Mixed volume V(P1,...,Pn), normalized so V(P,...,P) = volume(P).
+
+    The facet formula runs on integer vertices: each distinct body is scaled by
+    the lcm s of its denominators, and by multilinearity the result is divided
+    by n! times the product of the s.
+    """
     if not ps:
         raise ValueError("wrong count of bodies")
     n = ps[0].dim
@@ -285,24 +285,21 @@ def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
         raise ValueError("dimension mismatch")
     if len(ps) != n:
         raise ValueError("wrong count of bodies")
-    reps, mult = _group_bodies(ps)
-    total = Fraction(0)
-    for combo in product(*[range(m + 1) for m in mult]):
-        k = sum(combo)
-        if k == 0:
+    groups, den = [], math.factorial(n)
+    for t, body in enumerate(ps):
+        if any(q.vertices == body.vertices for q in ps[:t]):
             continue
-        count = 1
-        for m, c in zip(mult, combo):
-            count *= math.comb(m, c)
-        body = None
-        for rep, c in zip(reps, combo):
-            if c == 0:
-                continue
-            piece = scale(rep, c)
-            body = piece if body is None else minkowski_sum(body, piece)
-        sign = -1 if (n - k) % 2 else 1
-        total += sign * count * volume(body)
-    return total / math.factorial(n)
+        k = sum(q.vertices == body.vertices for q in ps[t:])
+        ints, s = int_row([x for v in body.vertices for x in v])
+        pts = tuple(tuple(ints[i:i + n]) for i in range(0, len(ints), n))
+        groups.append((pts, k, [w for w, _ in body.halfspaces]))
+        den *= s ** k
+    return Fraction(_mixed(groups), den)
+
+
+def volume(p: Polytope) -> Fraction:
+    """Euclidean volume in the ambient dimension (0 for lower-dimensional bodies)."""
+    return mixed_volume([p] * p.dim) if p.dim else Fraction(0)
 
 
 @dataclass(frozen=True)

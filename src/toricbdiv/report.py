@@ -112,6 +112,14 @@ def int_of(value, where: str) -> int:
     raise CliError(2, f"bad integer '{value}' in {where}")
 
 
+def ray_of(key: str, where: str) -> tuple[int, ...]:
+    """A ray given as a map key of comma-separated integers, such as "-1,0"."""
+    try:
+        return tuple(int(x) for x in key.split(","))
+    except ValueError:
+        raise CliError(2, f"bad ray '{key}' in {where}")
+
+
 def _fan(data, where: str) -> Fan:
     try:
         # a negative index would silently pick a ray from the end of the list
@@ -129,7 +137,7 @@ def fan_of(scn: dict, where: str) -> Fan:
 def divisor_of(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
     coeffs = need(data, "coeffs", where)
     if isinstance(coeffs, dict):
-        coeffs = {k: rat_of(v, where) for k, v in coeffs.items()}
+        coeffs = {ray_of(k, where): rat_of(v, where) for k, v in coeffs.items()}
     elif isinstance(coeffs, list):
         coeffs = [rat_of(v, where) for v in coeffs]
     else:

@@ -68,6 +68,24 @@ def rand_weighted(rng, fan: fans.Fan, max_deg: int = 4) -> toric.HermitianToricL
     return weighted_line(d, weights) if weights else minimal_line(d)
 
 
+def rand_weighted3(rng):
+    """Random nef+big weighted line on the triple product of lines."""
+    fan = p1cubed()
+    a, b, c = (rng.randint(1, 3) for _ in range(3))
+    d = toric.divisor(fan, {(-1, 0, 0): a, (0, -1, 0): b, (0, 0, -1): c,
+                            (1, 0, 0): 0, (0, 1, 0): 0, (0, 0, 1): 0})
+    weights = {}
+    if rng.random() < 0.7:
+        axis = rng.randrange(3)
+        ray = tuple(1 if i == axis else 0 for i in range(3))
+        w = Fraction(rng.randint(1, 2), rng.choice([2, 3, 4]))
+        if w < (a, b, c)[axis]:
+            weights[ray] = w
+    if weights:
+        return weighted_line(d, weights)
+    return minimal_line(d)
+
+
 def _extent(d: toric.ToricDivisor, ray) -> Fraction:
     from toricbdiv.rationals import dot, vec
     p = toric.polytope_of_divisor(d)

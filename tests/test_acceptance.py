@@ -13,32 +13,15 @@ from toricbdiv.chern import split_bundle
 from toricbdiv.ideals import TestIdealQuery, make_ideal, multiplier_ideal_monomial
 from toricbdiv.okounkov import flag, partial_okounkov, verify_okouniden
 
-from conftest import (minimal_line, o_p2, p1, p1cubed, p1xp1, p2,
-                      rand_weighted, weighted_line)
+import volume_oracle
+from conftest import (minimal_line, o_p2, p1, p1xp1, p2, rand_weighted,
+                      rand_weighted3, weighted_line)
 
 TestIdealQuery.__test__ = False  # imported dataclass, not a test case
 
 
 def b_of_metric(h):
     return bdiv.bdiv_of_metric(h).cartier
-
-
-def rand_weighted3(rng):
-    """Random nef+big weighted line on the triple product of lines."""
-    fan = p1cubed()
-    a, b, c = (rng.randint(1, 3) for _ in range(3))
-    d = toric.divisor(fan, {(-1, 0, 0): a, (0, -1, 0): b, (0, 0, -1): c,
-                            (1, 0, 0): 0, (0, 1, 0): 0, (0, 0, 1): 0})
-    weights = {}
-    if rng.random() < 0.7:
-        axis = rng.randrange(3)
-        ray = tuple(1 if i == axis else 0 for i in range(3))
-        w = Fraction(rng.randint(1, 2), rng.choice([2, 3, 4]))
-        if w < (a, b, c)[axis]:
-            weights[ray] = w
-    if weights:
-        return weighted_line(d, weights)
-    return minimal_line(d)
 
 
 def perim_l1(p: polytopes.Polytope) -> Fraction:
@@ -92,6 +75,10 @@ def test_02_mixed_mass_two_pipelines():
         n = hs[0].line.fan.dim
         assert len(hs) == n
         mass = toric.np_mass(hs)
+        # both sides below run the library's facet formula; the inclusion-exclusion
+        # oracle on the model polytopes is the independent second route
+        models = [toric.model_polytope(h.metric) for h in hs]
+        assert mass == math.factorial(n) * volume_oracle.mixed_volume(models), mass
         bs = [b_of_metric(h) for h in hs]
         polar = Fraction(0)
         for size in range(1, n + 1):

@@ -1,4 +1,5 @@
 """Cartier/Weil b-divisors: order, sums, incarnations, intersections, volumes."""
+import math
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_oracle as lp
+import volume_oracle as vo
 from toricbdiv import bdiv, fans, polytopes, toric
 from toricbdiv.rationals import fmt, rat
 from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
@@ -16,7 +18,7 @@ from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
                             zero_bdiv)
 
 from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1xp1, p2,
-                      rand_weighted, weighted_line)
+                      rand_weighted, rand_weighted3, weighted_line)
 
 
 def b_of(d: toric.ToricDivisor) -> bdiv.CartierB:
@@ -201,6 +203,22 @@ def test_intersect_frozen():
     assert intersect_cartier([b_of(o_p2(3))] * 2) == 9
     assert intersect_cartier([o3_weighted().cartier] * 2) == 4
     assert intersect_cartier([zero_bdiv(p2())] * 2) == 0
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(["P2", "P1xP1", "P1^3"]),
+       st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_intersect_matches_volume_oracle(seed, fan, repeat):
+    rng = random.Random(seed)
+    if fan == "P1^3":
+        hs = [rand_weighted3(rng) for _ in range(3)]
+    else:
+        hs = [rand_weighted(rng, p2() if fan == "P2" else p1xp1()) for _ in range(2)]
+    if repeat:
+        hs[-1] = hs[0]
+    bs = [bdiv_of_metric(h).cartier for h in hs]
+    expected = math.factorial(len(bs)) * vo.mixed_volume([b.polytope() for b in bs])
+    assert intersect_cartier(bs) == expected
 
 
 def test_intersect_symmetric_and_monotone():

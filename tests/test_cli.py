@@ -277,6 +277,10 @@ def test_parse_errors(tmp_path):
                  "bad rational '1/0'", id="slope-zero-denominator"),
     pytest.param(lambda s: s["metric"]["divisor"]["coeffs"].update({"0,1": "1/0"}),
                  "bad rational '1/0'", id="coeff-zero-denominator"),
+    pytest.param(lambda s: s["metric"]["divisor"]["coeffs"].update({"x": "2"}),
+                 "bad ray 'x'", id="coeff-key-not-integers"),
+    pytest.param(lambda s: s["metric"]["divisor"]["coeffs"].update({"1.5,0": "1"}),
+                 "bad ray '1.5,0'", id="coeff-key-not-integral"),
     pytest.param(lambda s: s["metric"]["pieces"].append({"slope": ["1", "0", "0"]}),
                  "slope of length 2", id="slope-too-long"),
     pytest.param(lambda s: s["metric"]["pieces"].append({"slope": ["1"]}),
@@ -411,6 +415,22 @@ def test_batch_isolates_a_zero_denominator_lam(tmp_path):
     assert [r["exit"] for r in runs] == [2, 0]
     assert "bad rational '1/0'" in runs[0]["report"]["error"]["message"]
     assert runs[1]["report"]["verdict"] == "equal"
+
+
+def test_batch_isolates_a_bad_ray_key(tmp_path):
+    metric = metric_json(3, [(1, 0), (3, 0), (1, 2)])
+    good = mk(tmp_path, "good.json", {"fan": P2_FAN, "metric": metric})
+    broken = json.loads(json.dumps(metric))
+    broken["divisor"]["coeffs"]["1.5,0"] = "1"
+    bad = mk(tmp_path, "bad.json", {"fan": P2_FAN, "metric": broken})
+    manifest = mk(tmp_path, "runs.json", [["volume", "--scenario", bad],
+                                          ["volume", "--scenario", good]])
+    code, text = run(["batch", manifest])
+    assert code == 2
+    runs = report_of(text)["outputs"]["runs"]
+    assert [r["exit"] for r in runs] == [2, 0]
+    assert "bad ray '1.5,0'" in runs[0]["report"]["error"]["message"]
+    assert runs[1]["report"]["outputs"]["value"] == "4"
 
 
 def test_batch_bare_list_and_empty(tmp_path):

@@ -200,6 +200,15 @@ def test_no_stabilization_error():
         ideals.test_ideal(TestIdealQuery(make_ideal(2, [[1, 1]]), Fraction(7, 3), 2, e_max=1))
 
 
+def test_stabilization_confirmed_below_a_failed_probe_at_e_max():
+    # the plateau at e = 3, 4 probes e = 8, which differs; the chain is constant
+    # from e = 5 on, so the value at 7 confirms the one at 8
+    ideal = make_ideal(2, [[4, 0], [1, 1], [0, 5]])
+    got = ideals.test_ideal(TestIdealQuery(ideal, Fraction(7, 3), 2, e_max=8))
+    assert got == make_ideal(2, [[6, 0], [3, 1], [2, 2], [1, 3], [0, 7]])
+    assert got == multiplier_ideal_monomial(ideal, Fraction(7, 3))
+
+
 def test_query_validation():
     with pytest.raises(ValueError, match="p must be prime"):
         TestIdealQuery(make_ideal(1, [[1]]), 1, 4)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lp_oracle as lp
+import volume_oracle as vo
 from toricbdiv import polytopes
 from toricbdiv.polytopes import (Polytope, canonicalize, from_halfspaces,
                                  hausdorff_linf, lattice_count, lattice_points,
@@ -281,6 +282,40 @@ def test_translate_into_matches_lp_oracle(pqr, grow):
         # P + v lies in P + R for every v in R, so these mostly have an answer
         q = minkowski_sum(p, r)
     assert translate_into(p, q) == _translate_into_lp(p, q)
+
+
+@st.composite
+def body_lists(draw, dims, most_distinct):
+    """n bodies of R^n drawn from at most most_distinct ones, so bodies repeat."""
+    n = draw(st.sampled_from(dims))
+    distinct = draw(st.lists(bodies(n), min_size=1, max_size=min(n, most_distinct)))
+    picks = draw(st.lists(st.sampled_from(range(len(distinct))), min_size=n, max_size=n))
+    return [distinct[i] for i in picks]
+
+
+@given(body_lists((1, 2, 3), 3))
+@settings(max_examples=150, deadline=None)
+def test_mixed_volume_matches_oracle(ps):
+    assert mixed_volume(ps) == vo.mixed_volume(ps)
+
+
+@given(body_lists((4,), 2))
+@settings(max_examples=25, deadline=None)
+def test_mixed_volume_matches_oracle_4d(ps):
+    assert mixed_volume(ps) == vo.mixed_volume(ps)
+
+
+@given(st.tuples(bodies(3), bodies(3), bodies(3)))
+@settings(max_examples=40, deadline=None)
+def test_mixed_volume_of_three_bodies_matches_oracle(ps):
+    # the tail of two distinct bodies takes its normals from their Minkowski sum
+    assert mixed_volume(list(ps)) == vo.mixed_volume(list(ps))
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(bodies))
+@settings(max_examples=120, deadline=None)
+def test_volume_matches_oracle(p):
+    assert volume(p) == vo.volume(p)
 
 
 def test_from_halfspaces_round_trip():
