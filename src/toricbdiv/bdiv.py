@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from . import dd, fans, polytopes, toric
@@ -21,27 +20,29 @@ from .toric import HermitianToricLine, ToricDivisor
 
 @dataclass(frozen=True)
 class CartierB:
-    """Support function psi given by its values on the rays of a determination fan."""
-    fan: Fan
-    values: tuple[Fraction, ...]
+    """Support function psi of its divisor on a determination fan: psi(v_rho) = -a_rho."""
+    incarnation: ToricDivisor
     nef: bool
 
+    @property
+    def fan(self) -> Fan:
+        return self.incarnation.fan
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        return tuple(-a for a in self.incarnation.coeffs)
+
     def divisor(self) -> ToricDivisor:
-        return _incarnation_on_own_fan(self)
+        return self.incarnation
 
     def psi(self, v: Sequence) -> Fraction:
-        return toric.psi_value(self.divisor(), v)
+        return toric.psi_value(self.incarnation, v)
 
     def polytope(self) -> Polytope:
-        return toric.polytope_of_divisor(self.divisor())
+        return toric.polytope_of_divisor(self.incarnation)
 
     def to_json(self) -> dict:
         return {"fan": self.fan.to_json(), "psi": [fmt(x) for x in self.values]}
-
-
-@lru_cache(maxsize=None)
-def _incarnation_on_own_fan(b: CartierB) -> ToricDivisor:
-    return toric.divisor(b.fan, [-x for x in b.values])
 
 
 def cartier(fan: Fan, values: Sequence) -> CartierB:
@@ -49,7 +50,7 @@ def cartier(fan: Fan, values: Sequence) -> CartierB:
     if len(vals) != len(fan.rays):
         raise ValueError("value count mismatch")
     d = toric.divisor(fan, [-x for x in vals])
-    return CartierB(fan, vals, toric.is_nef(d))
+    return CartierB(d, toric.is_nef(d))
 
 
 def cartier_from_json(data: dict) -> CartierB:
@@ -76,8 +77,8 @@ def bdiv_of_metric(h: HermitianToricLine) -> HermBDiv:
 def incarnation(b, fan: Fan) -> ToricDivisor:
     """Divisor with a_rho = -psi(v_rho) on the given complete fan."""
     if isinstance(b, WeilNefB):
-        return toric.divisor(fan, [-b.limit_psi(r) for r in fan.rays])
-    return toric.divisor(fan, [-b.psi(r) for r in fan.rays])
+        b = b.limit if b.limit is not None else b.approximants[-1]
+    return toric.pullback(b.divisor(), fan)
 
 
 def add(b1: CartierB, b2: CartierB) -> CartierB:
@@ -107,11 +108,6 @@ class WeilNefB:
     """Explicit non-increasing sequence of nef Cartier b-divisors, optional exact limit."""
     approximants: tuple[CartierB, ...]
     limit: CartierB | None = None
-
-    def limit_psi(self, v: Sequence) -> Fraction:
-        if self.limit is not None:
-            return self.limit.psi(v)
-        return self.approximants[-1].psi(v)
 
 
 def weil(approximants: Sequence[CartierB], limit: CartierB | None = None) -> WeilNefB:
@@ -217,7 +213,8 @@ class ChernWeilReport:
 def chern_weil_line(hs: Sequence[HermitianToricLine]) -> ChernWeilReport:
     """Mass of the b-divisor intersection vs the non-pluripolar mass, never raising."""
     n = hs[0].line.fan.dim
-    lhs = intersect_cartier([bdiv_of_metric(h).cartier for h in hs])
+    built = {m: bdiv_of_metric(line).cartier for m, line in {h.metric: h for h in hs}.items()}
+    lhs = intersect_cartier([built[h.metric] for h in hs])
     rhs = toric.np_mass(hs)
     mid: Fraction | None = None
     if all(h.metric == hs[0].metric for h in hs):

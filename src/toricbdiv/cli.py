@@ -1,6 +1,6 @@
 """Command line front end: scenario files in, deterministic rational reports out.
 
-Exit codes: 0 ok, 1 verification gap, 2 parse error, 3 precondition violated.
+Exit codes: 0 ok, 1 verification gap, 2 parse error, 3 precondition violated, 4 internal error.
 """
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,10 +23,17 @@ _SUITES = ("chern-weil-line", "okouniden", "segre-comm", "dfvol",
            "test-vs-multiplier")
 
 
+class _HelpRequested(Exception):
+    """Carries the help text: run() returns it, a batch entry is refused."""
+
+
 class _ArgParser(argparse.ArgumentParser):
     def error(self, message):
         # keep usage noise off stdout; run() turns this into exit 2
         raise CliError(2, message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
 
 
 def _build_parser() -> _ArgParser:
@@ -265,8 +273,8 @@ def _suite_segre_comm(args, scn):
     factors = need(scn, "factors", args.scenario)
     try:
         names = [f[0] for f in factors]
-        exps = [int(f[1]) for f in factors]
-    except (TypeError, IndexError, ValueError):
+        exps = [int_of(f[1], args.scenario) for f in factors]
+    except (TypeError, IndexError, KeyError):
         raise CliError(2, "factors must be [name, exponent] pairs")
     for name in names:
         if name not in table:
@@ -331,7 +339,10 @@ def _cmd_batch(args):
     for entry in runs:
         if not (isinstance(entry, list) and all(isinstance(x, str) for x in entry)):
             raise CliError(2, f"manifest entries must be argv lists in {args.manifest}")
-        code, text = run(entry)
+        try:
+            code, text = _dispatch(entry)
+        except _HelpRequested:
+            code, text = 2, _error_text(entry[0], CliError(2, "help is not available in batch"))
         worst = max(worst, code)
         entries.append({"argv": entry, "exit": code, "report": json.loads(text)})
     inputs = {"manifest": file_digest(args.manifest)}
@@ -359,11 +370,13 @@ def _error_text(command: str, err: CliError) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def run(argv: Sequence[str]) -> tuple[int, str]:
-    """Dispatch one invocation; returns (exit code, report text)."""
-    parser = _build_parser()
+_PARSER = _build_parser()
+
+
+def _dispatch(argv: Sequence[str]) -> tuple[int, str]:
+    """run() without help: a request for it raises _HelpRequested."""
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except CliError as exc:
         return exc.code, _error_text(argv[0] if argv else "", exc)
     if args.command is None:
@@ -375,11 +388,23 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
         return exc.code, _error_text(args.command, exc)
     except ValueError as exc:
         return 3, _error_text(args.command, CliError(3, str(exc)))
+    except Exception as exc:
+        # a fault of the program, not of the input: report it and keep going
+        traceback.print_exc()
+        return 4, _error_text(args.command, CliError(4, f"internal error: {type(exc).__name__}: {exc}"))
     inputs, outputs, verdict = result[:3]
     code = result[3] if len(result) > 3 else (1 if verdict == "gap" else 0)
     timing = round((time.monotonic() - t0) * 1000.0, 3) if args.timing else None
     rep = Report(args.command, inputs, outputs, verdict, timing)
     return code, rep.render()
+
+
+def run(argv: Sequence[str]) -> tuple[int, str]:
+    """Dispatch one invocation; returns (exit code, report or help text)."""
+    try:
+        return _dispatch(argv)
+    except _HelpRequested as exc:
+        return 0, exc.args[0]
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import dd
-from .linalg import rank, solve
+from .linalg import rank
 from .rationals import IntVec, Vec, dot, idot, primitive, vec, vsub
 
 Cone = tuple[int, ...]
@@ -30,8 +30,19 @@ class Fan:
     def cone_rays(self, cone: Cone) -> list[IntVec]:
         return [self.rays[i] for i in cone]
 
-    def is_simplicial_cone(self, cone: Cone) -> bool:
-        return len(cone) == self.dim and rank(self.cone_rays(cone)) == self.dim
+    @functools.cached_property
+    def halfspaces(self) -> dict[Cone, tuple[IntVec, ...]]:
+        """Integer rows a of each maximal cone = {x : <a, x> >= 0 for all rows}."""
+        out = {}
+        for cone in self.cones:
+            lin, extr = dd.extreme_rays(self.cone_rays(cone), self.dim)
+            rows = list(extr)
+            for l in lin:
+                lv = primitive(l)
+                rows.append(lv)
+                rows.append(tuple(-x for x in lv))
+            out[cone] = tuple(rows)
+        return out
 
     def to_json(self) -> dict:
         return {"rays": [list(r) for r in self.rays], "cones": [list(c) for c in self.cones]}
@@ -60,14 +71,9 @@ def fan_from_json(data: dict) -> Fan:
 
 
 def cone_contains(fan: Fan, cone: Cone, v: Sequence) -> bool:
-    """Exact membership of v in the cone spanned by the listed rays."""
+    """Exact membership of v in the maximal cone spanned by the listed rays."""
     x = vec(v)
-    if fan.is_simplicial_cone(cone):
-        # a square full-rank system has exactly one solution: the coordinates of x in the rays
-        gens = fan.cone_rays(cone)
-        cols = [[g[i] for g in gens] for i in range(fan.dim)]
-        return all(l >= 0 for l in solve(cols, x))
-    return all(dot(a, x) >= 0 for a in cone_halfspaces(fan, cone))
+    return all(dot(a, x) >= 0 for a in fan.halfspaces[cone])
 
 
 def find_cone(fan: Fan, v: Sequence) -> Cone | None:
@@ -75,23 +81,6 @@ def find_cone(fan: Fan, v: Sequence) -> Cone | None:
         if cone_contains(fan, c, v):
             return c
     return None
-
-
-def cone_halfspaces(fan: Fan, cone: Cone) -> list[IntVec]:
-    """Integer rows a with cone = {x : <a, x> >= 0 for all rows}."""
-    lin, extr = dd.extreme_rays(fan.cone_rays(cone), fan.dim)
-    rows = list(extr)
-    for l in lin:
-        lv = primitive(l)
-        rows.append(lv)
-        rows.append(tuple(-x for x in lv))
-    return rows
-
-
-def _cone_facet_keys(fan: Fan, cone: Cone) -> list[frozenset[int]]:
-    """Each facet of a full-dimensional cone as the frozenset of rays lying on it."""
-    _, normals = dd.extreme_rays(fan.cone_rays(cone), fan.dim)
-    return [frozenset(i for i in cone if idot(a, fan.rays[i]) == 0) for a in normals]
 
 
 def is_complete(fan: Fan) -> bool:
@@ -102,7 +91,9 @@ def is_complete(fan: Fan) -> bool:
     for cone in fan.cones:
         if rank(fan.cone_rays(cone)) < fan.dim:
             return False
-        for key in _cone_facet_keys(fan, cone):
+        for a in fan.halfspaces[cone]:
+            # a full-dimensional cone has no lineality rows: each row is a facet normal
+            key = frozenset(i for i in cone if idot(a, fan.rays[i]) == 0)
             counts[key] = counts.get(key, 0) + 1
     return all(c == 2 for c in counts.values())
 
@@ -120,8 +111,8 @@ def stellar_refine(fan: Fan, w: Sequence) -> Fan:
         if cone not in hit:
             new_cones.append(tuple(fan.rays[i] for i in cone))
             continue
-        _, normals = dd.extreme_rays(fan.cone_rays(cone), fan.dim)
-        for a in normals:
+        # wp lies in the cone, so the lineality rows, orthogonal to its span, are skipped
+        for a in fan.halfspaces[cone]:
             if idot(a, wp) == 0:
                 continue
             facet = tuple(fan.rays[i] for i in cone if idot(a, fan.rays[i]) == 0)
@@ -131,7 +122,7 @@ def stellar_refine(fan: Fan, w: Sequence) -> Fan:
     return make_fan(all_rays, [tuple(idx[r] for r in c) for c in new_cones], fan.dim)
 
 
-def _fan_from_cells(cells: Iterable[list[IntVec]], dim: int, complete: bool) -> Fan:
+def _fan_from_cells(cells: Iterable[Sequence[IntVec]], dim: int, complete: bool) -> Fan:
     """Fan of the full-dimensional pointed cells {x : <a, x> >= 0 for all rows a of the cell}.
 
     The cells meet the cones of the fans being refined with each other or with
@@ -155,8 +146,7 @@ def common_refinement(f1: Fan, f2: Fan) -> Fan:
     """Fan whose cones are the full-dimensional intersections of cones from both fans."""
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
-    h1 = [cone_halfspaces(f1, c) for c in f1.cones]
-    h2 = [cone_halfspaces(f2, c) for c in f2.cones]
+    h1, h2 = f1.halfspaces.values(), f2.halfspaces.values()
     return _fan_from_cells((a + b for a in h1 for b in h2), f1.dim, f1.complete and f2.complete)
 
 
@@ -176,10 +166,10 @@ def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
     pts = list(dict.fromkeys(slopes))
     if len(pts) == 1:
         return fan
-    hs = [cone_halfspaces(fan, c) for c in fan.cones]
     # the regions {v : <other - m, v> >= 0 for every other slope} cover space
-    regions = [[primitive(vsub(other, m)) for other in pts if other != m] for m in pts]
-    return _fan_from_cells((h + region for region in regions for h in hs), fan.dim, fan.complete)
+    regions = [tuple(primitive(vsub(other, m)) for other in pts if other != m) for m in pts]
+    return _fan_from_cells((h + region for region in regions for h in fan.halfspaces.values()),
+                           fan.dim, fan.complete)
 
 
 def projective_space_fan(n: int) -> Fan:

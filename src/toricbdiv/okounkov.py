@@ -6,14 +6,14 @@ by the lexicographic perturbation v_1 + eps*v_2 + ... of the flag directions.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import bdiv, fans, polytopes, toric
+from . import bdiv, polytopes, toric
 from .bdiv import CartierB, WeilNefB
-from .fans import Fan
-from .linalg import det, solve
+from .linalg import det
 from .polytopes import Polytope
 from .rationals import IntVec, Vec, dot, rat, vec, vsub
 from .toric import HermitianToricLine, ToricDivisor
@@ -29,16 +29,16 @@ class FlagValuation:
     def dim(self) -> int:
         return len(self.base_cone)
 
+    @functools.cached_property
+    def matrix(self) -> tuple[Vec, ...]:
+        """A * V, where the rows of V are the flag rays v_1, ..., v_n."""
+        return tuple(tuple(sum(Fraction(a) * v[j] for a, v in zip(row, self.base_cone))
+                           for j in range(self.dim)) for row in self.order)
+
     def coords(self, m: Sequence) -> Vec:
         """Flag coordinates A * (<m, v_1>, ..., <m, v_n>)."""
-        duals = tuple(dot(vec(v), vec(m)) for v in self.base_cone)
-        return tuple(sum(Fraction(a) * x for a, x in zip(row, duals))
-                     for row in self.order)
-
-    def matrix(self) -> list[list[Fraction]]:
-        n = self.dim
-        return [[sum(Fraction(self.order[i][k]) * self.base_cone[k][j]
-                     for k in range(n)) for j in range(n)] for i in range(n)]
+        x = vec(m)
+        return tuple(dot(row, x) for row in self.matrix)
 
 
 def flag(cone_rays: Sequence[Sequence[int]], order: Sequence[Sequence[int]] | None = None) -> FlagValuation:
@@ -51,6 +51,8 @@ def flag(cone_rays: Sequence[Sequence[int]], order: Sequence[Sequence[int]] | No
     if order is None:
         order = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     a = tuple(tuple(int(x) for x in row) for row in order)
+    if len(a) != n or any(len(row) != n for row in a):
+        raise ValueError("order matrix must be n x n")
     if abs(det(a)) != 1:
         raise ValueError("order matrix must be unimodular")
     return FlagValuation(rays, a)
@@ -80,46 +82,42 @@ def _lex_nonneg(seq: Sequence[Fraction]) -> bool:
     return True
 
 
-def _lex_cone(fan: Fan, nu: FlagValuation) -> fans.Cone:
-    """Maximal cone holding v_1 + eps*v_2 + ... for all small eps > 0."""
-    if fan.dim != nu.dim:
-        raise ValueError("dimension mismatch")
-    for cone in fan.cones:
-        rows = fans.cone_halfspaces(fan, cone)
-        if all(_lex_nonneg(tuple(dot(a, vec(v)) for v in nu.base_cone)) for a in rows):
-            return cone
-    raise ValueError("ray not in support")
-
-
 def _trivialization(d: ToricDivisor, nu: FlagValuation) -> Vec:
-    """Supporting functional of psi_D at the lex cone of the flag."""
-    cone = _lex_cone(d.fan, nu)
-    m0 = toric._cone_functional(d, cone)
-    if m0 is None:
-        raise ValueError("support function not linear on a cone")
-    return m0
+    """Functional of psi_D on the cone holding v_1 + eps*v_2 + ... for all small eps > 0."""
+    if d.fan.dim != nu.dim:
+        raise ValueError("dimension mismatch")
+    for cone, rows in d.fan.halfspaces.items():
+        if all(_lex_nonneg(tuple(dot(a, vec(v)) for v in nu.base_cone)) for a in rows):
+            return d.functionals[cone]
+    raise ValueError("ray not in support")
 
 
 def _image(p: Polytope, nu: FlagValuation, m0: Sequence) -> Polytope:
     shifted = polytopes.translate(p, [-x for x in vec(m0)])
-    return polytopes.linear_image(shifted, nu.matrix())
+    return polytopes.linear_image(shifted, nu.matrix)
+
+
+def _body(d: ToricDivisor, nu: FlagValuation) -> Polytope:
+    """Flag image of P_D minus its trivializing vertex."""
+    return _image(toric.polytope_of_divisor(d), nu, _trivialization(d, nu))
 
 
 def okounkov_of_class(d: ToricDivisor, nu: FlagValuation) -> OkounkovBody:
-    """Body of a nef and big class: flag image of P_D minus its trivializing vertex."""
+    """Body of a nef and big class."""
     if not (toric.is_nef(d) and toric.is_big(d)):
         raise ValueError("not nef or not big")
-    p = toric.polytope_of_divisor(d)
-    return OkounkovBody(_image(p, nu, _trivialization(d, nu)), "class")
+    return OkounkovBody(_body(d, nu), "class")
 
 
 def nu_of_metric(h, nu: FlagValuation) -> Vec:
     """Valuation vector of the metric: flag coordinates of the singularity data."""
     m = toric._as_metric(h)
-    b = bdiv.bdiv_of_metric(toric.hermitian(m)).cartier
-    m0_g = _trivialization(b.divisor(), nu)
-    m0_d = _trivialization(m.line, nu)
-    return nu.coords(vsub(vec(m0_g), vec(m0_d)))
+    return _nu_of(m, bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
+
+
+def _nu_of(m: toric.ToricMetric, b: CartierB, nu: FlagValuation) -> Vec:
+    """nu_of_metric for a metric whose b-divisor b is already built."""
+    return nu.coords(vsub(_trivialization(b.divisor(), nu), _trivialization(m.line, nu)))
 
 
 def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polytope | None], OkounkovBody]:
@@ -149,20 +147,16 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
     return hulls, limit
 
 
-def _body_of_cartier(b: CartierB, nu: FlagValuation) -> Polytope:
-    return _image(b.polytope(), nu, _trivialization(b.divisor(), nu))
-
-
 def okounkov_of_bdiv(w, nu: FlagValuation, tol=Fraction(1, 10**6)) -> OkounkovBody:
     """Body of a nef b-divisor: exact for Cartier, Hausdorff limit for Weil."""
     tol = rat(tol)
     if isinstance(w, CartierB):
-        return OkounkovBody(_body_of_cartier(w, nu), "bdiv_limit")
+        return OkounkovBody(_body(w.divisor(), nu), "bdiv_limit")
     if w.limit is not None:
-        return OkounkovBody(_body_of_cartier(w.limit, nu), "bdiv_limit")
+        return OkounkovBody(_body(w.limit.divisor(), nu), "bdiv_limit")
     prev: Polytope | None = None
     for b in w.approximants:
-        cur = _body_of_cartier(b, nu)
+        cur = _body(b.divisor(), nu)
         if prev is not None and polytopes.hausdorff_linf(prev, cur).value < tol:
             return OkounkovBody(cur, "bdiv_limit")
         prev = cur
@@ -189,7 +183,7 @@ def verify_okouniden(h, nu: FlagValuation) -> OkounidenReport:
     b = bdiv.bdiv_of_metric(toric.hermitian(m)).cartier
     lhs = okounkov_of_bdiv(b, nu)
     model = toric.model_polytope(m)
-    shift = nu_of_metric(m, nu)
+    shift = _nu_of(m, b, nu)
     rhs = OkounkovBody(_image(model, nu, _trivialization(m.line, nu)),
                        "partial_Gk", shift)
     translated = polytopes.translate(lhs.body, shift)
@@ -216,14 +210,11 @@ def monotone_containment(alpha: ToricDivisor, beta: ToricDivisor,
         raise ValueError("hypothesis violated")
     diff = toric.divisor(beta.fan, [b - a for a, b in zip(alpha.coeffs, beta.coeffs)])
     try:
-        p_diff = toric.polytope_of_divisor(diff)
-        p_alpha = toric.polytope_of_divisor(alpha)
-        p_beta = toric.polytope_of_divisor(beta)
+        for d in (diff, alpha, beta):
+            toric.polytope_of_divisor(d)
     except ValueError:
         raise ValueError("hypothesis violated")
-    body_a = _image(p_alpha, nu, _trivialization(alpha, nu))
-    body_d = _image(p_diff, nu, _trivialization(diff, nu))
-    body_b = _image(p_beta, nu, _trivialization(beta, nu))
+    body_a, body_d, body_b = _body(alpha, nu), _body(diff, nu), _body(beta, nu)
     total = polytopes.minkowski_sum(body_a, body_d)
     margins = []
     ok = True

@@ -138,7 +138,11 @@ def divisor_of(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
     coeffs = need(data, "coeffs", where)
     if isinstance(coeffs, dict):
         coeffs = {ray_of(k, where): rat_of(v, where) for k, v in coeffs.items()}
+        if any(len(ray) != fan.dim for ray in coeffs):
+            raise CliError(2, f"ray of length {fan.dim} expected in {where}")
     elif isinstance(coeffs, list):
+        if len(coeffs) != len(fan.rays):
+            raise CliError(2, f"{len(fan.rays)} coefficients expected in {where}")
         coeffs = [rat_of(v, where) for v in coeffs]
     else:
         raise CliError(2, f"coeffs must be a list or a map in {where}")
@@ -187,6 +191,8 @@ def flag_of(scn: dict, where: str) -> okounkov.FlagValuation:
         order = data.get("order")
         if order is not None:
             order = [[int(x) for x in row] for row in order]
+            if len(order) != len(cone) or any(len(row) != len(cone) for row in order):
+                raise ValueError(f"order must be {len(cone)} x {len(cone)}")
     except (ValueError, TypeError) as exc:
         raise CliError(2, f"bad flag in {where}: {exc}")
     return okounkov.flag(cone, order)

@@ -8,7 +8,7 @@ model polytope is the convex hull of the slopes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -24,9 +24,11 @@ Piece = tuple[Vec, Fraction]
 
 @dataclass(frozen=True)
 class ToricDivisor:
-    """Torus-invariant divisor sum a_rho D_rho on a fixed fan."""
+    """Torus-invariant divisor sum a_rho D_rho on a fixed fan, with the functional m
+    of each maximal cone (<m, v_rho> = -a_rho on its rays), which eq and hash skip."""
     fan: Fan
     coeffs: tuple[Fraction, ...]
+    functionals: Mapping[fans.Cone, Vec] = field(compare=False, repr=False)
 
     def coeff(self, ray: Sequence) -> Fraction:
         i = self.fan.ray_index(ray)
@@ -54,22 +56,17 @@ def divisor(fan: Fan, coeffs) -> ToricDivisor:
         vals = tuple(rat(c) for c in coeffs)
         if len(vals) != len(fan.rays):
             raise ValueError("coefficient count mismatch")
-    d = ToricDivisor(fan, vals)
+    functionals = {}
     for cone in fan.cones:
-        if _cone_functional(d, cone) is None:
+        m = solve(fan.cone_rays(cone), tuple(-vals[i] for i in cone))
+        if m is None:
             raise ValueError("support function not linear on a cone")
-    return d
+        functionals[cone] = m
+    return ToricDivisor(fan, vals, functionals)
 
 
 def zero_divisor(fan: Fan) -> ToricDivisor:
     return divisor(fan, [0] * len(fan.rays))
-
-
-def _cone_functional(d: ToricDivisor, cone: fans.Cone) -> Vec | None:
-    """Linear functional m with <m, v_rho> = -a_rho on the cone's rays, or None if none exists."""
-    rows = d.fan.cone_rays(cone)
-    rhs = tuple(-d.coeffs[i] for i in cone)
-    return solve(rows, rhs)
 
 
 def psi_value(d: ToricDivisor, v: Sequence) -> Fraction:
@@ -78,10 +75,7 @@ def psi_value(d: ToricDivisor, v: Sequence) -> Fraction:
     cone = fans.find_cone(d.fan, x)
     if cone is None:
         raise ValueError("ray not in support")
-    m = _cone_functional(d, cone)
-    if m is None:
-        raise ValueError("support function not linear on a cone")
-    return dot(m, x)
+    return dot(d.functionals[cone], x)
 
 
 @lru_cache(maxsize=None)
@@ -93,16 +87,14 @@ def polytope_of_divisor(d: ToricDivisor) -> Polytope:
     return polytopes.from_halfspaces(rows, d.fan.dim)
 
 
+def _in_polytope(d: ToricDivisor, m: Vec) -> bool:
+    """m lies in P_D: <m, v_rho> >= -a_rho for every ray."""
+    return all(dot(m, r) >= -a for r, a in zip(d.fan.rays, d.coeffs))
+
+
 def is_nef(d: ToricDivisor) -> bool:
-    """psi_D concave: each cone's functional satisfies every ray inequality."""
-    for cone in d.fan.cones:
-        m = _cone_functional(d, cone)
-        if m is None:
-            return False
-        for r, a in zip(d.fan.rays, d.coeffs):
-            if dot(m, vec(r)) < -a:
-                return False
-    return True
+    """psi_D concave: each cone's functional lies in P_D."""
+    return all(_in_polytope(d, m) for m in d.functionals.values())
 
 
 def is_big(d: ToricDivisor) -> bool:
@@ -152,10 +144,8 @@ def metric(line: ToricDivisor, pieces: Iterable[tuple[Sequence, object]]) -> Tor
     norm: list[Piece] = sorted({(vec(m), rat(c)) for m, c in pieces})
     if not norm:
         raise ValueError("metric needs at least one piece")
-    for m, _ in norm:
-        for r, a in zip(line.fan.rays, line.coeffs):
-            if dot(m, vec(r)) < -a:
-                raise ValueError("negative Lelong number")
+    if not all(_in_polytope(line, m) for m, _ in norm):
+        raise ValueError("negative Lelong number")
     return ToricMetric(line, tuple(norm))
 
 

@@ -346,6 +346,34 @@ def test_chern_weil_line_frozen():
     assert rep.to_json() == {"lhs": "4", "mid": "4", "rhs": "4", "verdict": "equal"}
 
 
+def _count_bdiv_of_metric(monkeypatch):
+    calls = []
+    real = bdiv.bdiv_of_metric
+
+    def counted(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(bdiv, "bdiv_of_metric", counted)
+    return calls
+
+
+@pytest.mark.parametrize("draw", [lambda rng: rand_weighted(rng, p2()),
+                                  lambda rng: rand_weighted(rng, p1xp1()),
+                                  rand_weighted3], ids=["P2", "P1xP1", "P1^3"])
+def test_chern_weil_line_builds_one_bdiv_per_metric(monkeypatch, draw):
+    h = draw(random.Random(5))
+    n = h.line.fan.dim
+    calls = _count_bdiv_of_metric(monkeypatch)
+    rep = bdiv.chern_weil_line([h] * n)
+    assert rep.verdict == "equal"
+    assert len(calls) == 1
+    twice = toric.divisor(h.line.fan, [2 * a for a in h.line.coeffs])
+    calls.clear()
+    bdiv.chern_weil_line([h, minimal_line(twice)] + [h] * (n - 2))
+    assert len(calls) == 2
+
+
 def test_chern_weil_line_minimal_is_classical():
     rep = bdiv.chern_weil_line([minimal_line(o_p1p1(1, 0)), minimal_line(o_p1p1(0, 1))])
     assert rep.verdict == "equal"

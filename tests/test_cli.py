@@ -287,6 +287,10 @@ def test_parse_errors(tmp_path):
                  "slope of length 2", id="slope-too-short"),
     pytest.param(lambda s: s["metric"].update({"pieces": 5}), "pieces must be a list",
                  id="pieces-not-a-list"),
+    pytest.param(lambda s: s["metric"]["divisor"]["coeffs"].update({"1,0,0": "1"}),
+                 "ray of length 2 expected", id="coeff-key-wrong-length"),
+    pytest.param(lambda s: s["metric"]["divisor"].update({"coeffs": ["0", "0"]}),
+                 "3 coefficients expected", id="coeff-list-wrong-length"),
 ])
 def test_malformed_scenario_is_input_error(tmp_path, edit, message):
     scn = {"fan": json.loads(json.dumps(P2_FAN)), "metric": metric_json(3, [(0, 0), (1, 0)])}
@@ -300,6 +304,10 @@ def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
     base = {"fan": P2_FAN, "metric": metric_json(3, [(0, 0), (1, 0)])}
     cases = [(["okounkov"], {"flag": {"cone": [[1, 0], ["x", 1]]}}, "bad flag"),
              (["okounkov"], {"flag": {"cone": 5}}, "bad flag"),
+             (["okounkov"], {"flag": {"cone": [[1, 0], [0, 1]], "order": [[1]]}},
+              "bad flag"),
+             (["okounkov"], {"flag": {"cone": [[1, 0], [0, 1]], "order": [[1, 0]]}},
+              "bad flag"),
              (["profile"], {"chain": [{"rays": [[1, 0]], "cones": [[1]]}]}, "chain[0]"),
              (["profile"], {"chain": 5}, "chain must be a list"),
              (["chern"], {"bundles": [1], "expression": "c1(E)"}, "bundles must map"),
@@ -314,6 +322,7 @@ def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
 
 TVM = {"ideal": {"nvars": 2, "gens": [[1, 0], [0, 1]]}, "lams": ["1/2"], "ps": [2], "emax": 12}
 W3 = metric_json(3, [(1, 0), (3, 0), (1, 2)])
+SEG = {"fan": P2_FAN, "bundles": {"E": {"summands": [metric_json(1, [(0, 0), (1, 0), (0, 1)])]}}}
 
 
 @pytest.mark.parametrize("argv, scn, message", [
@@ -336,6 +345,10 @@ W3 = metric_json(3, [(1, 0), (3, 0), (1, 2)])
                  id="metrics-not-a-list"),
     pytest.param(["volume"], {"fan": P2_FAN, "weil": {"approximants": 5}},
                  "approximants must be a list", id="approximants-not-a-list"),
+    pytest.param(["verify", "--suite", "segre-comm"], {**SEG, "factors": [["E", 2.5]]},
+                 "bad integer '2.5'", id="segre-exponent-fractional"),
+    pytest.param(["verify", "--suite", "segre-comm"], {**SEG, "factors": [["E", True]]},
+                 "bad integer 'True'", id="segre-exponent-bool"),
 ])
 def test_malformed_suite_and_list_inputs_are_input_errors(tmp_path, argv, scn, message):
     code, text = run(argv + ["--scenario", mk(tmp_path, "bad.json", scn)])
@@ -431,6 +444,55 @@ def test_batch_isolates_a_bad_ray_key(tmp_path):
     assert [r["exit"] for r in runs] == [2, 0]
     assert "bad ray '1.5,0'" in runs[0]["report"]["error"]["message"]
     assert runs[1]["report"]["outputs"]["value"] == "4"
+
+
+def test_batch_isolates_a_help_entry(tmp_path, capsys):
+    ideal = mk(tmp_path, "x.json", {"nvars": 1, "gens": [[1]]})
+    manifest = mk(tmp_path, "runs.json", [["volume", "-h"], ["--help"],
+                                          ["mideal", "--ideal", ideal, "--c", "1/2"]])
+    code, text = run(["batch", manifest])
+    assert code == 2
+    runs = report_of(text)["outputs"]["runs"]
+    assert [r["exit"] for r in runs] == [2, 2, 0]
+    assert runs[0]["report"]["error"]["message"] == "help is not available in batch"
+    assert runs[2]["report"]["outputs"]["gens"] == [[0]]
+    # the help text goes nowhere: stdout holds only what main() prints
+    assert capsys.readouterr().out == ""
+
+
+def test_help_is_printed_with_exit_zero(capsys):
+    code, text = run(["volume", "-h"])
+    assert code == 0
+    assert text.startswith("usage: toricbdiv volume [-h] --scenario SCENARIO")
+    assert cli.main(["volume", "-h"]) == 0
+    assert capsys.readouterr().out == text
+
+
+def test_internal_error_is_reported_with_code_4(tmp_path, monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(cli._HANDLERS, "mass", broken)
+    scn = scn_weighted_o3(tmp_path)
+    code, text = run(["mass", "--scenario", scn])
+    assert code == 4
+    assert report_of(text) == {"command": "mass", "error": {
+        "code": 4, "message": "internal error: KeyError: 'lost'"}}
+    manifest = mk(tmp_path, "runs.json", [["mass", "--scenario", scn],
+                                          ["volume", "--scenario", scn]])
+    code, text = run(["batch", manifest])
+    assert code == 4
+    runs = report_of(text)["outputs"]["runs"]
+    assert [r["exit"] for r in runs] == [4, 0]
+    assert runs[0]["report"]["error"]["code"] == 4
+    assert runs[1]["report"]["outputs"]["value"] == "4"
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_build_parser", lambda: pytest.fail("parser rebuilt"))
+    ideal = mk(tmp_path, "x.json", {"nvars": 1, "gens": [[1]]})
+    manifest = mk(tmp_path, "runs.json", [["mideal", "--ideal", ideal, "--c", "1/2"]])
+    assert run(["batch", manifest])[0] == 0
 
 
 def test_batch_bare_list_and_empty(tmp_path):

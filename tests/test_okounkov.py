@@ -40,11 +40,19 @@ def test_flag_validation():
         flag([(1, 0), (1, 2)])
     with pytest.raises(ValueError, match="order matrix must be unimodular"):
         flag([(1, 0), (0, 1)], order=[[1, 0], [0, 2]])
+    with pytest.raises(ValueError, match="order matrix must be n x n"):
+        flag([(1, 0), (0, 1)], order=[[1]])
+    with pytest.raises(ValueError, match="order matrix must be n x n"):
+        flag([(1, 0), (0, 1)], order=[[1, 0], [0, 1], [0, 0]])
 
 
 def test_flag_coords_and_order():
     nu = flag([(1, 0), (0, 1)], order=[[0, 1], [1, 0]])
     assert nu.coords((2, 5)) == (5, 2)
+    # coords applies the same matrix that maps polytopes to bodies
+    skew = flag([(1, 0), (1, 1)], order=[[1, 1], [0, 1]])
+    assert skew.matrix == ((2, 1), (1, 1))
+    assert skew.coords((Fraction(1, 2), 3)) == (4, Fraction(7, 2))
     body = okounkov_of_class(o_p1p1(1, 2), nu).body
     assert body == hull([(0, 0), (2, 0), (0, 1), (2, 1)])
 
@@ -241,6 +249,17 @@ def test_okouniden_random():
         for _ in range(5):
             rep = verify_okouniden(rand_weighted(rng, fan), std_flag())
             assert rep.verdict == "equal"
+
+
+def test_okouniden_builds_the_bdiv_once(monkeypatch):
+    h = weighted_line(o_p2(3), {(1, 0): 1})
+    calls = []
+    real = bdiv.bdiv_of_metric
+    monkeypatch.setattr(bdiv, "bdiv_of_metric", lambda h: calls.append(h) or real(h))
+    rep = verify_okouniden(h, std_flag())
+    assert rep.verdict == "equal"
+    assert len(calls) == 1
+    assert rep.shift == nu_of_metric(h, std_flag())
 
 
 def test_nu_of_metric_slope_convergence():
