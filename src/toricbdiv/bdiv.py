@@ -6,6 +6,7 @@ sequences of nef b-divisors have increasing psi's and shrinking polytopes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,7 @@ from . import dd, fans, polytopes, toric
 from .fans import Fan
 from .polytopes import Polytope
 from .rationals import fmt, rat
-from .toric import HermitianToricLine, ToricDivisor
+from .toric import HermitianToricLine, ToricDivisor, ToricMetric
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,14 @@ class HermBDiv:
 
 
 def bdiv_of_metric(h: HermitianToricLine) -> HermBDiv:
-    slopes = [m for m, _ in h.metric.pieces]
-    fan = fans.refine_by_slopes(h.line.fan, slopes)
-    return HermBDiv(h, cartier(fan, [h.metric.g(r) for r in fan.rays]))
+    return HermBDiv(h, _determination(h.metric))
+
+
+@functools.lru_cache(maxsize=None)
+def _determination(g: ToricMetric) -> CartierB:
+    """psi = g on the fan refined by g's slopes, built once per metric, whatever its label."""
+    fan = fans.refine_by_slopes(g.line.fan, [m for m, _ in g.pieces])
+    return cartier(fan, [g.g(r) for r in fan.rays])
 
 
 def incarnation(b, fan: Fan) -> ToricDivisor:

@@ -152,7 +152,7 @@ def _write_json(path: str, payload: dict) -> None:
 def _cmd_okounkov(args):
     scn, inputs = _scenario_inputs(args)
     fan = fan_of(scn, args.scenario)
-    nu = flag_of(scn, args.scenario)
+    nu = flag_of(fan, scn, args.scenario)
     if "divisor" in scn:
         body = okounkov.okounkov_of_class(divisor_of(fan, scn["divisor"], "divisor"), nu)
     elif "weil" in scn:
@@ -172,7 +172,7 @@ def _cmd_okounkov(args):
 def _cmd_partial(args):
     scn, inputs = _scenario_inputs(args)
     fan = fan_of(scn, args.scenario)
-    nu = flag_of(scn, args.scenario)
+    nu = flag_of(fan, scn, args.scenario)
     h = _metric_of_scn(fan, scn, args.scenario)
     k_max = args.kmax if args.kmax is not None else int_of(scn.get("kmax", 20), args.scenario)
     hulls, limit = okounkov.partial_okounkov(h, nu, k_max)
@@ -237,7 +237,7 @@ def _cmd_export_plot(args):
     if not args.out:
         raise CliError(2, "missing --out")
     fan = fan_of(scn, args.scenario)
-    nu = flag_of(scn, args.scenario)
+    nu = flag_of(fan, scn, args.scenario)
     if "divisor" in scn:
         body = okounkov.okounkov_of_class(divisor_of(fan, scn["divisor"], "divisor"), nu)
     else:
@@ -261,7 +261,7 @@ def _suite_chern_weil(args, scn):
 
 def _suite_okouniden(args, scn):
     fan = fan_of(scn, args.scenario)
-    nu = flag_of(scn, args.scenario)
+    nu = flag_of(fan, scn, args.scenario)
     h = _metric_of_scn(fan, scn, args.scenario)
     rep = okounkov.verify_okouniden(h, nu)
     return rep.to_json(), rep.verdict

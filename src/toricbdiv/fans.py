@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from . import dd
 from .linalg import rank
-from .rationals import IntVec, Vec, dot, idot, primitive, vec, vsub
+from .rationals import IntVec, Vec, dot, idot, primitive, vec
 
 Cone = tuple[int, ...]
 
@@ -62,8 +62,10 @@ def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int 
     uniq = sorted(set(prim))
     remap = {r: i for i, r in enumerate(uniq)}
     new_cones = sorted({tuple(sorted({remap[prim[i]] for i in c})) for c in cones})
-    base = Fan(n, tuple(uniq), tuple(new_cones))
-    return Fan(n, base.rays, base.cones, is_complete(base))
+    fan = Fan(n, tuple(uniq), tuple(new_cones))
+    # set before the fan is shared, so it keeps the halfspaces is_complete computes
+    object.__setattr__(fan, "complete", is_complete(fan))
+    return fan
 
 
 def fan_from_json(data: dict) -> Fan:
@@ -122,20 +124,14 @@ def stellar_refine(fan: Fan, w: Sequence) -> Fan:
     return make_fan(all_rays, [tuple(idx[r] for r in c) for c in new_cones], fan.dim)
 
 
-def _fan_from_cells(cells: Iterable[Sequence[IntVec]], dim: int, complete: bool) -> Fan:
-    """Fan of the full-dimensional pointed cells {x : <a, x> >= 0 for all rows a of the cell}.
+def _fan_of_cones(cones_rays: Sequence[Sequence[IntVec]], dim: int, complete: bool) -> Fan:
+    """Fan whose maximal cones are spanned by the given ray lists.
 
-    The cells meet the cones of the fans being refined with each other or with
-    regions that cover space, so they cover the same support: the result is
-    complete when those fans are (`complete`), and is_complete is not rerun.
-    All cones of a fan share one lineality space, so either every cell has
-    lineality and no cone is left, or none has.
+    The cones refine fans that are complete when `complete` is, and cover the
+    same support, so is_complete is not rerun. All cones of a fan share one
+    lineality space, so either every cell of a refinement has lineality and no
+    cone is left (an empty, incomplete fan), or none has.
     """
-    cones_rays: list[list[IntVec]] = []
-    for rows in cells:
-        lin, rays = dd.extreme_rays(rows, dim)
-        if not lin and rank(rays) == dim:
-            cones_rays.append(rays)
     all_rays = sorted({r for rays in cones_rays for r in rays})
     idx = {r: i for i, r in enumerate(all_rays)}
     cones = sorted({tuple(sorted(idx[r] for r in rays)) for rays in cones_rays})
@@ -146,8 +142,13 @@ def common_refinement(f1: Fan, f2: Fan) -> Fan:
     """Fan whose cones are the full-dimensional intersections of cones from both fans."""
     if f1.dim != f2.dim:
         raise ValueError("dimension mismatch")
-    h1, h2 = f1.halfspaces.values(), f2.halfspaces.values()
-    return _fan_from_cells((a + b for a in h1 for b in h2), f1.dim, f1.complete and f2.complete)
+    cells = []
+    for a in f1.halfspaces.values():
+        for b in f2.halfspaces.values():
+            lin, rays = dd.extreme_rays(a + b, f1.dim)
+            if not lin and rank(rays) == f1.dim:
+                cells.append(rays)
+    return _fan_of_cones(cells, f1.dim, f1.complete and f2.complete)
 
 
 def refines(fine: Fan, coarse: Fan) -> bool:
@@ -162,14 +163,29 @@ def refines(fine: Fan, coarse: Fan) -> bool:
 
 
 def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
-    """Refine so each cone lies in one region of linearity of min_k <slope_k, v>."""
+    """Refine so each cone lies in one region of linearity of g = min_k <slope_k, v>.
+
+    This is the subdivision of each maximal cone sigma induced by lifting it by g
+    (De Loera, Rambau & Santos, Triangulations, ch. 2): one DD of the lifted cone
+    {(x, t) : x in sigma, t <= <m, x> for every slope m}. The cell of sigma where
+    g = <m, .> is its face t = <m, x>, so the cell's rays are the lifted rays
+    tight at the row (m, -1), dropped to x; a cell is kept when it spans.
+    """
     pts = list(dict.fromkeys(slopes))
     if len(pts) == 1:
         return fan
-    # the regions {v : <other - m, v> >= 0 for every other slope} cover space
-    regions = [tuple(primitive(vsub(other, m)) for other in pts if other != m) for m in pts]
-    return _fan_from_cells((h + region for region in regions for h in fan.halfspaces.values()),
-                           fan.dim, fan.complete)
+    n = fan.dim
+    lifted = [primitive(tuple(m) + (-1,)) for m in pts]
+    cells = []
+    for rows in fan.halfspaces.values():
+        lin, rays = dd.extreme_rays([a + (0,) for a in rows] + lifted, n + 1)
+        if lin:
+            continue  # the line lies in every cell of this cone
+        for s in lifted:
+            cell = [primitive(r[:n]) for r in rays if idot(s, r) == 0]
+            if len(cell) >= n and rank(cell) == n:
+                cells.append(cell)
+    return _fan_of_cones(cells, n, fan.complete)
 
 
 def projective_space_fan(n: int) -> Fan:

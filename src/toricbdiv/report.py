@@ -184,10 +184,12 @@ def weil_of(fan: Fan, data: dict, where: str) -> bdiv.WeilNefB:
     return bdiv.weil(approx, limit)
 
 
-def flag_of(scn: dict, where: str) -> okounkov.FlagValuation:
+def flag_of(fan: Fan, scn: dict, where: str) -> okounkov.FlagValuation:
     data = need(scn, "flag", where)
     try:
         cone = [[int(x) for x in ray] for ray in need(data, "cone", where)]
+        if len(cone) != fan.dim or any(len(ray) != fan.dim for ray in cone):
+            raise ValueError(f"cone must be {fan.dim} rays of length {fan.dim}")
         order = data.get("order")
         if order is not None:
             order = [[int(x) for x in row] for row in order]

@@ -1,0 +1,44 @@
+"""The per-cell refinement by slopes, kept as a test oracle for `fans.refine_by_slopes`.
+
+It runs one double description per (cone, region) cell, where the library runs
+one lifted DD per cone; both must give equal fans, completeness flag included.
+"""
+from __future__ import annotations
+
+from typing import Iterable, Sequence
+
+from toricbdiv import dd
+from toricbdiv.fans import Fan
+from toricbdiv.linalg import rank
+from toricbdiv.rationals import IntVec, Vec, primitive, vsub
+
+
+def _fan_from_cells(cells: Iterable[Sequence[IntVec]], dim: int, complete: bool) -> Fan:
+    """Fan of the full-dimensional pointed cells {x : <a, x> >= 0 for all rows a of the cell}.
+
+    The cells meet the cones of the fans being refined with each other or with
+    regions that cover space, so they cover the same support: the result is
+    complete when those fans are (`complete`), and is_complete is not rerun.
+    All cones of a fan share one lineality space, so either every cell has
+    lineality and no cone is left, or none has.
+    """
+    cones_rays: list[list[IntVec]] = []
+    for rows in cells:
+        lin, rays = dd.extreme_rays(rows, dim)
+        if not lin and rank(rays) == dim:
+            cones_rays.append(rays)
+    all_rays = sorted({r for rays in cones_rays for r in rays})
+    idx = {r: i for i, r in enumerate(all_rays)}
+    cones = sorted({tuple(sorted(idx[r] for r in rays)) for rays in cones_rays})
+    return Fan(dim, tuple(all_rays), tuple(cones), complete and bool(cones))
+
+
+def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
+    """Refine so each cone lies in one region of linearity of min_k <slope_k, v>."""
+    pts = list(dict.fromkeys(slopes))
+    if len(pts) == 1:
+        return fan
+    # the regions {v : <other - m, v> >= 0 for every other slope} cover space
+    regions = [tuple(primitive(vsub(other, m)) for other in pts if other != m) for m in pts]
+    return _fan_from_cells((h + region for region in regions for h in fan.halfspaces.values()),
+                           fan.dim, fan.complete)

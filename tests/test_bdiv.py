@@ -374,6 +374,23 @@ def test_chern_weil_line_builds_one_bdiv_per_metric(monkeypatch, draw):
     assert len(calls) == 2
 
 
+def test_determination_is_built_once_per_metric(monkeypatch):
+    bdiv._determination.cache_clear()
+    calls = []
+    real = fans.refine_by_slopes
+    monkeypatch.setattr(fans, "refine_by_slopes",
+                        lambda fan, slopes: calls.append(fan) or real(fan, slopes))
+    data = {"divisor": {"coeffs": {"1,0": "0", "0,1": "0", "-1,-1": "3"}},
+            "pieces": [{"slope": ["0", "0"]}, {"slope": ["1/2", "0"]}, {"slope": ["0", "3"]}]}
+    g1, g2 = (toric.metric_from_json(fans.fan_from_json(p2().to_json()), data) for _ in range(2))
+    assert g1 == g2 and g1 is not g2
+    b1 = bdiv_of_metric(toric.hermitian(g1, "first")).cartier
+    b2 = bdiv_of_metric(toric.hermitian(g2, "second")).cartier
+    assert len(calls) == 1 and b2 is b1
+    fresh = bdiv._determination.__wrapped__(g2)
+    assert fresh is not b1 and fresh == b1
+
+
 def test_chern_weil_line_minimal_is_classical():
     rep = bdiv.chern_weil_line([minimal_line(o_p1p1(1, 0)), minimal_line(o_p1p1(0, 1))])
     assert rep.verdict == "equal"

@@ -308,6 +308,9 @@ def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
               "bad flag"),
              (["okounkov"], {"flag": {"cone": [[1, 0], [0, 1]], "order": [[1, 0]]}},
               "bad flag"),
+             (["okounkov"], {"flag": {"cone": [[1, 0]]}}, "bad flag"),
+             (["okounkov"], {"flag": {"cone": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}},
+              "bad flag"),
              (["profile"], {"chain": [{"rays": [[1, 0]], "cones": [[1]]}]}, "chain[0]"),
              (["profile"], {"chain": 5}, "chain must be a list"),
              (["chern"], {"bundles": [1], "expression": "c1(E)"}, "bundles must map"),

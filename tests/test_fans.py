@@ -2,11 +2,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fan_oracle
 import lp_oracle as lp
-from toricbdiv import fans
+from toricbdiv import dd, fans
 from toricbdiv.fans import (common_refinement, complete_fan_2d, fan_from_json,
                             make_fan, product_fan, projective_space_fan,
                             refine_by_slopes, refines, stellar_refine)
@@ -161,6 +162,60 @@ def test_refinements_of_a_fan_with_lineality():
     lines = refine_by_slopes(f, [(0, 0), (0, 1)])
     assert lines.cones == ()
     assert not lines.complete and not fans.is_complete(lines)
+
+
+LINEALITY = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
+LIFT_FANS = {**BASE_FANS, "lineality": LINEALITY}
+
+
+@st.composite
+def _fan_and_slopes(draw):
+    name = draw(st.sampled_from(sorted(LIFT_FANS) + ["random 2-d"]))
+    if name == "random 2-d":
+        rays = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                             min_size=3, max_size=7))
+        try:
+            base = complete_fan_2d(rays)
+        except ValueError:
+            assume(False)
+    else:
+        base = LIFT_FANS[name]
+    pts = draw(_slopes(base.dim))
+    extra = draw(st.sets(st.sampled_from(["repeated", "collinear", "non-vertex"])))
+    a, b = pts[0], pts[-1]
+    if "repeated" in extra:
+        pts.append(a)
+    if "collinear" in extra:  # a, b and a point beyond b on their line
+        pts.append(tuple(2 * y - x for x, y in zip(a, b)))
+    if "non-vertex" in extra:  # the mean of the slopes so far
+        pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    return base, draw(st.permutations(pts))
+
+
+@given(_fan_and_slopes())
+@settings(max_examples=150, deadline=None)
+def test_lifted_refinement_matches_per_cell_oracle(case):
+    base, slopes = case
+    lifted = refine_by_slopes(base, slopes)
+    cells = fan_oracle.refine_by_slopes(base, slopes)
+    # Fan equality compares dim, rays, cones and the completeness flag
+    assert lifted == cells
+
+
+def test_find_cone_after_building_a_fan_runs_no_dd(monkeypatch):
+    base, p2_json = p1xp1(), p2().to_json()
+    assert base.halfspaces
+    calls = []
+    real = dd.extreme_rays
+    monkeypatch.setattr(dd, "extreme_rays", lambda rows, dim: calls.append(dim) or real(rows, dim))
+    for build, dds in ((lambda: stellar_refine(base, (1, 1)), 5),
+                       (lambda: fan_from_json(p2_json), 3)):
+        calls.clear()
+        f = build()
+        assert f.complete and len(calls) == dds  # one DD per maximal cone
+        calls.clear()
+        assert fans.find_cone(f, (-2, 3)) is not None
+        assert calls == []
 
 
 def test_product_fan():
