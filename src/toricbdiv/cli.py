@@ -40,7 +40,7 @@ def _build_parser() -> _ArgParser:
     p = _ArgParser(prog="toricbdiv", add_help=True)
     sub = p.add_subparsers(dest="command")
 
-    def cmd(name: str, scenario=True, out=False, **extra):
+    def cmd(name: str, scenario=True, out=False):
         sp = sub.add_parser(name)
         if scenario:
             sp.add_argument("--scenario", required=True)
@@ -71,7 +71,7 @@ def _build_parser() -> _ArgParser:
     sp.add_argument("--suite", required=True, choices=_SUITES)
     sp.add_argument("--kmax", type=int)
     cmd("profile")
-    sp = cmd("export-plot", out=True)
+    cmd("export-plot", out=True)
     sp = cmd("batch", scenario=False)
     sp.add_argument("manifest")
     return p

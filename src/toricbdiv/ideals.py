@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -107,6 +107,21 @@ def _graded_box(bounds: Sequence[int]):
     return pts
 
 
+def _minimal_in_box(bounds: Sequence[int], member: Callable[[tuple[int, ...]], bool],
+                    what: str) -> MonomialIdeal:
+    """Ideal generated by the box points m with member(m), for a test closed
+    upward: in graded-lex order, a point above a kept generator is skipped."""
+    gens: list[tuple[int, ...]] = []
+    for m in _graded_box(bounds):
+        if any(all(x >= g for x, g in zip(m, kept)) for kept in gens):
+            continue
+        if member(m):
+            gens.append(m)
+    if not gens:
+        raise AssertionError(f"{what} search box too small")
+    return make_ideal(len(bounds), gens)
+
+
 def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
     """Howald membership: m in I(a^c) iff m + 1 lies strictly inside c * Newton(a)."""
     c = rat(c)
@@ -118,16 +133,9 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
     region = newton_region(a)
     maxcoord = max(max(g) for g in a.gens)
     bound = math.ceil(c * maxcoord) + n + 2
-    gens: list[tuple[int, ...]] = []
-    for m in _graded_box([bound] * n):
-        if any(all(x >= g for x, g in zip(m, kept)) for kept in gens):
-            continue
-        shifted = tuple(Fraction(x + 1) for x in m)
-        if region.strictly_inside_scaled(shifted, c):
-            gens.append(m)
-    if not gens:
-        raise AssertionError("multiplier ideal search box too small")
-    return make_ideal(n, gens)
+    return _minimal_in_box(
+        [bound] * n, lambda m: region.strictly_inside_scaled(tuple(Fraction(x + 1) for x in m), c),
+        "multiplier ideal")
 
 
 def multiplier_ideal_snc(weights: Sequence[tuple[str, object]], k: int) -> dict[str, int]:
@@ -153,6 +161,8 @@ def graded_sections(h: HermitianToricLine, k: int) -> int:
 
 def volume_of_pair(h: HermitianToricLine, k_max: int = 20) -> tuple[Fraction, list[Fraction]]:
     """Exact vol(L,h) = vol(P(g)) plus the normalized section-count sequence."""
+    if k_max < 1:
+        raise ValueError("k must be positive")
     exact = polytopes.volume(toric.model_polytope(h.metric))
     n = h.line.fan.dim
     seq = [Fraction(graded_sections(h, k), k**n) for k in range(1, k_max + 1)]
@@ -248,16 +258,9 @@ def _power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
     if n_pow == 0:
         return unit_ideal(n)
     bounds = [max((n_pow * g[j]) // q for g in i.gens) for j in range(n)]
-    gens: list[tuple[int, ...]] = []
-    for m in _graded_box(bounds):
-        if any(all(x >= g for x, g in zip(m, kept)) for kept in gens):
-            continue
-        w = tuple(q * (x + 1) - 1 for x in m)
-        if _member_of_power(w, i.gens, n_pow):
-            gens.append(m)
-    if not gens:
-        raise AssertionError("bracket search box too small")
-    return make_ideal(n, gens)
+    return _minimal_in_box(
+        bounds, lambda m: _member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
+        "bracket")
 
 
 def _probe_affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:

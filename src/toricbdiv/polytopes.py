@@ -65,18 +65,18 @@ def affine_rank(points: Sequence[Vec]) -> int:
     return rank([vsub(p, p0) for p in points[1:]])
 
 
-def _cross(o: Vec, a: Vec, b: Vec) -> Fraction:
+def _cross(o: IntVec, a: IntVec, b: IntVec) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _chain2d(pts: list[Vec]) -> list[Vec]:
+def _chain2d(pts: list[IntVec]) -> list[IntVec]:
     """Counterclockwise hull of sorted points (Andrew's chain); of collinear ones, the two ends."""
-    lower: list[Vec] = []
+    lower: list[IntVec] = []
     for p in pts:
         while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[Vec] = []
+    upper: list[IntVec] = []
     for p in reversed(pts):
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
@@ -84,22 +84,47 @@ def _chain2d(pts: list[Vec]) -> list[Vec]:
     return lower[:-1] + upper[:-1]
 
 
-def _normalize_facet(a: Sequence[Fraction], c: Fraction) -> Halfspace:
-    """Rescale <a, x> >= c so the normal is a primitive integer vector."""
-    n = primitive(a)
-    i = next(j for j, x in enumerate(n) if x != 0)
-    scale = Fraction(a[i]) / n[i]
-    return n, Fraction(c) / scale
+def _hull(pts: list[IntVec], s: int) -> tuple[list[IntVec], list[tuple[IntVec, int]]]:
+    """Extreme points and facet rows <w, x> >= c (w primitive, c an int) of the hull
+    of lex-sorted distinct integer points, which are s > 0 times the points meant.
 
+    A lower-dimensional hull also gets the equations <w, x> = c of a basis of its
+    affine hull, each as the opposite pair of rows with w's first nonzero entry
+    positive. The points are lifted as (p, s), so the double description sees
+    the primitive rows of the points meant, lifted by 1.
+    """
+    n = len(pts[0])
+    if len(pts) == 1:
+        rows = []
+        for i, x in enumerate(pts[0]):
+            e = tuple(int(i == j) for j in range(n))
+            rows += [(e, x), (tuple(-y for y in e), -x)]
+        return pts, rows
+    if n == 2 and affine_rank(pts) == 2:
+        hull = _chain2d(pts)
+        rows = []
+        for v, u in zip(hull, hull[1:] + hull[:1]):
+            w = primitive((v[1] - u[1], u[0] - v[0]))
+            rows.append((w, idot(w, v)))
+        return hull, rows
 
-def _equality_pair(normal: Sequence[Fraction], c: Fraction) -> list[Halfspace]:
-    n = primitive(normal)
-    i = next(j for j, x in enumerate(n) if x != 0)
-    if n[i] < 0:
-        n = tuple(-x for x in n)
-    scale = Fraction(normal[i]) / n[i]
-    c = Fraction(c) / scale
-    return [(n, c), (tuple(-x for x in n), -c)]
+    # polar cone of the lifted points: extreme rays <-> facets, lineality <-> affine hull
+    lin, rays = dd.extreme_rays([p + (s,) for p in pts], n + 1)
+    rows = []
+    for l in lin:
+        if any(l[:n]):
+            w = primitive(l[:n])
+            if next(x for x in w if x) < 0:
+                w = tuple(-x for x in w)
+            c = idot(w, pts[0])
+            rows += [(w, c), (tuple(-x for x in w), -c)]
+    for r in rays:
+        if any(r[:n]):
+            # <r[:n], x> >= -r[n] s passes through an input point, so g divides r[n] s
+            g = math.gcd(*r[:n])
+            rows.append((tuple(x // g for x in r[:n]), -r[n] * s // g))
+    verts = [p for p in pts if rank([w for w, c in rows if idot(w, p) == c]) == n]
+    return verts, rows
 
 
 def _build(dim: int, vertices: Iterable[Vec], halfspaces: Iterable[Halfspace]) -> Polytope:
@@ -107,54 +132,22 @@ def _build(dim: int, vertices: Iterable[Vec], halfspaces: Iterable[Halfspace]) -
 
 
 def canonicalize(raw_vertices: Iterable[Sequence]) -> Polytope:
-    """Convex hull with minimal V- and H-representations, deterministically ordered."""
+    """Convex hull with minimal V- and H-representations, deterministically ordered.
+
+    The points are scaled once by the lcm s of their denominators and hulled on
+    integers; offsets become Fractions only for the Polytope returned.
+    """
     pts = sorted({vec(p) for p in raw_vertices})
     if not pts:
         raise ValueError("empty point set")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("dimension mismatch")
-    if len(pts) == 1:
-        hs: list[Halfspace] = []
-        for i in range(n):
-            e = tuple(Fraction(int(i == j)) for j in range(n))
-            hs.extend(_equality_pair(e, pts[0][i]))
-        return _build(n, pts, hs)
-    if n == 2 and affine_rank(pts) == 2:
-        hull = _chain2d(pts)
-        hs = []
-        for i, v in enumerate(hull):
-            w = hull[(i + 1) % len(hull)]
-            d = vsub(w, v)
-            normal = primitive((-d[1], d[0]))
-            hs.append((normal, dot(normal, v)))
-        return _build(n, hull, hs)
-
-    # polar cone of the lifted points: extreme rays <-> facets, lineality <-> affine hull
-    rows = [tuple(p) + (Fraction(1),) for p in pts]
-    lin, rays = dd.extreme_rays(rows, n + 1)
-    halfspaces: list[Halfspace] = []
-    eq_normals: list[IntVec] = []
-    for l in lin:
-        a, c = l[:n], l[n]
-        if all(x == 0 for x in a):
-            continue
-        pair = _equality_pair(a, -c)
-        halfspaces.extend(pair)
-        eq_normals.append(pair[0][0])
-    for r in rays:
-        a, c = r[:n], r[n]
-        if all(x == 0 for x in a):
-            continue
-        halfspaces.append(_normalize_facet([Fraction(x) for x in a], Fraction(-c)))
-
-    facet_list = [h for h in halfspaces]
-    verts = []
-    for p in pts:
-        tight = [w for w, c in facet_list if dot(w, p) == c]
-        if rank(tight) == n:
-            verts.append(p)
-    return _build(n, verts, halfspaces)
+    ints, s = int_row([x for p in pts for x in p])
+    scaled = [tuple(ints[i * n:(i + 1) * n]) for i in range(len(pts))]
+    verts, rows = _hull(scaled, s)
+    back = dict(zip(scaled, pts))
+    return _build(n, [back[v] for v in verts], [(w, Fraction(c, s)) for w, c in rows])
 
 
 def from_halfspaces(rows: Iterable[tuple[Sequence, Fraction]], dim: int) -> Polytope:
@@ -209,18 +202,6 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     return canonicalize({vadd(a, b) for a in p.vertices for b in q.vertices})
 
 
-def _sum_normals(bodies: Sequence[Sequence[IntVec]]) -> list[IntVec]:
-    """Primitive facet normals of the hull of a Minkowski sum of integer point sets;
-    for a sum of codimension 1 the two normals of its hyperplane, below that none."""
-    pts = {tuple(map(sum, zip(*combo))) for combo in product(*bodies)}
-    m = len(next(iter(pts)))
-    lin, rays = dd.extreme_rays([p + (1,) for p in pts], m + 1)
-    if lin:
-        a = primitive(lin[0][:m])
-        return [a, tuple(-x for x in a)] if len(lin) == 1 else []
-    return [primitive(r[:m]) for r in rays if any(r[:m])]
-
-
 def _mixed2(a: Sequence[IntVec], b: Sequence[IntVec]) -> int:
     """2 V(A, B) in the plane: the sum over the counter-clockwise edges e of B of
     -min_A <rot90(e), .>, rot90(e) being the inner normal of e as long as e. A
@@ -256,8 +237,12 @@ def _mixed(groups: list[tuple[tuple[IntVec, ...], int, Sequence[IntVec] | None]]
     if m == 2:
         return _mixed2(head, tail[0][0])
     normals = tail[0][2] if len(tail) == 1 else None
+    if not normals:
+        # the equations and relative facets of a flat sum give only zero terms
+        sums ={tuple(map(sum, zip(*combo))) for combo in product(*(pts for pts, _, _ in tail))}
+        normals = [w for w, _ in _hull(sorted(sums), 1)[1]]
     total = 0
-    for w in normals or _sum_normals([pts for pts, _, _ in tail]):
+    for w in normals:
         j = next(t for t, x in enumerate(w) if x)
         faces: dict[tuple[IntVec, ...], int] = {}
         for pts, k, _ in tail:

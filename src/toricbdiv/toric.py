@@ -129,10 +129,6 @@ class ToricMetric:
         x = vec(v)
         return min(dot(m, x) for m, _ in self.pieces)
 
-    def g_affine(self, v: Sequence) -> Fraction:
-        x = vec(v)
-        return min(dot(m, x) + c for m, c in self.pieces)
-
     def to_json(self) -> dict:
         return {
             "divisor": self.line.to_json(),

@@ -217,6 +217,23 @@ def test_verify_suites_pass(tmp_path):
     assert all(cell["match"] for cell in rep["outputs"]["grid"])
 
 
+@pytest.mark.parametrize("kmax", ["0", "-2"])
+def test_dfvol_nonpositive_kmax_is_domain_error(tmp_path, kmax):
+    scn = scn_weighted_o3(tmp_path)
+    code, text = run(["verify", "--suite", "dfvol", "--scenario", scn, "--kmax", kmax])
+    assert code == 3
+    assert report_of(text)["error"] == {"code": 3, "message": "k must be positive"}
+
+
+def test_dfvol_lattice_budget_is_domain_error(tmp_path):
+    # O(10000) on P^2: counting its 2-simplex scans a box of 10001^2 cells
+    scn = mk(tmp_path, "big.json", {
+        "fan": P2_FAN, "metric": metric_json(10000, [(0, 0), (10000, 0), (0, 10000)])})
+    code, text = run(["verify", "--suite", "dfvol", "--scenario", scn, "--kmax", "1"])
+    assert code == 3
+    assert report_of(text)["error"] == {"code": 3, "message": "lattice enumeration budget exceeded"}
+
+
 def test_verify_gap_exit(tmp_path, monkeypatch):
     scn = scn_weighted_o3(tmp_path)
     monkeypatch.setitem(cli._SUITE_FNS, "okouniden",

@@ -138,6 +138,12 @@ def test_graded_sections_requires_positive_k():
         ideals.graded_sections(minimal_line(o_p2(1)), 0)
 
 
+@pytest.mark.parametrize("k_max", [0, -3])
+def test_volume_of_pair_requires_positive_k(k_max):
+    with pytest.raises(ValueError, match="k must be positive"):
+        ideals.volume_of_pair(minimal_line(o_p2(1)), k_max)
+
+
 # -- Frobenius brackets and test ideals ---------------------------------------
 
 def test_bracket_frozen():
@@ -207,6 +213,13 @@ def test_stabilization_confirmed_below_a_failed_probe_at_e_max():
     got = ideals.test_ideal(TestIdealQuery(ideal, Fraction(7, 3), 2, e_max=8))
     assert got == make_ideal(2, [[6, 0], [3, 1], [2, 2], [1, 3], [0, 7]])
     assert got == multiplier_ideal_monomial(ideal, Fraction(7, 3))
+
+
+def test_power_membership_budget():
+    # four generators and N = 600 leave comb(603, 3) > 30 million compositions
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    with pytest.raises(ValueError, match="test ideal budget exceeded"):
+        ideals._member_of_power((10**6,) * 4, units, 600)
 
 
 def test_query_validation():

@@ -1,11 +1,13 @@
 """Convex bodies: hulls, Minkowski sums, volumes, mixed volumes, Hausdorff."""
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hull_oracle as ho
 import lp_oracle as lp
 import volume_oracle as vo
 from toricbdiv import polytopes
@@ -58,6 +60,45 @@ def test_vertices_sorted_lexicographically():
 def test_canonicalize_idempotent(pts):
     p = canonicalize(pts)
     assert canonicalize(p.vertices) == p
+
+
+small = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def flat_point_sets(draw, dims=(1, 2, 3, 4), coords=small):
+    """1-8 points of R^n, n drawn from dims, spanning an affine subspace of
+    dimension at most r for a drawn r <= n (r = 0 gives a single point), some
+    repeated."""
+    n = draw(st.sampled_from(dims))
+    r = draw(st.integers(min_value=0, max_value=n))
+    base = draw(st.tuples(*[coords] * n))
+    dirs = draw(st.lists(st.tuples(*[coords] * n), min_size=r, max_size=r))
+    steps = st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r)
+    pts = [tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+           for cs in draw(st.lists(steps, min_size=1, max_size=8))]
+    return pts + draw(st.lists(st.sampled_from(pts), max_size=3))
+
+
+@given(flat_point_sets())
+@settings(max_examples=400, deadline=None)
+def test_canonicalize_matches_fraction_hull_oracle(pts):
+    p, q = canonicalize(pts), ho.canonicalize(pts)
+    assert p.vertices == q.vertices
+    assert p.halfspaces == q.halfspaces
+
+
+@given(st.sampled_from([3, 4]).flatmap(lambda n: st.lists(
+    flat_point_sets((n,), st.integers(min_value=-3, max_value=3)), min_size=2, max_size=3)))
+@settings(max_examples=60, deadline=None)
+def test_tail_sum_normals_match_oracle(sets):
+    # a flat sum also gets its relative facets, which add only zero terms to _mixed
+    sums = sorted({tuple(map(sum, zip(*combo))) for combo in product(*sets)})
+    normals = [w for w, _ in polytopes._hull(sums, 1)[1]]
+    old = ho._sum_normals(sets)
+    assert set(old) <= set(normals)
+    if polytopes.affine_rank(sums) == len(sums[0]):
+        assert sorted(old) == sorted(normals)
 
 
 def test_minkowski_squares():
@@ -181,6 +222,12 @@ def test_lattice_count_brute_force_oracle():
         run_ends = polytopes.lattice_run_ends(kp)
         assert len(run_ends) == len(set(run_ends))
         assert set(run_ends) == ends
+
+
+def test_lattice_count_budget():
+    # the bounding box has 8001^2 > 50 million cells
+    with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
+        lattice_count(canonicalize([(0, 0), (8000, 0), (0, 8000)]))
 
 
 def test_translate_into_frozen():
