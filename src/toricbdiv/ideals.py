@@ -155,15 +155,16 @@ def graded_sections(h: HermitianToricLine, k: int) -> int:
     """Count of lattice points of k * P(g): sections of L^k cut by the ideal of k*h."""
     if k <= 0:
         raise ValueError("k must be positive")
-    body = polytopes.scale(toric.model_polytope(h.metric), k)
-    return polytopes.lattice_count(body)
+    return polytopes.lattice_count(toric.model_polytope(h.metric), k)
 
 
 def volume_of_pair(h: HermitianToricLine, k_max: int = 20) -> tuple[Fraction, list[Fraction]]:
     """Exact vol(L,h) = vol(P(g)) plus the normalized section-count sequence."""
     if k_max < 1:
         raise ValueError("k must be positive")
-    exact = polytopes.volume(toric.model_polytope(h.metric))
+    model = toric.model_polytope(h.metric)
+    polytopes.check_lattice_budget(model, k_max)
+    exact = polytopes.volume(model)
     n = h.line.fan.dim
     seq = [Fraction(graded_sections(h, k), k**n) for k in range(1, k_max + 1)]
     return exact, seq

@@ -7,16 +7,17 @@ by the lexicographic perturbation v_1 + eps*v_2 + ... of the flag directions.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import bdiv, polytopes, toric
-from .bdiv import CartierB, WeilNefB
+from .bdiv import CartierB
 from .linalg import det
 from .polytopes import Polytope
-from .rationals import IntVec, Vec, dot, rat, vec, vsub
-from .toric import HermitianToricLine, ToricDivisor
+from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec, vsub
+from .toric import ToricDivisor
 
 
 @dataclass(frozen=True)
@@ -30,9 +31,9 @@ class FlagValuation:
         return len(self.base_cone)
 
     @functools.cached_property
-    def matrix(self) -> tuple[Vec, ...]:
+    def matrix(self) -> tuple[IntVec, ...]:
         """A * V, where the rows of V are the flag rays v_1, ..., v_n."""
-        return tuple(tuple(sum(Fraction(a) * v[j] for a, v in zip(row, self.base_cone))
+        return tuple(tuple(sum(a * v[j] for a, v in zip(row, self.base_cone))
                            for j in range(self.dim)) for row in self.order)
 
     def coords(self, m: Sequence) -> Vec:
@@ -128,19 +129,24 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
     model = toric.model_polytope(m)
     if polytopes.affine_rank(model.vertices) != m.line.fan.dim:
         raise ValueError("not nef or not big")
+    polytopes.check_lattice_budget(model, k_max)
     m0 = _trivialization(m.line, nu)
+    # the flag map sends a lattice point p of kP to M (p - k m0), and t times
+    # that is an integer vector, t the lcm of the denominators of m0
+    tm0, t = int_row(m0)
+    rows = [(tuple(t * x for x in row), idot(row, tm0)) for row in nu.matrix]
     hulls: list[Polytope | None] = []
     any_sections = False
     for k in range(1, k_max + 1):
         # the flag map is affine, so the ends of the lattice runs span the hull
-        pts = polytopes.lattice_run_ends(polytopes.scale(model, k))
+        pts = polytopes.lattice_run_ends(model, k)
         if not pts:
             hulls.append(None)
             continue
         any_sections = True
-        km0 = [k * x for x in m0]
-        vecs = [nu.coords(vsub(vec(p), vec(km0))) for p in pts]
-        hulls.append(polytopes.scale(polytopes.canonicalize(vecs), Fraction(1, k)))
+        img = [tuple(idot(r, p) - k * c for r, c in rows) for p in pts]
+        g = math.gcd(t, *(x for v in img for x in v))
+        hulls.append(polytopes.hull_of_ints(sorted(tuple(x // g for x in v) for v in img), t // g, k))
     if not any_sections:
         raise ValueError("empty section space at all k <= k_max")
     limit = OkounkovBody(_image(model, nu, m0), "partial_Gk", nu_of_metric(m, nu))

@@ -135,7 +135,7 @@ def canonicalize(raw_vertices: Iterable[Sequence]) -> Polytope:
     """Convex hull with minimal V- and H-representations, deterministically ordered.
 
     The points are scaled once by the lcm s of their denominators and hulled on
-    integers; offsets become Fractions only for the Polytope returned.
+    integers by `hull_of_ints`.
     """
     pts = sorted({vec(p) for p in raw_vertices})
     if not pts:
@@ -144,10 +144,20 @@ def canonicalize(raw_vertices: Iterable[Sequence]) -> Polytope:
     if any(len(p) != n for p in pts):
         raise ValueError("dimension mismatch")
     ints, s = int_row([x for p in pts for x in p])
-    scaled = [tuple(ints[i * n:(i + 1) * n]) for i in range(len(pts))]
-    verts, rows = _hull(scaled, s)
-    back = dict(zip(scaled, pts))
-    return _build(n, [back[v] for v in verts], [(w, Fraction(c, s)) for w, c in rows])
+    return hull_of_ints([tuple(ints[i * n:(i + 1) * n]) for i in range(len(pts))], s)
+
+
+def hull_of_ints(pts: list[IntVec], s: int, k: int = 1) -> Polytope:
+    """Hull of lex-sorted distinct integer points meant as pts/(s k).
+
+    The points are hulled as pts/s, so `_hull` lifts them by s, and the hull is
+    then shrunk by k; `Fraction`s are built only for the Polytope returned. A
+    lift by s k can pick other equations for a flat hull.
+    """
+    verts, rows = _hull(pts, s)
+    d = s * k
+    return _build(len(pts[0]), [tuple(Fraction(x, d) for x in v) for v in verts],
+                  [(w, Fraction(c, d)) for w, c in rows])
 
 
 def from_halfspaces(rows: Iterable[tuple[Sequence, Fraction]], dim: int) -> Polytope:
@@ -309,10 +319,38 @@ def _farthest(p: Polytope, q: Polytope) -> Fraction:
     return worst
 
 
+def _planar_hausdorff(p: Polytope, q: Polytope) -> Fraction:
+    """hausdorff_linf for bodies of dimension at most 2, in closed form.
+
+    Support functions add under Minkowski sums (Schneider, Convex Bodies, 1.7),
+    so the facet normals of Q + [-1,1]^n in the plane are Q's normals together
+    with the +-e_i, and the distance from P to Q is the largest
+    (min_Q <w, .> - min_P <w, .>)/|w|_1 over them, or 0. Any other w gives at
+    most that distance, so the extra rows of a flat Q do no harm. Both bodies
+    are scaled once by the lcm s of their denominators.
+    """
+    n = p.dim
+    ints, s = int_row([x for v in p.vertices + q.vertices for x in v])
+    pts = [tuple(ints[i * n:(i + 1) * n]) for i in range(len(p.vertices) + len(q.vertices))]
+    a, b = pts[:len(p.vertices)], pts[len(p.vertices):]
+    units = [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
+    num, den = 0, 1
+    # the vertices of P against the body Q, then those of Q against P
+    for verts, body_verts, body in ((a, b, q), (b, a, p)):
+        for w in [w for w, _ in body.halfspaces] + units:
+            gap = min(idot(w, v) for v in body_verts) - min(idot(w, v) for v in verts)
+            norm = sum(map(abs, w))
+            if gap * den > num * norm:
+                num, den = gap, norm
+    return Fraction(num, den * s)
+
+
 def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
     """Hausdorff distance in the sup norm, exact: the larger of the two vertex-to-body distances."""
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
+    if p.dim <= 2:
+        return HausdorffDist(_planar_hausdorff(p, q))
     return HausdorffDist(max(_farthest(p, q), _farthest(q, p)))
 
 
@@ -329,50 +367,91 @@ def translate_into(p: Polytope, q: Polytope) -> Vec | None:
     return min(verts, default=None)
 
 
-def _lattice_rows(p: Polytope) -> np.ndarray:
-    """Integer points of the polytope as lex-sorted int64 rows, by enumeration
-    over the bounding box."""
-    n = p.dim
-    lo = [math.ceil(min(v[i] for v in p.vertices)) for i in range(n)]
-    hi = [math.floor(max(v[i] for v in p.vertices)) for i in range(n)]
-    cells = 1
-    for a, b in zip(lo, hi):
-        if b < a:
-            return np.empty((0, n), dtype=np.int64)
-        cells *= b - a + 1
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _box(p: Polytope, k: int) -> list[tuple[int, int]] | None:
+    """Integer bounds (lo, hi) of each axis of the bounding box of kP, or None
+    when an axis holds no integer; raises when the box has too many cells."""
+    box, cells = [], 1
+    for i in range(p.dim):
+        xs = [v[i] for v in p.vertices]
+        a, b = min(xs), max(xs)
+        lo = _ceil_div(k * a.numerator, a.denominator)
+        hi = k * b.numerator // b.denominator
+        if hi < lo:
+            return None
+        box.append((lo, hi))
+        cells *= hi - lo + 1
     if cells > _LATTICE_BUDGET:
         raise ValueError("lattice enumeration budget exceeded")
-    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
-    grids = np.meshgrid(*axes, indexing="ij") if n > 1 else [axes[0]]
-    pts = np.stack([g.reshape(-1) for g in grids], axis=1)
-    mask = np.ones(len(pts), dtype=bool)
+    return box
+
+
+def check_lattice_budget(p: Polytope, k: int = 1) -> None:
+    """Raise now the budget error that enumerating the integer points of kP would raise."""
+    _box(p, k)
+
+
+def _lattice_runs(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonempty runs of integer points of kP along the last axis, in lex order:
+    int64 prefixes (the first n-1 coordinates) and each run's first and last value.
+
+    One run per prefix in the box of the first n-1 axes: each facet
+    <w, x> >= k c bounds the last coordinate by an exact ceil or floor division
+    of ceil(k c) - <w', x'> by w_n, or, when w_n = 0, keeps or empties the run.
+    """
+    n = p.dim
+    box = _box(p, k)
+    if box is None:
+        none = np.empty(0, dtype=np.int64)
+        return np.empty((0, n - 1), dtype=np.int64), none, none
+    if n == 1:
+        prefixes = np.empty((1, 0), dtype=np.int64)
+    else:
+        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in box[:-1]]
+        prefixes = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    lo = np.full(len(prefixes), box[-1][0], dtype=np.int64)
+    hi = np.full(len(prefixes), box[-1][1], dtype=np.int64)
     for w, c in p.halfspaces:
-        bound = math.ceil(c)
-        mask &= pts @ np.array(w, dtype=np.int64) >= bound
-    return pts[mask]
+        rest = _ceil_div(k * c.numerator, c.denominator) - prefixes @ np.array(w[:-1], dtype=np.int64)
+        if w[-1] > 0:
+            lo = np.maximum(lo, -(-rest // w[-1]))
+        elif w[-1] < 0:
+            hi = np.minimum(hi, rest // w[-1])
+        else:
+            hi = np.where(rest <= 0, hi, lo - 1)
+    keep = lo <= hi
+    return prefixes[keep], lo[keep], hi[keep]
 
 
-def lattice_points(p: Polytope) -> list[IntVec]:
-    """Integer points of the polytope in lex order."""
-    return [tuple(row) for row in _lattice_rows(p).tolist()]
+def lattice_points(p: Polytope, k: int = 1) -> list[IntVec]:
+    """Integer points of kP in lex order."""
+    prefixes, lo, hi = _lattice_runs(p, k)
+    lengths = hi - lo + 1
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    last = np.repeat(lo, lengths) + np.arange(len(first)) - first
+    rows = np.column_stack([np.repeat(prefixes, lengths, axis=0), last])
+    return [tuple(row) for row in rows.tolist()]
 
 
-def lattice_count(p: Polytope) -> int:
-    """Exact number of integer points."""
-    return len(_lattice_rows(p))
+def lattice_count(p: Polytope, k: int = 1) -> int:
+    """Exact number of integer points of kP."""
+    _, lo, hi = _lattice_runs(p, k)
+    return int((hi - lo + 1).sum())
 
 
-def lattice_run_ends(p: Polytope) -> list[IntVec]:
-    """First and last integer point of each run along the last axis, in lex order.
+def lattice_run_ends(p: Polytope, k: int = 1) -> list[IntVec]:
+    """First and last integer point of each run of kP along the last axis, in lex order.
 
     The integer points of a convex body on one axis-parallel line form an
     unbroken run, so these points have the same convex hull as all of them.
     """
-    rows = _lattice_rows(p)
-    if len(rows) == 0:
-        return []
-    starts = np.ones(len(rows), dtype=bool)
-    starts[1:] = (rows[1:, :-1] != rows[:-1, :-1]).any(axis=1)
-    ends = np.ones(len(rows), dtype=bool)
-    ends[:-1] = starts[1:]
-    return [tuple(row) for row in rows[starts | ends].tolist()]
+    prefixes, lo, hi = _lattice_runs(p, k)
+    ends = []
+    for x, a, b in zip(prefixes.tolist(), lo.tolist(), hi.tolist()):
+        ends.append((*x, a))
+        if b > a:
+            ends.append((*x, b))
+    return ends

@@ -9,7 +9,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from . import bdiv, chern, fans, ideals, okounkov, toric
 from .fans import Fan

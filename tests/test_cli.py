@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -230,6 +231,18 @@ def test_dfvol_lattice_budget_is_domain_error(tmp_path):
     scn = mk(tmp_path, "big.json", {
         "fan": P2_FAN, "metric": metric_json(10000, [(0, 0), (10000, 0), (0, 10000)])})
     code, text = run(["verify", "--suite", "dfvol", "--scenario", scn, "--kmax", "1"])
+    assert code == 3
+    assert report_of(text)["error"] == {"code": 3, "message": "lattice enumeration budget exceeded"}
+
+
+@pytest.mark.parametrize("argv", [["partial-okounkov"], ["verify", "--suite", "dfvol"]],
+                         ids=["partial-okounkov", "dfvol"])
+def test_huge_kmax_fails_the_lattice_budget_at_once(argv):
+    # the budget is checked for k_max P before the loop, not when the loop reaches k_max
+    scn = str(Path(__file__).parent / "golden" / "p2.json")
+    start = time.perf_counter()
+    code, text = run(argv + ["--scenario", scn, "--kmax", "1000000000"])
+    assert time.perf_counter() - start < 1
     assert code == 3
     assert report_of(text)["error"] == {"code": 3, "message": "lattice enumeration budget exceeded"}
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from toricbdiv import bdiv, fans, okounkov, polytopes, toric
 from toricbdiv.okounkov import (flag, monotone_containment, nu_of_metric,
@@ -11,7 +13,8 @@ from toricbdiv.okounkov import (flag, monotone_containment, nu_of_metric,
                                 verify_okouniden)
 from toricbdiv.chern import projectivize_split, split_bundle
 
-from conftest import (minimal_line, o_p1p1, o_p2, p1, p1xp1, p2,
+import sections_oracle as so
+from conftest import (minimal_line, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
                       rand_weighted, weighted_line)
 
 
@@ -142,6 +145,55 @@ def test_partial_hulls_match_all_points_oracle():
                 h = rand_weighted(rng, fan())
                 hulls, _ = partial_okounkov(h, nu, k_max=10)
                 assert_same_hulls(hulls, all_points_hulls(h, nu, 10))
+
+
+_ORDERS = {
+    2: [((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 1), (0, 1)), ((2, 1), (1, 1))],
+    3: [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((0, 1, 0), (0, 0, 1), (1, 0, 0)),
+        ((1, 1, 0), (0, 1, 1), (0, 0, 1)), ((2, 1, 0), (1, 1, 0), (1, 0, 1))],
+}
+
+
+@st.composite
+def section_cases(draw):
+    """(line, flag, k_max): a nef and big divisor with rational coefficients on
+    P2, P1xP1 or (P1)^3, a metric whose slopes are rational convex combinations
+    of its polytope's vertices, and a flag at a drawn cone in a drawn order."""
+    fan = draw(st.sampled_from([p2, p1xp1, p1cubed]))()
+    coeff = st.builds(Fraction, st.integers(min_value=-2, max_value=3), st.sampled_from([1, 2, 3]))
+    degree = st.builds(Fraction, st.integers(min_value=1, max_value=4), st.sampled_from([1, 2, 3]))
+    # P2 needs a positive degree, the products a positive degree on each factor
+    groups = [fan.rays] if len(fan.rays) == 3 else [
+        [r for r in fan.rays if r[i]] for i in range(fan.dim)]
+    coeffs = {}
+    for rays in groups:
+        coeffs.update((r, draw(coeff)) for r in rays[1:])
+        coeffs[rays[0]] = draw(degree) - sum(coeffs[r] for r in rays[1:])
+    d = toric.divisor(fan, coeffs)
+    verts = toric.polytope_of_divisor(d).vertices
+    weights = st.lists(st.integers(min_value=0, max_value=3), min_size=len(verts),
+                       max_size=len(verts)).filter(any)
+    slopes = [tuple(sum(lam * v[i] for lam, v in zip(lams, verts)) / sum(lams)
+                    for i in range(fan.dim))
+              for lams in draw(st.lists(weights, min_size=fan.dim + 1, max_size=5))]
+    assume(polytopes.affine_rank(slopes) == fan.dim)
+    h = toric.hermitian(toric.metric(d, [(m, 0) for m in slopes]))
+    cone = draw(st.sampled_from(sorted(fan.halfspaces)))
+    rays = draw(st.permutations([fan.rays[i] for i in cone]))
+    nu = flag(rays, draw(st.sampled_from(_ORDERS[fan.dim])))
+    return h, nu, draw(st.integers(min_value=1, max_value=6 if fan.dim == 2 else 3))
+
+
+@given(section_cases())
+@settings(max_examples=150, deadline=None)
+def test_partial_hulls_match_fraction_oracle(case):
+    h, nu, k_max = case
+    want = so.partial_hulls(h, nu, k_max)
+    if all(w is None for w in want):
+        with pytest.raises(ValueError, match="empty section space"):
+            partial_okounkov(h, nu, k_max)
+    else:
+        assert_same_hulls(partial_okounkov(h, nu, k_max)[0], want)
 
 
 def test_bundle_hulls_match_all_points_oracle():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import hull_oracle as ho
 import lp_oracle as lp
+import sections_oracle as so
 import volume_oracle as vo
 from toricbdiv import polytopes
 from toricbdiv.polytopes import (Polytope, canonicalize, from_halfspaces,
@@ -228,6 +229,13 @@ def test_lattice_count_budget():
     # the bounding box has 8001^2 > 50 million cells
     with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
         lattice_count(canonicalize([(0, 0), (8000, 0), (0, 8000)]))
+    # and that of 8000 times the unit triangle too, checked without enumerating
+    unit = simplex()
+    polytopes.check_lattice_budget(unit, 7000)
+    with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
+        polytopes.check_lattice_budget(unit, 8000)
+    with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
+        lattice_count(unit, 8000)
 
 
 def test_translate_into_frozen():
@@ -319,6 +327,48 @@ def _bodies_in_one_dim(count):
 def test_hausdorff_matches_lp_oracle(pq):
     p, q = pq
     assert hausdorff_linf(p, q).value == max(_farthest_lp(p, q), _farthest_lp(q, p))
+
+
+@given(st.integers(min_value=1, max_value=2).flatmap(lambda n: st.tuples(bodies(n), bodies(n))))
+@settings(max_examples=300, deadline=None)
+def test_planar_hausdorff_matches_grown_body_oracle(pq):
+    p, q = pq
+    assert hausdorff_linf(p, q).value == so.hausdorff_linf(p, q)
+
+
+def test_planar_hausdorff_grows_no_body(monkeypatch):
+    def no_sum(p, q):
+        raise AssertionError("minkowski_sum called")
+
+    monkeypatch.setattr(polytopes, "minkowski_sum", no_sum)
+    assert hausdorff_linf(square(), simplex(3)).value == 2
+    segment = canonicalize([(0, 0), (Fraction(3, 2), 1)])
+    assert hausdorff_linf(segment, canonicalize([(0, 0)])).value == Fraction(3, 2)
+    assert hausdorff_linf(canonicalize([(1,)]), canonicalize([(3,), (5,)])).value == 4
+
+
+tiny = st.builds(Fraction, st.integers(min_value=-2, max_value=2), st.sampled_from([1, 2, 3]))
+
+
+# 1-4-d hulls of half-integer points, some pinned to a coordinate plane, and
+# 1-3-d sets on skew flats; points and thin bodies often hold no lattice point
+@given(st.one_of(st.integers(min_value=1, max_value=4).flatmap(bodies),
+                 flat_point_sets((1, 2, 3), tiny).map(canonicalize)),
+       st.integers(min_value=1, max_value=2))
+@settings(max_examples=300, deadline=None)
+def test_lattice_runs_match_box_mask_oracle(p, k):
+    kp = polytopes.scale(p, k)
+    want = so.lattice_points(kp)
+    assert lattice_points(p, k) == lattice_points(kp) == want
+    assert lattice_count(p, k) == lattice_count(kp) == len(want)
+    assert polytopes.lattice_run_ends(p, k) == so.lattice_run_ends(kp)
+
+
+def test_lattice_runs_of_bodies_without_lattice_points():
+    thin = canonicalize([(Fraction(1, 3), 0), (Fraction(2, 3), 5), (Fraction(1, 2), -4)])
+    assert lattice_points(thin) == polytopes.lattice_run_ends(thin) == []
+    assert lattice_count(thin) == 0
+    assert lattice_count(thin, 3) == so.lattice_count(polytopes.scale(thin, 3)) == 2
 
 
 @given(_bodies_in_one_dim(3), st.booleans())
