@@ -14,6 +14,7 @@ from .rationals import rat
 from .toric import HermitianToricLine
 
 _POWER_BUDGET = 30_000_000
+_BOX_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,8 @@ def _minimal_in_box(bounds: Sequence[int], member: Callable[[tuple[int, ...]], b
                     what: str) -> MonomialIdeal:
     """Ideal generated by the box points m with member(m), for a test closed
     upward: in graded-lex order, a point above a kept generator is skipped."""
+    if math.prod(b + 1 for b in bounds) > _BOX_BUDGET:
+        raise ValueError(f"{what} budget exceeded")
     gens: list[tuple[int, ...]] = []
     for m in _graded_box(bounds):
         if any(all(x >= g for x, g in zip(m, kept)) for kept in gens):
@@ -217,6 +220,8 @@ def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: i
                 return False
         return lo <= hi
     if k == 3:
+        if n_pow + 1 > _POWER_BUDGET:
+            raise ValueError("test ideal budget exceeded")
         c1 = np.arange(n_pow + 1, dtype=np.int64)
         lo = np.zeros(n_pow + 1, dtype=np.int64)
         hi = n_pow - c1
@@ -261,7 +266,7 @@ def _power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
     bounds = [max((n_pow * g[j]) // q for g in i.gens) for j in range(n)]
     return _minimal_in_box(
         bounds, lambda m: _member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
-        "bracket")
+        "test ideal")
 
 
 def _probe_affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:
@@ -272,7 +277,7 @@ def _probe_affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:
     for j in range(i.nvars):
         box *= max((n_pow * g[j]) // q for g in i.gens) + 1
     if k == 3:
-        return box * (n_pow + 1) <= 100_000_000
+        return n_pow + 1 <= _POWER_BUDGET and box * (n_pow + 1) <= 100_000_000
     return math.comb(n_pow + k - 1, k - 1) <= _POWER_BUDGET
 
 

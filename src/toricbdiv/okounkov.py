@@ -76,19 +76,14 @@ class OkounkovBody:
         return out
 
 
-def _lex_nonneg(seq: Sequence[Fraction]) -> bool:
-    for x in seq:
-        if x != 0:
-            return x > 0
-    return True
-
-
 def _trivialization(d: ToricDivisor, nu: FlagValuation) -> Vec:
     """Functional of psi_D on the cone holding v_1 + eps*v_2 + ... for all small eps > 0."""
     if d.fan.dim != nu.dim:
         raise ValueError("dimension mismatch")
+    zero = (0,) * nu.dim
     for cone, rows in d.fan.halfspaces.items():
-        if all(_lex_nonneg(tuple(dot(a, vec(v)) for v in nu.base_cone)) for a in rows):
+        # tuples compare lexicographically
+        if all(tuple(idot(a, v) for v in nu.base_cone) >= zero for a in rows):
             return d.functionals[cone]
     raise ValueError("ray not in support")
 
@@ -221,11 +216,11 @@ def monotone_containment(alpha: ToricDivisor, beta: ToricDivisor,
     except ValueError:
         raise ValueError("hypothesis violated")
     body_a, body_d, body_b = _body(alpha, nu), _body(diff, nu), _body(beta, nu)
-    total = polytopes.minkowski_sum(body_a, body_d)
     margins = []
     ok = True
     for w, c in body_b.halfspaces:
-        slack = min(dot(w, vec(v)) for v in total.vertices) - c
+        # support functions add under Minkowski sums: no sum is built
+        slack = min(dot(w, v) for v in body_a.vertices) + min(dot(w, v) for v in body_d.vertices) - c
         margins.append((tuple(int(x) for x in w), c, slack))
         ok = ok and slack >= 0
     return ContainmentCertificate(ok, tuple(margins))

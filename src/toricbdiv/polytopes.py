@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -303,55 +303,51 @@ class HausdorffDist:
     norm: str = "linf"
 
 
-def _farthest(p: Polytope, q: Polytope) -> Fraction:
-    """Largest sup-norm distance from a vertex of P to Q.
+def _grown_normals(pts: list[IntVec], rows: Iterable[Halfspace]) -> list[IntVec]:
+    """Normals holding every facet normal of Q + [-1,1]^n, Q the hull of the
+    integer points pts, with halfspaces `rows`.
 
-    For every t > 0, Q + t[-1,1]^n has the facet normals of Q + [-1,1]^n, with
-    offsets min_Q <w, .> - t |w|_1, so v lies within t of Q exactly when
-    t >= (c - <w, v>)/|w|_1 + 1 on every facet <w, x> >= c of Q + [-1,1]^n.
+    A facet of Q + [-1,1]^n is a face of Q plus the cube's face along the axes
+    S on which its normal w vanishes, so w is a facet normal or an equation of
+    the projection of Q that drops S: one of Q's rows, a row of a projection
+    onto 2 to n-1 axes lifted back with zeros, or one of the +-e_i.
     """
-    grown = minkowski_sum(q, canonicalize(product((-1, 1), repeat=q.dim)))
-    worst = Fraction(0)
-    for w, c in grown.halfspaces:
-        norm = sum(abs(x) for x in w)
-        for v in p.vertices:
-            worst = max(worst, (c - dot(w, v)) / norm + 1)
-    return worst
+    n = len(pts[0])
+    normals = [w for w, _ in rows]
+    for size in range(2, n):
+        for axes in combinations(range(n), size):
+            proj = sorted({tuple(v[i] for i in axes) for v in pts})
+            for w, _ in _hull(proj, 1)[1]:
+                lifted = dict(zip(axes, w))
+                normals.append(tuple(lifted.get(i, 0) for i in range(n)))
+    return normals + [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
 
 
-def _planar_hausdorff(p: Polytope, q: Polytope) -> Fraction:
-    """hausdorff_linf for bodies of dimension at most 2, in closed form.
+def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
+    """Hausdorff distance in the sup norm, exact, in closed form.
 
     Support functions add under Minkowski sums (Schneider, Convex Bodies, 1.7),
-    so the facet normals of Q + [-1,1]^n in the plane are Q's normals together
-    with the +-e_i, and the distance from P to Q is the largest
-    (min_Q <w, .> - min_P <w, .>)/|w|_1 over them, or 0. Any other w gives at
-    most that distance, so the extra rows of a flat Q do no harm. Both bodies
-    are scaled once by the lcm s of their denominators.
+    so min over Q + t[-1,1]^n of <w, .> is min_Q <w, .> - t |w|_1, and the
+    distance from P to Q is the largest (min_Q <w, .> - min_P <w, .>)/|w|_1 over
+    the facet normals w of Q + [-1,1]^n, or 0. Any other w gives at most that
+    distance, so extra rows do no harm. Both bodies are scaled once by the lcm
+    s of their denominators.
     """
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
     n = p.dim
     ints, s = int_row([x for v in p.vertices + q.vertices for x in v])
     pts = [tuple(ints[i * n:(i + 1) * n]) for i in range(len(p.vertices) + len(q.vertices))]
     a, b = pts[:len(p.vertices)], pts[len(p.vertices):]
-    units = [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
     num, den = 0, 1
     # the vertices of P against the body Q, then those of Q against P
     for verts, body_verts, body in ((a, b, q), (b, a, p)):
-        for w in [w for w, _ in body.halfspaces] + units:
+        for w in _grown_normals(body_verts, body.halfspaces):
             gap = min(idot(w, v) for v in body_verts) - min(idot(w, v) for v in verts)
             norm = sum(map(abs, w))
             if gap * den > num * norm:
                 num, den = gap, norm
-    return Fraction(num, den * s)
-
-
-def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
-    """Hausdorff distance in the sup norm, exact: the larger of the two vertex-to-body distances."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    if p.dim <= 2:
-        return HausdorffDist(_planar_hausdorff(p, q))
-    return HausdorffDist(max(_farthest(p, q), _farthest(q, p)))
+    return HausdorffDist(Fraction(num, den * s))
 
 
 def translate_into(p: Polytope, q: Polytope) -> Vec | None:

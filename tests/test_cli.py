@@ -247,6 +247,21 @@ def test_huge_kmax_fails_the_lattice_budget_at_once(argv):
     assert report_of(text)["error"] == {"code": 3, "message": "lattice enumeration budget exceeded"}
 
 
+@pytest.mark.parametrize("argv", [
+    ["mideal", "--c", "10000"],
+    ["tideal", "--lam", "10000", "--p", "2"],
+    ["tideal", "--lam", "1/2", "--p", "1000003", "--emax", "4"],
+], ids=["mideal-box", "tideal-box", "tideal-counts"])
+def test_ideal_work_budgets_fail_at_once(argv):
+    ideal = str(Path(__file__).parent / "golden" / "ideal2.json")
+    start = time.perf_counter()
+    code, text = run(argv[:1] + ["--ideal", ideal] + argv[1:])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    kind = "multiplier" if argv[0] == "mideal" else "test"
+    assert report_of(text)["error"] == {"code": 3, "message": f"{kind} ideal budget exceeded"}
+
+
 def test_verify_gap_exit(tmp_path, monkeypatch):
     scn = scn_weighted_o3(tmp_path)
     monkeypatch.setitem(cli._SUITE_FNS, "okouniden",

@@ -222,6 +222,27 @@ def test_power_membership_budget():
         ideals._member_of_power((10**6,) * 4, units, 600)
 
 
+def test_three_generator_power_budget():
+    # N + 1 counts of the first generator, more than the composition budget
+    gens = [(4, 0), (1, 1), (0, 5)]
+    with pytest.raises(ValueError, match="test ideal budget exceeded"):
+        ideals._member_of_power((10**12, 10**12), gens, ideals._POWER_BUDGET)
+
+
+def test_search_box_budget():
+    always = lambda m: True  # noqa: E731
+    with pytest.raises(ValueError, match="multiplier ideal budget exceeded"):
+        ideals._minimal_in_box([ideals._BOX_BUDGET], always, "multiplier ideal")
+    with pytest.raises(ValueError, match="test ideal budget exceeded"):
+        ideals._minimal_in_box([99, 1000], always, "test ideal")
+    assert ideals._minimal_in_box([ideals._BOX_BUDGET - 1], always, "x") == make_ideal(1, [[0]])
+    ideal = make_ideal(2, [[4, 0], [1, 1], [0, 5]])
+    with pytest.raises(ValueError, match="multiplier ideal budget exceeded"):
+        multiplier_ideal_monomial(ideal, 10000)
+    with pytest.raises(ValueError, match="test ideal budget exceeded"):
+        ideals.test_ideal(TestIdealQuery(ideal, Fraction(10000), 2))
+
+
 def test_query_validation():
     with pytest.raises(ValueError, match="p must be prime"):
         TestIdealQuery(make_ideal(1, [[1]]), 1, 4)

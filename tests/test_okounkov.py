@@ -12,6 +12,7 @@ from toricbdiv.okounkov import (flag, monotone_containment, nu_of_metric,
                                 okounkov_of_class, partial_okounkov,
                                 verify_okouniden)
 from toricbdiv.chern import projectivize_split, split_bundle
+from toricbdiv.rationals import dot
 
 import sections_oracle as so
 from conftest import (minimal_line, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
@@ -334,7 +335,11 @@ def test_nu_of_metric_slope_convergence():
 
 # -- containment certificates -------------------------------------------------------------
 
-def test_containment_line_sum():
+def test_containment_line_sum(monkeypatch):
+    def no_sum(p, q):
+        raise AssertionError("minkowski_sum called")
+
+    monkeypatch.setattr(polytopes, "minkowski_sum", no_sum)
     cert = monotone_containment(o_p2(1), o_p2(3), std_flag())
     assert cert.holds
     assert all(slack >= 0 for _, _, slack in cert.margins)
@@ -358,6 +363,60 @@ def test_containment_rejects():
         monotone_containment(toric.divisor(p2(), {(-1, -1): -1}), o_p2(1), std_flag())
     with pytest.raises(ValueError, match="hypothesis violated"):
         monotone_containment(o_p2(2), o_p2(1), std_flag())
+
+
+def blown_up_p2():
+    """P2 blown up at a torus-fixed point: the exceptional curve D_(1,1) is
+    effective but not nef."""
+    return fans.make_fan([(1, 0), (1, 1), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
+
+
+# rays r whose divisors D_r generate the nef cone of each fan
+_NEF_RAYS = {p2: [(-1, -1)], p1xp1: [(-1, 0), (0, -1)],
+             p1cubed: [(-1, 0, 0), (0, -1, 0), (0, 0, -1)], blown_up_p2: [(-1, -1), (1, 0)]}
+
+
+@st.composite
+def divisor_pairs(draw):
+    """(alpha, beta, flag): alpha and beta - alpha nonnegative sums of the nef
+    generators moved by principal divisors, beta - alpha on the blown-up plane
+    also with a multiple of the exceptional curve, and a flag at a drawn cone
+    in a drawn order."""
+    make = draw(st.sampled_from(list(_NEF_RAYS)))
+    fan = make()
+    degree = st.builds(Fraction, st.integers(min_value=0, max_value=6), st.sampled_from([1, 2, 3]))
+    shift = st.tuples(*[st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                                  st.sampled_from([1, 2]))] * fan.dim)
+
+    def draw_class(extra):
+        coeffs = {r: draw(degree) for r in _NEF_RAYS[make]} | extra
+        m = draw(shift)
+        return [coeffs.get(r, 0) + dot(r, m) for r in fan.rays]
+
+    alpha = draw_class({})
+    diff = draw_class({(1, 1): draw(st.integers(min_value=0, max_value=2))} if make is blown_up_p2 else {})
+    beta = [a + d for a, d in zip(alpha, diff)]
+    cone = draw(st.sampled_from(sorted(fan.halfspaces)))
+    rays = draw(st.permutations([fan.rays[i] for i in cone]))
+    return (toric.divisor(fan, alpha), toric.divisor(fan, beta),
+            flag(rays, draw(st.sampled_from(_ORDERS[fan.dim]))))
+
+
+@given(divisor_pairs())
+@settings(max_examples=100, deadline=None)
+def test_containment_margins_match_minkowski_sum(case):
+    alpha, beta, nu = case
+    try:
+        cert = monotone_containment(alpha, beta, nu)
+    except ValueError as exc:
+        assert str(exc) == "hypothesis violated"
+        assume(False)
+    diff = toric.divisor(beta.fan, [b - a for a, b in zip(alpha.coeffs, beta.coeffs)])
+    total = polytopes.minkowski_sum(okounkov._body(alpha, nu), okounkov._body(diff, nu))
+    want = tuple((w, c, min(dot(w, v) for v in total.vertices) - c)
+                 for w, c in okounkov._body(beta, nu).halfspaces)
+    assert cert.margins == want
+    assert cert.holds == all(slack >= 0 for _, _, slack in want)
 
 
 # -- bundle bodies ------------------------------------------------------------------------

@@ -329,9 +329,12 @@ def test_hausdorff_matches_lp_oracle(pq):
     assert hausdorff_linf(p, q).value == max(_farthest_lp(p, q), _farthest_lp(q, p))
 
 
-@given(st.integers(min_value=1, max_value=2).flatmap(lambda n: st.tuples(bodies(n), bodies(n))))
-@settings(max_examples=300, deadline=None)
-def test_planar_hausdorff_matches_grown_body_oracle(pq):
+# 1-4-d bodies: hulls of half-integer points, some pinned to a coordinate
+# plane, and points, segments and flats spanned by skew directions
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(*[st.one_of(bodies(n), flat_point_sets((n,)).map(canonicalize))] * 2)))
+@settings(max_examples=200, deadline=None)
+def test_hausdorff_matches_grown_body_oracle(pq):
     p, q = pq
     assert hausdorff_linf(p, q).value == so.hausdorff_linf(p, q)
 
@@ -345,6 +348,16 @@ def test_planar_hausdorff_grows_no_body(monkeypatch):
     segment = canonicalize([(0, 0), (Fraction(3, 2), 1)])
     assert hausdorff_linf(segment, canonicalize([(0, 0)])).value == Fraction(3, 2)
     assert hausdorff_linf(canonicalize([(1,)]), canonicalize([(3,), (5,)])).value == 4
+    # the unit cube against its corner; a skew segment against its midpoint
+    cube = canonicalize(product((0, 1), repeat=3))
+    assert hausdorff_linf(cube, canonicalize([(0, 0, 0)])).value == 1
+    skew = canonicalize([(0, 0, 0, 0), (1, 2, 3, 4)])
+    assert hausdorff_linf(skew, canonicalize([(Fraction(1, 2), 1, Fraction(3, 2), 2)])).value == 2
+    # a triangle on a skew plane inside 3 times the 4-d standard simplex,
+    # whose corner 3 e_1 lies 2 from it
+    flat = canonicalize([(1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)])
+    simplex4 = canonicalize([(0,) * 4] + [tuple(3 * int(i == j) for j in range(4)) for i in range(4)])
+    assert hausdorff_linf(flat, simplex4).value == 2
 
 
 tiny = st.builds(Fraction, st.integers(min_value=-2, max_value=2), st.sampled_from([1, 2, 3]))
