@@ -4,13 +4,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dd, polytopes, toric
-from .rationals import rat
+from .rationals import idot, rat
 from .toric import HermitianToricLine
 
 _POWER_BUDGET = 30_000_000
@@ -73,52 +72,33 @@ def ideal_subset(a: MonomialIdeal, b: MonomialIdeal) -> bool:
     return all(b.contains_monomial(g) for g in a.gens)
 
 
-@dataclass(frozen=True)
-class NewtonRegion:
-    """conv(generators) + the nonnegative orthant, stored by facet halfspaces."""
-    nvars: int
-    halfspaces: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    def strictly_inside_scaled(self, x: Sequence[Fraction], c: Fraction) -> bool:
-        """Interior membership of x in c * region (strict at every facet)."""
-        return all(sum(w * xi for w, xi in zip(normal, x)) > c * off for normal, off in self.halfspaces)
-
-
-def newton_region(a: MonomialIdeal) -> NewtonRegion:
+def _newton_facets(a: MonomialIdeal) -> list[tuple[tuple[int, ...], int]]:
+    """Facets <w, x> >= off of conv(generators) + the nonnegative orthant, w >= 0."""
     n = a.nvars
-    rows = [tuple(Fraction(x) for x in g) + (Fraction(1),) for g in a.gens]
-    for i in range(n):
-        rows.append(tuple(Fraction(int(i == j)) for j in range(n)) + (Fraction(0),))
+    rows = [g + (1,) for g in a.gens] + [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
     lin, rays = dd.extreme_rays(rows, n + 1)
     if lin:
         raise AssertionError("newton region must be full-dimensional")
-    hs = []
-    for r in rays:
-        w, t = r[:n], r[n]
-        if all(x == 0 for x in w):
-            continue
-        hs.append((tuple(int(x) for x in w), Fraction(-t)))
-    return NewtonRegion(n, tuple(sorted(hs)))
-
-
-def _graded_box(bounds: Sequence[int]):
-    """Box lattice points in graded-lex order, so antichain pruning is sound."""
-    pts = list(product(*[range(b + 1) for b in bounds]))
-    pts.sort(key=lambda m: (sum(m), m))
-    return pts
+    return [(r[:n], -r[n]) for r in rays if any(r[:n])]
 
 
 def _minimal_in_box(bounds: Sequence[int], member: Callable[[tuple[int, ...]], bool],
                     what: str) -> MonomialIdeal:
     """Ideal generated by the box points m with member(m), for a test closed
-    upward: in graded-lex order, a point above a kept generator is skipped."""
-    if math.prod(b + 1 for b in bounds) > _BOX_BUDGET:
+    upward. Lex order visits every m - e_i before m, so m is marked without a
+    member call when some m - e_i is marked, and is a generator otherwise when
+    member(m) holds: member sees the points outside the set and the generators."""
+    shape = [b + 1 for b in bounds]
+    if math.prod(shape) > _BOX_BUDGET:
         raise ValueError(f"{what} budget exceeded")
+    steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
+    marked = np.zeros(math.prod(shape), dtype=bool)
     gens: list[tuple[int, ...]] = []
-    for m in _graded_box(bounds):
-        if any(all(x >= g for x, g in zip(m, kept)) for kept in gens):
-            continue
-        if member(m):
+    for k, m in enumerate(np.ndindex(*shape)):
+        if any(x and marked[k - s] for x, s in zip(m, steps)):
+            marked[k] = True
+        elif member(m):
+            marked[k] = True
             gens.append(m)
     if not gens:
         raise AssertionError(f"{what} search box too small")
@@ -133,12 +113,12 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
     n = a.nvars
     if c == 0:
         return unit_ideal(n)
-    region = newton_region(a)
+    # <w, m + 1> > c off  <=>  <w, m> >= floor(c off) - |w|_1 + 1, as w >= 0
+    facets = [(w, c.numerator * off // c.denominator - sum(w) + 1) for w, off in _newton_facets(a)]
     maxcoord = max(max(g) for g in a.gens)
     bound = math.ceil(c * maxcoord) + n + 2
     return _minimal_in_box(
-        [bound] * n, lambda m: region.strictly_inside_scaled(tuple(Fraction(x + 1) for x in m), c),
-        "multiplier ideal")
+        [bound] * n, lambda m: all(idot(w, m) >= b for w, b in facets), "multiplier ideal")
 
 
 def multiplier_ideal_snc(weights: Sequence[tuple[str, object]], k: int) -> dict[str, int]:
@@ -203,15 +183,13 @@ def _check_prime(p: int) -> None:
 def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: int) -> bool:
     """Does x^w lie in I^N, i.e. is some N-fold generator sum componentwise <= w."""
     k = len(gens)
-    wv = np.array(w, dtype=np.int64)
-    g = np.array(gens, dtype=np.int64)
     if k == 1:
-        return bool(np.all(n_pow * g[0] <= wv))
+        return all(n_pow * x <= y for x, y in zip(gens[0], w))
     if k == 2:
         lo, hi = 0, n_pow
-        for j in range(len(w)):
-            a = g[0][j] - g[1][j]
-            rhs = wv[j] - n_pow * g[1][j]
+        for x0, x1, y in zip(gens[0], gens[1], w):
+            a = x0 - x1
+            rhs = y - n_pow * x1
             if a > 0:
                 hi = min(hi, rhs // a)
             elif a < 0:
@@ -219,9 +197,15 @@ def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: i
             elif rhs < 0:
                 return False
         return lo <= hi
+    counts = n_pow + 1 if k == 3 else math.comb(n_pow + k - 1, k - 1)
+    # an N-fold sum is at most N max_i g_ij in coordinate j, so clipping w_j
+    # there changes no answer, and every value below stays within 3 such bounds
+    top = [n_pow * max(col) for col in zip(*gens)]
+    if counts > _POWER_BUDGET or 3 * max(top) >= 2**63:
+        raise ValueError("test ideal budget exceeded")
+    wv = np.array([min(y, t) for y, t in zip(w, top)], dtype=np.int64)
+    g = np.array(gens, dtype=np.int64)
     if k == 3:
-        if n_pow + 1 > _POWER_BUDGET:
-            raise ValueError("test ideal budget exceeded")
         c1 = np.arange(n_pow + 1, dtype=np.int64)
         lo = np.zeros(n_pow + 1, dtype=np.int64)
         hi = n_pow - c1
@@ -237,9 +221,6 @@ def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: i
                 ok &= rhs >= 0
         return bool(np.any(ok & (lo <= hi)))
     # generic fallback: explicit composition enumeration
-    combos = math.comb(n_pow + k - 1, k - 1)
-    if combos > _POWER_BUDGET:
-        raise ValueError("test ideal budget exceeded")
     stack = [(0, n_pow, np.zeros(len(w), dtype=np.int64))]
     while stack:
         idx, left, acc = stack.pop()
@@ -254,18 +235,23 @@ def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: i
     return False
 
 
+def _bracket_box(i: MonomialIdeal, n_pow: int, q: int) -> list[int]:
+    """Per-axis bounds of the minimal generators of (I^n_pow)^[1/q]: the
+    single-generator brackets floor(n_pow g_j / q)."""
+    return [max((n_pow * g[j]) // q for g in i.gens) for j in range(i.nvars)]
+
+
 def _power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
     """frobenius_bracket(I^n_pow, p, e) with q = p^e, without materializing I^n_pow.
 
     x^m lies in the bracket iff x^(q(m+1)-1) lies in I^n_pow, and the minimal
-    such m have coordinates bounded by the single-generator brackets.
+    such m lie in _bracket_box.
     """
-    n = i.nvars
     if n_pow == 0:
-        return unit_ideal(n)
-    bounds = [max((n_pow * g[j]) // q for g in i.gens) for j in range(n)]
+        return unit_ideal(i.nvars)
     return _minimal_in_box(
-        bounds, lambda m: _member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
+        _bracket_box(i, n_pow, q),
+        lambda m: _member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
         "test ideal")
 
 
@@ -273,10 +259,8 @@ def _probe_affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:
     k = len(i.gens)
     if k <= 2:
         return True
-    box = 1
-    for j in range(i.nvars):
-        box *= max((n_pow * g[j]) // q for g in i.gens) + 1
     if k == 3:
+        box = math.prod(b + 1 for b in _bracket_box(i, n_pow, q))
         return n_pow + 1 <= _POWER_BUDGET and box * (n_pow + 1) <= 100_000_000
     return math.comb(n_pow + k - 1, k - 1) <= _POWER_BUDGET
 

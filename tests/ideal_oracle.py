@@ -1,0 +1,102 @@
+"""The monomial-ideal routes the library ran before its integer ones: test oracle only.
+
+- `NewtonRegion.strictly_inside_scaled` tests Howald's condition on `Fraction`s,
+  one facet of the Newton polyhedron at a time;
+- `_minimal_in_box` visits the box in graded-lex order (`_graded_box`) and
+  skips a point above any generator kept so far.
+
+`multiplier_ideal_monomial` and `power_bracket` run the old routes end to end.
+The differential tests in `test_ideals.py` compare the library against these.
+Not collected by pytest (no `test_` prefix).
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from typing import Callable, Sequence
+
+from toricbdiv import dd, ideals
+from toricbdiv.ideals import _BOX_BUDGET, MonomialIdeal, make_ideal, unit_ideal
+from toricbdiv.rationals import rat
+
+
+@dataclass(frozen=True)
+class NewtonRegion:
+    """conv(generators) + the nonnegative orthant, stored by facet halfspaces."""
+    nvars: int
+    halfspaces: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+    def strictly_inside_scaled(self, x: Sequence[Fraction], c: Fraction) -> bool:
+        """Interior membership of x in c * region (strict at every facet)."""
+        return all(sum(w * xi for w, xi in zip(normal, x)) > c * off for normal, off in self.halfspaces)
+
+
+def newton_region(a: MonomialIdeal) -> NewtonRegion:
+    n = a.nvars
+    rows = [tuple(Fraction(x) for x in g) + (Fraction(1),) for g in a.gens]
+    for i in range(n):
+        rows.append(tuple(Fraction(int(i == j)) for j in range(n)) + (Fraction(0),))
+    lin, rays = dd.extreme_rays(rows, n + 1)
+    if lin:
+        raise AssertionError("newton region must be full-dimensional")
+    hs = []
+    for r in rays:
+        w, t = r[:n], r[n]
+        if all(x == 0 for x in w):
+            continue
+        hs.append((tuple(int(x) for x in w), Fraction(-t)))
+    return NewtonRegion(n, tuple(sorted(hs)))
+
+
+def _graded_box(bounds: Sequence[int]):
+    """Box lattice points in graded-lex order, so antichain pruning is sound."""
+    pts = list(product(*[range(b + 1) for b in bounds]))
+    pts.sort(key=lambda m: (sum(m), m))
+    return pts
+
+
+def _minimal_in_box(bounds: Sequence[int], member: Callable[[tuple[int, ...]], bool],
+                    what: str) -> MonomialIdeal:
+    """Ideal generated by the box points m with member(m), for a test closed
+    upward: in graded-lex order, a point above a kept generator is skipped."""
+    if math.prod(b + 1 for b in bounds) > _BOX_BUDGET:
+        raise ValueError(f"{what} budget exceeded")
+    gens: list[tuple[int, ...]] = []
+    for m in _graded_box(bounds):
+        if any(all(x >= g for x, g in zip(m, kept)) for kept in gens):
+            continue
+        if member(m):
+            gens.append(m)
+    if not gens:
+        raise AssertionError(f"{what} search box too small")
+    return make_ideal(len(bounds), gens)
+
+
+def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
+    """Howald membership: m in I(a^c) iff m + 1 lies strictly inside c * Newton(a)."""
+    c = rat(c)
+    if c < 0:
+        raise ValueError("exponent must be nonnegative")
+    n = a.nvars
+    if c == 0:
+        return unit_ideal(n)
+    region = newton_region(a)
+    maxcoord = max(max(g) for g in a.gens)
+    bound = math.ceil(c * maxcoord) + n + 2
+    return _minimal_in_box(
+        [bound] * n, lambda m: region.strictly_inside_scaled(tuple(Fraction(x + 1) for x in m), c),
+        "multiplier ideal")
+
+
+def power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
+    """`ideals._power_bracket` on the graded scan; it calls the library's
+    `_member_of_power` through the module, so a test may wrap that."""
+    n = i.nvars
+    if n_pow == 0:
+        return unit_ideal(n)
+    bounds = [max((n_pow * g[j]) // q for g in i.gens) for j in range(n)]
+    return _minimal_in_box(
+        bounds, lambda m: ideals._member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
+        "test ideal")

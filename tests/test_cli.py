@@ -262,6 +262,22 @@ def test_ideal_work_budgets_fail_at_once(argv):
     assert report_of(text)["error"] == {"code": 3, "message": f"{kind} ideal budget exceeded"}
 
 
+@pytest.mark.parametrize("gens, lam, p, emax", [
+    ([[1, 1]], "1/2", 1000000007, 12),
+    ([[2, 0], [0, 3]], "3/2", 1000000007, 12),
+    ([[1, 1]], "1", 3037000493, 2),
+    ([[4, 0], [1, 1], [0, 5]], "1/1" + "0" * 30, 1000000007, 12),
+], ids=["xy", "x2-y3", "xy-p-squared-past-int64", "three-generators"])
+def test_large_primes_are_no_internal_error(tmp_path, gens, lam, p, emax):
+    # q (m + 1) - 1 outgrows int64 at once; an answer must be the multiplier ideal
+    ideal = mk(tmp_path, "ideal.json", {"nvars": 2, "gens": gens})
+    code, text = run(["tideal", "--ideal", ideal, "--lam", lam, "--p", str(p), "--emax", str(emax)])
+    assert code in (0, 3), text
+    if code == 0:
+        expect = report_of(run(["mideal", "--ideal", ideal, "--c", lam])[1])["outputs"]
+        assert report_of(text)["outputs"] == expect
+
+
 def test_verify_gap_exit(tmp_path, monkeypatch):
     scn = scn_weighted_o3(tmp_path)
     monkeypatch.setitem(cli._SUITE_FNS, "okouniden",

@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import ideal_oracle as io
 import lp_oracle as lp
 from toricbdiv import ideals, toric
 from toricbdiv.ideals import (TestIdealQuery, frobenius_bracket, make_ideal,
                               multiplier_ideal_monomial, multiplier_ideal_snc,
                               unit_ideal)
+from toricbdiv.rationals import idot
 
 from conftest import minimal_line, o_p2, weighted_line
 
@@ -96,6 +100,123 @@ def test_multiplier_against_interior_oracle():
                 expect = tuple(x + 1 for x in m)
                 assert mult.contains_monomial(m) == _in_interior_of_scaled_newton(
                     expect, ideal.gens, c), (ideal.gens, c, m)
+
+
+def test_multiplier_against_interior_oracle_in_three_variables():
+    # c off is an integer on a facet of each Newton polyhedron, and some m + 1
+    # of the box lies on c times that facet, where Howald's inequality is strict
+    cases = [(make_ideal(3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]), Fraction(3)),
+             (make_ideal(3, [[2, 0, 0], [0, 3, 0], [0, 0, 4]]), Fraction(7, 3)),
+             (make_ideal(3, [[2, 0, 1], [0, 2, 0], [1, 1, 3]]), Fraction(3, 2)),
+             (make_ideal(3, [[3, 0, 0], [1, 1, 0], [0, 0, 2], [0, 2, 1]]), Fraction(5, 2))]
+    for ideal, c in cases:
+        facets = ideals._newton_facets(ideal)
+        mult = multiplier_ideal_monomial(ideal, c)
+        on_facet = 0
+        for m in itertools.product(range(3), repeat=3):
+            x = tuple(v + 1 for v in m)
+            on_facet += any(off > 0 and idot(w, x) == c * off for w, off in facets)
+            assert mult.contains_monomial(m) == _in_interior_of_scaled_newton(
+                x, ideal.gens, c), (ideal.gens, c, m)
+        assert on_facet, (ideal.gens, c)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except (AssertionError, ValueError) as exc:
+        return repr(exc)
+
+
+@st.composite
+def ideals_and_exponents(draw):
+    # a seeded generator: hypothesis' own draws favour 0 and repeats, which the
+    # antichain reduction collapses to a single generator
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n, k = rng.randint(1, 3), rng.randint(1, 4)
+    top = 5 if n < 3 else 3  # keeps most boxes of the slow oracle small
+    gens = [[rng.randint(0, top) for _ in range(n)] for _ in range(k)]
+    if n > 1 and rng.random() < 0.7:  # a staircase in the first two variables
+        xs, ys = sorted(rng.sample(range(top + 1), k)), sorted(rng.sample(range(top + 1), k))
+        for g, x, y in zip(gens, xs, reversed(ys)):
+            g[:2] = x, y
+    gens = [g if any(g) else [1] * n for g in gens]
+    if rng.random() < 0.1:
+        gens.append([0] * n)  # the unit ideal
+    ideal = make_ideal(n, gens)
+    kind = rng.choice(["zero", "integral", "ratio", "on-facet"])
+    if kind == "zero":
+        return ideal, Fraction(0)
+    if kind == "integral":
+        return ideal, Fraction(rng.randint(1, 8))
+    if kind == "ratio":
+        return ideal, Fraction(rng.randint(1, 24), rng.randint(1, 12))
+    # c off an integer on a facet with off > 0 (the unit ideal has none)
+    off = rng.choice([off for _, off in ideals._newton_facets(ideal) if off > 0] or [1])
+    return ideal, Fraction(rng.randint(1, 3 * off), off)
+
+
+@given(ideals_and_exponents())
+@example((make_ideal(2, [[4, 0], [1, 1], [0, 5]]), Fraction(10000)))
+@example((make_ideal(3, [[1, 2, 0], [0, 0, 1]]), Fraction(81, 2)))
+@settings(max_examples=60, deadline=None)
+def test_multiplier_matches_graded_scan_oracle(case):
+    # over-budget boxes raise the same error on both routes
+    ideal, c = case
+    assert _outcome(multiplier_ideal_monomial, ideal, c) == \
+        _outcome(io.multiplier_ideal_monomial, ideal, c)
+
+
+def _member_calls(scan, bounds, member):
+    calls = []
+
+    def record(m):
+        calls.append(m)
+        return member(m)
+
+    out = _outcome(scan, bounds, record, "x")
+    assert len(calls) == len(set(calls))
+    return out, set(calls)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n),
+    st.lists(st.lists(st.integers(min_value=0, max_value=8), min_size=n, max_size=n),
+             min_size=1, max_size=5))))
+@settings(max_examples=150, deadline=None)
+def test_box_scan_calls_member_where_the_graded_scan_does(case):
+    # membership in a monomial ideal is closed upward; its generators may lie
+    # outside the box, which then may hold no member at all
+    bounds, gens = case
+    member = make_ideal(len(bounds), gens).contains_monomial
+    assert _member_calls(ideals._minimal_in_box, bounds, member) == \
+        _member_calls(io._minimal_in_box, bounds, member)
+
+
+@pytest.mark.parametrize("gens, n_pow, q", [
+    ([[1, 1]], 3, 4),
+    ([[2, 0], [0, 3]], 5, 3),
+    ([[4, 0], [1, 1], [0, 5]], 7, 4),
+    ([[4, 0], [1, 1], [0, 5]], 22, 8),
+    ([[2, 0, 1], [0, 2, 0], [1, 1, 3]], 9, 5),
+    ([[3, 0], [2, 1], [1, 2], [0, 3]], 6, 4),
+])
+def test_power_bracket_calls_member_where_the_graded_scan_does(monkeypatch, gens, n_pow, q):
+    ideal = make_ideal(len(gens[0]), gens)
+    member = ideals._member_of_power
+    calls = []
+
+    def record(w, g, n):
+        calls.append(w)
+        return member(w, g, n)
+
+    monkeypatch.setattr(ideals, "_member_of_power", record)
+    got = ideals._power_bracket(ideal, n_pow, q)
+    new_calls = calls[:]
+    calls.clear()
+    assert got == io.power_bracket(ideal, n_pow, q)
+    assert len(new_calls) == len(set(new_calls))
+    assert set(new_calls) == set(calls)
 
 
 def test_multiplier_subadditivity():
@@ -227,6 +348,32 @@ def test_three_generator_power_budget():
     gens = [(4, 0), (1, 1), (0, 5)]
     with pytest.raises(ValueError, match="test ideal budget exceeded"):
         ideals._member_of_power((10**12, 10**12), gens, ideals._POWER_BUDGET)
+
+
+def _in_power(w, gens, n_pow) -> bool:
+    """Some sum of n_pow generators, with repeats, componentwise <= w."""
+    return any(all(sum(g[j] for g in combo) <= w[j] for j in range(len(w)))
+               for combo in itertools.combinations_with_replacement(gens, n_pow))
+
+
+@pytest.mark.parametrize("gens, n_pow", [
+    ([(2, 1)], 3),
+    ([(2, 0), (0, 3)], 4),
+    ([(4, 0), (1, 1), (0, 5)], 3),
+    ([(2, 0, 1), (0, 2, 0), (1, 1, 3)], 2),
+    ([(3, 0), (2, 1), (1, 2), (0, 3)], 3),
+])
+def test_power_membership_beyond_int64(gens, n_pow):
+    # w_j runs past N max_i g_ij, where it cannot bind, up to far beyond int64
+    tops = [n_pow * max(col) for col in zip(*gens)]
+    for w in itertools.product(*[(0, 1, t - 1, t, t + 1, 10**30) for t in tops]):
+        assert ideals._member_of_power(w, gens, n_pow) == _in_power(w, gens, n_pow), w
+
+
+def test_power_membership_of_huge_generators_is_over_budget():
+    gens = [(2**62, 0), (1, 1), (0, 5)]
+    with pytest.raises(ValueError, match="test ideal budget exceeded"):
+        ideals._member_of_power((2**64, 2**64), gens, 2)
 
 
 def test_search_box_budget():
