@@ -8,13 +8,11 @@ from .chern import (BundleDecl, GradedElem, SplitToricBundle, chern_from_segre,
                     chern_number, eval_segre_monomial, parse_chern_expr,
                     projectivize_split, segre_from_chern, split_bundle,
                     twist_segre)
-from .fans import (Fan, common_refinement, complete_fan_2d, fan_from_json,
-                   make_fan, product_fan, projective_space_fan, refines,
-                   stellar_refine)
+from .fans import (Fan, common_refinement, complete_fan_2d, make_fan,
+                   product_fan, projective_space_fan, refines, stellar_refine)
 from .ideals import (MonomialIdeal, TestIdealQuery, frobenius_bracket,
-                     graded_sections, ideal_from_json, make_ideal,
-                     multiplier_ideal_monomial, multiplier_ideal_snc,
-                     test_ideal, volume_of_pair)
+                     graded_sections, make_ideal, multiplier_ideal_monomial,
+                     multiplier_ideal_snc, test_ideal, volume_of_pair)
 from .okounkov import (ContainmentCertificate, FlagValuation, OkounidenReport,
                        OkounkovBody, flag, monotone_containment,
                        okounkov_of_bdiv, okounkov_of_bundle, okounkov_of_class,
@@ -24,8 +22,8 @@ from .polytopes import (Polytope, canonicalize, from_halfspaces, hausdorff_linf,
                         mixed_volume, volume)
 from .toric import (HermitianToricLine, ToricDivisor, ToricMetric, divisor,
                     hermitian, is_big, is_nef, lelong_numbers, metric,
-                    metric_from_json, minimal_extension, minimal_metric,
-                    model_polytope, np_mass, polytope_of_divisor,
-                    singularity_divisor, volume_profile)
+                    minimal_extension, minimal_metric, model_polytope, np_mass,
+                    polytope_of_divisor, singularity_divisor, tensor,
+                    volume_profile)
 
 __version__ = "0.1.0"

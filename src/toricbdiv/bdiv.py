@@ -42,9 +42,6 @@ class CartierB:
     def polytope(self) -> Polytope:
         return toric.polytope_of_divisor(self.incarnation)
 
-    def to_json(self) -> dict:
-        return {"fan": self.fan.to_json(), "psi": [fmt(x) for x in self.values]}
-
 
 def cartier(fan: Fan, values: Sequence) -> CartierB:
     vals = tuple(rat(x) for x in values)
@@ -52,14 +49,6 @@ def cartier(fan: Fan, values: Sequence) -> CartierB:
         raise ValueError("value count mismatch")
     d = toric.divisor(fan, [-x for x in vals])
     return CartierB(d, toric.is_nef(d))
-
-
-def cartier_from_json(data: dict) -> CartierB:
-    return cartier(fans.fan_from_json(data["fan"]), [rat(x) for x in data["psi"]])
-
-
-def zero_bdiv(fan: Fan) -> CartierB:
-    return cartier(fan, [0] * len(fan.rays))
 
 
 @dataclass(frozen=True)

@@ -103,9 +103,7 @@ class GradedElem:
             return "0"
         parts = []
         for mono, c in sorted(self.terms):
-            factors = [str(c)] if c != 1 or not mono else ([] if mono else ["1"])
-            if c == 1 and not mono:
-                factors = ["1"]
+            factors = [str(c)] if c != 1 or not mono else []
             for kind, b, i in mono:
                 factors.append(f"{kind}{i}({b})")
             parts.append("*".join(factors))

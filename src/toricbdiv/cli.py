@@ -213,6 +213,8 @@ def _cmd_chern(args):
     fan = fan_of(scn, args.scenario)
     table = bundles_of(fan, scn, args.scenario)
     expr = need(scn, "expression", args.scenario)
+    if not isinstance(expr, str):
+        raise CliError(2, f"expression must be a string in {args.scenario}")
     try:
         parsed = chern.parse_chern_expr(expr)
     except ValueError as exc:
@@ -277,7 +279,8 @@ def _suite_segre_comm(args, scn):
     except (TypeError, IndexError, KeyError):
         raise CliError(2, "factors must be [name, exponent] pairs")
     for name in names:
-        if name not in table:
+        # bundle names are JSON object keys, so a list or an object is never one
+        if not isinstance(name, str) or name not in table:
             raise CliError(2, f"unknown bundle '{name}' in factors")
     fwd = chern.eval_segre_monomial([table[n] for n in names], exps)
     rev = chern.eval_segre_monomial([table[n] for n in reversed(names)],
@@ -334,7 +337,7 @@ def _cmd_verify(args):
 
 def _cmd_batch(args):
     data = load_json(args.manifest)
-    runs = data if isinstance(data, list) else need(data, "runs", args.manifest)
+    runs = data if isinstance(data, list) else need_list(data, "runs", args.manifest)
     entries, worst = [], 0
     for entry in runs:
         if not (isinstance(entry, list) and all(isinstance(x, str) for x in entry)):

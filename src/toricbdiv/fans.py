@@ -44,9 +44,6 @@ class Fan:
             out[cone] = tuple(rows)
         return out
 
-    def to_json(self) -> dict:
-        return {"rays": [list(r) for r in self.rays], "cones": [list(c) for c in self.cones]}
-
     def __str__(self) -> str:
         return f"Fan(dim={self.dim}, rays={len(self.rays)}, maximal_cones={len(self.cones)})"
 
@@ -66,10 +63,6 @@ def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int 
     # set before the fan is shared, so it keeps the halfspaces is_complete computes
     object.__setattr__(fan, "complete", is_complete(fan))
     return fan
-
-
-def fan_from_json(data: dict) -> Fan:
-    return make_fan(data["rays"], data["cones"])
 
 
 def cone_contains(fan: Fan, cone: Cone, v: Sequence) -> bool:

@@ -58,20 +58,6 @@ def unit_ideal(nvars: int) -> MonomialIdeal:
     return make_ideal(nvars, [tuple(0 for _ in range(nvars))])
 
 
-def ideal_from_json(data: dict) -> MonomialIdeal:
-    return make_ideal(int(data["nvars"]), data["gens"])
-
-
-def ideal_product(a: MonomialIdeal, b: MonomialIdeal) -> MonomialIdeal:
-    if a.nvars != b.nvars:
-        raise ValueError("dimension mismatch")
-    return make_ideal(a.nvars, [tuple(x + y for x, y in zip(g, h)) for g in a.gens for h in b.gens])
-
-
-def ideal_subset(a: MonomialIdeal, b: MonomialIdeal) -> bool:
-    return all(b.contains_monomial(g) for g in a.gens)
-
-
 def _newton_facets(a: MonomialIdeal) -> list[tuple[tuple[int, ...], int]]:
     """Facets <w, x> >= off of conv(generators) + the nonnegative orthant, w >= 0."""
     n = a.nvars

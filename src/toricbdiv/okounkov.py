@@ -14,6 +14,7 @@ from typing import Sequence
 
 from . import bdiv, polytopes, toric
 from .bdiv import CartierB
+from .chern import projectivize_split
 from .linalg import det
 from .polytopes import Polytope
 from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec, vsub
@@ -88,9 +89,26 @@ def _trivialization(d: ToricDivisor, nu: FlagValuation) -> Vec:
     raise ValueError("ray not in support")
 
 
-def _image(p: Polytope, nu: FlagValuation, m0: Sequence) -> Polytope:
-    shifted = polytopes.translate(p, [-x for x in vec(m0)])
-    return polytopes.linear_image(shifted, nu.matrix)
+def _flag_hull(points: Sequence[Sequence], nu: FlagValuation, m0: Vec, k: int = 1) -> Polytope:
+    """Hull of the flag images M (x - k m0)/k of the points, M = nu.matrix.
+
+    Points and m0 are scaled once by the lcm t of their denominators, so
+    t M (x - k m0) is an integer vector; dividing it and t by their common gcd
+    g leaves, for k = 1, exactly the integer points and scale `canonicalize`
+    would find for the images.
+    """
+    n = len(m0)
+    ints, t = int_row([x for p in points for x in p] + list(m0))
+    tm0 = ints[-n:]
+    rows = [(row, k * idot(row, tm0)) for row in nu.matrix]
+    pts = [ints[i:i + n] for i in range(0, len(ints) - n, n)]
+    img = [tuple(idot(r, p) - c for r, c in rows) for p in pts]
+    g = math.gcd(t, *(x for v in img for x in v))
+    return polytopes.hull_of_ints(sorted(tuple(x // g for x in v) for v in img), t // g, k)
+
+
+def _image(p: Polytope, nu: FlagValuation, m0: Vec) -> Polytope:
+    return _flag_hull(p.vertices, nu, m0)
 
 
 def _body(d: ToricDivisor, nu: FlagValuation) -> Polytope:
@@ -126,23 +144,12 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
         raise ValueError("not nef or not big")
     polytopes.check_lattice_budget(model, k_max)
     m0 = _trivialization(m.line, nu)
-    # the flag map sends a lattice point p of kP to M (p - k m0), and t times
-    # that is an integer vector, t the lcm of the denominators of m0
-    tm0, t = int_row(m0)
-    rows = [(tuple(t * x for x in row), idot(row, tm0)) for row in nu.matrix]
     hulls: list[Polytope | None] = []
-    any_sections = False
     for k in range(1, k_max + 1):
         # the flag map is affine, so the ends of the lattice runs span the hull
         pts = polytopes.lattice_run_ends(model, k)
-        if not pts:
-            hulls.append(None)
-            continue
-        any_sections = True
-        img = [tuple(idot(r, p) - k * c for r, c in rows) for p in pts]
-        g = math.gcd(t, *(x for v in img for x in v))
-        hulls.append(polytopes.hull_of_ints(sorted(tuple(x // g for x in v) for v in img), t // g, k))
-    if not any_sections:
+        hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
+    if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")
     limit = OkounkovBody(_image(model, nu, m0), "partial_Gk", nu_of_metric(m, nu))
     return hulls, limit
@@ -228,6 +235,5 @@ def monotone_containment(alpha: ToricDivisor, beta: ToricDivisor,
 
 def okounkov_of_bundle(bundle, nu: FlagValuation, k_max: int = 20):
     """Body of O(1) on the dual projectivization; nu lives on the total space."""
-    from .chern import projectivize_split
     _, o1 = projectivize_split(bundle)
     return partial_okounkov(o1, nu, k_max)

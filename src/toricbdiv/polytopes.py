@@ -16,8 +16,7 @@ import numpy as np
 
 from . import dd
 from .linalg import rank
-from .rationals import (IntVec, Vec, dot, fmt, idot, int_row, primitive, rat,
-                        vadd, vec, vsub)
+from .rationals import IntVec, Vec, dot, idot, int_row, primitive, vadd, vec, vsub
 
 Halfspace = tuple[IntVec, Fraction]
 
@@ -47,15 +46,8 @@ class Polytope:
     def is_point(self) -> bool:
         return len(self.vertices) == 1
 
-    def to_json(self) -> dict:
-        return {"dim": self.dim, "vertices": [[fmt(c) for c in v] for v in self.vertices]}
-
     def __str__(self) -> str:
         return f"Polytope(dim={self.dim}, vertices={[tuple(map(str, v)) for v in self.vertices]})"
-
-
-def from_json(data: dict) -> Polytope:
-    return canonicalize([vec(v) for v in data["vertices"]])
 
 
 def affine_rank(points: Sequence[Vec]) -> int:
@@ -176,29 +168,6 @@ def translate(p: Polytope, t: Sequence) -> Polytope:
     verts = [vadd(v, tv) for v in p.vertices]
     hs = [(w, c + dot(w, tv)) for w, c in p.halfspaces]
     return _build(p.dim, verts, hs)
-
-
-def scale(p: Polytope, t) -> Polytope:
-    t = rat(t)
-    if t < 0:
-        raise ValueError("negative scale")
-    if t == 0:
-        return canonicalize([tuple(Fraction(0) for _ in range(p.dim))])
-    verts = [tuple(t * x for x in v) for v in p.vertices]
-    hs = [(w, t * c) for w, c in p.halfspaces]
-    return _build(p.dim, verts, hs)
-
-
-def linear_image(p: Polytope, matrix: Sequence[Sequence], shift: Sequence | None = None) -> Polytope:
-    """Image under an invertible linear map plus optional translation."""
-    rows = [vec(r) for r in matrix]
-    out = []
-    for v in p.vertices:
-        img = tuple(dot(r, v) for r in rows)
-        if shift is not None:
-            img = vadd(img, vec(shift))
-        out.append(img)
-    return canonicalize(out)
 
 
 def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
@@ -348,19 +317,6 @@ def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
             if gap * den > num * norm:
                 num, den = gap, norm
     return HausdorffDist(Fraction(num, den * s))
-
-
-def translate_into(p: Polytope, q: Polytope) -> Vec | None:
-    """Lex-minimal v >= 0 with P + v inside Q, or None."""
-    if p.dim != q.dim:
-        raise ValueError("dimension mismatch")
-    n = p.dim
-    # the feasible shifts form a polytope (Q is bounded); its lex-minimal point is a vertex
-    rows = [(w, c - min(dot(w, v) for v in p.vertices)) for w, c in q.halfspaces]
-    rows += [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
-    _, rays = dd.homogenized_rays(rows, n)
-    verts = [tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0]
-    return min(verts, default=None)
 
 
 def _ceil_div(a: int, b: int) -> int:

@@ -125,7 +125,7 @@ def _fan(data, where: str) -> Fan:
         # a negative index would silently pick a ray from the end of the list
         if any(not 0 <= i < len(data["rays"]) for cone in data["cones"] for i in cone):
             raise ValueError("cone index out of range")
-        return fans.fan_from_json(data)
+        return fans.make_fan(data["rays"], data["cones"])
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
         raise CliError(2, f"bad fan in {where}: {exc}")
 
@@ -202,7 +202,7 @@ def flag_of(fan: Fan, scn: dict, where: str) -> okounkov.FlagValuation:
 
 def ideal_of(data: dict, where: str) -> ideals.MonomialIdeal:
     try:
-        return ideals.ideal_from_json(data)
+        return ideals.make_ideal(int(data["nvars"]), data["gens"])
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(2, f"bad ideal in {where}: {exc}")
 

@@ -17,7 +17,7 @@ from . import fans, polytopes
 from .fans import Fan
 from .linalg import solve
 from .polytopes import Polytope
-from .rationals import IntVec, Vec, dot, fmt, rat, vec
+from .rationals import IntVec, Vec, dot, rat, vec
 
 Piece = tuple[Vec, Fraction]
 
@@ -30,24 +30,13 @@ class ToricDivisor:
     coeffs: tuple[Fraction, ...]
     functionals: Mapping[fans.Cone, Vec] = field(compare=False, repr=False)
 
-    def coeff(self, ray: Sequence) -> Fraction:
-        i = self.fan.ray_index(ray)
-        if i is None:
-            raise ValueError("ray not in fan")
-        return self.coeffs[i]
-
-    def to_json(self) -> dict:
-        keys = [",".join(str(x) for x in r) for r in self.fan.rays]
-        return {"coeffs": {k: fmt(a) for k, a in zip(keys, self.coeffs)}}
-
 
 def divisor(fan: Fan, coeffs) -> ToricDivisor:
     """Build a divisor from a ray->coefficient mapping or a ray-aligned sequence."""
     if isinstance(coeffs, Mapping):
         out = [Fraction(0)] * len(fan.rays)
         for key, val in coeffs.items():
-            ray = tuple(int(x) for x in (key.split(",") if isinstance(key, str) else key))
-            i = fan.ray_index(ray)
+            i = fan.ray_index(tuple(int(x) for x in key))
             if i is None:
                 raise ValueError("ray not in fan")
             out[i] = rat(val)
@@ -63,10 +52,6 @@ def divisor(fan: Fan, coeffs) -> ToricDivisor:
             raise ValueError("support function not linear on a cone")
         functionals[cone] = m
     return ToricDivisor(fan, vals, functionals)
-
-
-def zero_divisor(fan: Fan) -> ToricDivisor:
-    return divisor(fan, [0] * len(fan.rays))
 
 
 def psi_value(d: ToricDivisor, v: Sequence) -> Fraction:
@@ -105,14 +90,6 @@ def is_big(d: ToricDivisor) -> bool:
     return polytopes.affine_rank(list(p.vertices)) == d.fan.dim
 
 
-def refine(fan: Fan, new_rays: Iterable[Sequence]) -> Fan:
-    """Stellar subdivisions at the given rays, in order."""
-    out = fan
-    for r in new_rays:
-        out = fans.stellar_refine(out, r)
-    return out
-
-
 def pullback(d: ToricDivisor, fine: Fan) -> ToricDivisor:
     """Incarnation of the divisor on a refinement: coefficients -psi_D at new rays."""
     return divisor(fine, [-psi_value(d, r) for r in fine.rays])
@@ -129,12 +106,6 @@ class ToricMetric:
         x = vec(v)
         return min(dot(m, x) for m, _ in self.pieces)
 
-    def to_json(self) -> dict:
-        return {
-            "divisor": self.line.to_json(),
-            "pieces": [{"slope": [fmt(x) for x in m], "offset": fmt(c)} for m, c in self.pieces],
-        }
-
 
 def metric(line: ToricDivisor, pieces: Iterable[tuple[Sequence, object]]) -> ToricMetric:
     norm: list[Piece] = sorted({(vec(m), rat(c)) for m, c in pieces})
@@ -143,12 +114,6 @@ def metric(line: ToricDivisor, pieces: Iterable[tuple[Sequence, object]]) -> Tor
     if not all(_in_polytope(line, m) for m, _ in norm):
         raise ValueError("negative Lelong number")
     return ToricMetric(line, tuple(norm))
-
-
-def metric_from_json(fan: Fan, data: dict) -> ToricMetric:
-    line = divisor(fan, data["divisor"]["coeffs"])
-    pieces = [(tuple(rat(x) for x in p["slope"]), rat(p.get("offset", 0))) for p in data["pieces"]]
-    return metric(line, pieces)
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +132,7 @@ def metric_with_ray_weights(d: ToricDivisor, weights: Mapping) -> ToricMetric:
     """Metric with log singularity of weight w_rho along each listed ray divisor."""
     w = {}
     for key, val in weights.items():
-        ray = tuple(int(x) for x in (key.split(",") if isinstance(key, str) else key))
+        ray = tuple(int(x) for x in key)
         if d.fan.ray_index(ray) is None:
             raise ValueError("ray not in fan")
         w[ray] = rat(val)

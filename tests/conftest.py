@@ -3,7 +3,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from toricbdiv import fans, toric
+from toricbdiv import dd, fans, ideals, toric
+from toricbdiv.polytopes import Polytope, _build, canonicalize
+from toricbdiv.rationals import Vec, dot, rat, vec
 
 
 def p2() -> fans.Fan:
@@ -87,7 +89,40 @@ def rand_weighted3(rng):
 
 
 def _extent(d: toric.ToricDivisor, ray) -> Fraction:
-    from toricbdiv.rationals import dot, vec
     p = toric.polytope_of_divisor(d)
     vals = [dot(vec(ray), v) for v in p.vertices]
     return max(vals) - min(vals)
+
+
+def scale(p: Polytope, t) -> Polytope:
+    t = rat(t)
+    if t < 0:
+        raise ValueError("negative scale")
+    if t == 0:
+        return canonicalize([tuple(Fraction(0) for _ in range(p.dim))])
+    verts = [tuple(t * x for x in v) for v in p.vertices]
+    hs = [(w, t * c) for w, c in p.halfspaces]
+    return _build(p.dim, verts, hs)
+
+
+def translate_into(p: Polytope, q: Polytope) -> Vec | None:
+    """Lex-minimal v >= 0 with P + v inside Q, or None."""
+    if p.dim != q.dim:
+        raise ValueError("dimension mismatch")
+    n = p.dim
+    # the feasible shifts form a polytope (Q is bounded); its lex-minimal point is a vertex
+    rows = [(w, c - min(dot(w, v) for v in p.vertices)) for w, c in q.halfspaces]
+    rows += [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
+    _, rays = dd.homogenized_rays(rows, n)
+    verts = [tuple(Fraction(x, r[n]) for x in r[:n]) for r in rays if r[n] > 0]
+    return min(verts, default=None)
+
+
+def ideal_product(a: ideals.MonomialIdeal, b: ideals.MonomialIdeal) -> ideals.MonomialIdeal:
+    if a.nvars != b.nvars:
+        raise ValueError("dimension mismatch")
+    return ideals.make_ideal(a.nvars, [tuple(x + y for x, y in zip(g, h)) for g in a.gens for h in b.gens])
+
+
+def ideal_subset(a: ideals.MonomialIdeal, b: ideals.MonomialIdeal) -> bool:
+    return all(b.contains_monomial(g) for g in a.gens)

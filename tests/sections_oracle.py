@@ -4,6 +4,8 @@
   distance off its facets, in every dimension;
 - `partial_hulls` maps each lattice run end through `FlagValuation.coords` on
   `Fraction`s, hulls with `canonicalize` and shrinks with `scale`;
+- `flag_image` maps a body by translating it, taking the `linear_image` of
+  its vertices on `Fraction`s and hulling them with `canonicalize`;
 - `_lattice_rows` enumerates the integer points by masking the bounding box.
 
 The differential tests in `test_polytopes.py` and `test_okounkov.py` compare
@@ -14,13 +16,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import product
+from typing import Sequence
 
 import numpy as np
 
 from toricbdiv import okounkov, polytopes, toric
 from toricbdiv.polytopes import (_LATTICE_BUDGET, Polytope, canonicalize,
                                  minkowski_sum)
-from toricbdiv.rationals import IntVec, dot, vec, vsub
+from toricbdiv.rationals import IntVec, dot, vadd, vec, vsub
+
+from conftest import scale
 
 
 def _farthest(p: Polytope, q: Polytope) -> Fraction:
@@ -93,11 +98,29 @@ def partial_hulls(h, nu: okounkov.FlagValuation, k_max: int) -> list[Polytope | 
     hulls: list[Polytope | None] = []
     for k in range(1, k_max + 1):
         # the flag map is affine, so the ends of the lattice runs span the hull
-        pts = lattice_run_ends(polytopes.scale(model, k))
+        pts = lattice_run_ends(scale(model, k))
         if not pts:
             hulls.append(None)
             continue
         km0 = [k * x for x in m0]
         vecs = [nu.coords(vsub(vec(p), vec(km0))) for p in pts]
-        hulls.append(polytopes.scale(polytopes.canonicalize(vecs), Fraction(1, k)))
+        hulls.append(scale(polytopes.canonicalize(vecs), Fraction(1, k)))
     return hulls
+
+
+def linear_image(p: Polytope, matrix: Sequence[Sequence], shift: Sequence | None = None) -> Polytope:
+    """Image under an invertible linear map plus optional translation."""
+    rows = [vec(r) for r in matrix]
+    out = []
+    for v in p.vertices:
+        img = tuple(dot(r, v) for r in rows)
+        if shift is not None:
+            img = vadd(img, vec(shift))
+        out.append(img)
+    return canonicalize(out)
+
+
+def flag_image(p: Polytope, nu: okounkov.FlagValuation, m0: Sequence) -> Polytope:
+    """The flag image M (P - m0) of `okounkov._flag_hull` with k = 1, on `Fraction`s."""
+    shifted = polytopes.translate(p, [-x for x in vec(m0)])
+    return linear_image(shifted, nu.matrix)

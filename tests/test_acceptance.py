@@ -14,8 +14,8 @@ from toricbdiv.ideals import TestIdealQuery, make_ideal, multiplier_ideal_monomi
 from toricbdiv.okounkov import flag, partial_okounkov, verify_okouniden
 
 import volume_oracle
-from conftest import (minimal_line, o_p2, p1, p1xp1, p2, rand_weighted,
-                      rand_weighted3, weighted_line)
+from conftest import (ideal_subset, minimal_line, o_p2, p1, p1xp1, p2,
+                      rand_weighted, rand_weighted3, weighted_line)
 
 TestIdealQuery.__test__ = False  # imported dataclass, not a test case
 
@@ -294,7 +294,7 @@ def test_07_test_ideal_grid():
                 q = p**e
                 cur = ideals._power_bracket(ideal, math.ceil(lam * q), q)
                 if prev is not None:
-                    assert ideals.ideal_subset(prev, cur)
+                    assert ideal_subset(prev, cur)
                 prev = cur
     elapsed = time.monotonic() - t0
     _report("criterion-7", elapsed < 60.0, f"105-point grid, {elapsed:.2f}s of 60s")

@@ -124,8 +124,8 @@ def test_projectivize_trivial_rank_two():
     b = split_bundle([minimal_line(op1(0)), minimal_line(op1(0))])
     fan, o1 = projectivize_split(b)
     assert fan == fans.product_fan(p1(), p1())
-    want = {"-1,0": "0", "0,-1": "1", "0,1": "0", "1,0": "0"}
-    assert o1.line.to_json()["coeffs"] == want
+    want = {(-1, 0): 0, (0, -1): 1, (0, 1): 0, (1, 0): 0}
+    assert dict(zip(o1.line.fan.rays, o1.line.coeffs)) == want
 
 
 def test_projectivize_hirzebruch():

@@ -1,4 +1,6 @@
 """Command line contract: exit codes, report shapes, byte stability."""
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,12 +9,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import toricbdiv
 from toricbdiv import cli
 from toricbdiv.cli import run
 
 P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def mk(tmp_path, name, payload):
@@ -420,6 +425,22 @@ def test_malformed_suite_and_list_inputs_are_input_errors(tmp_path, argv, scn, m
     assert message in report_of(text)["error"]["message"]
 
 
+@pytest.mark.parametrize("golden, argv, key, value, message", [
+    pytest.param("p2.json", ["verify", "--suite", "segre-comm"], "factors",
+                 [[["E"], 1], ["F", 1]], "unknown bundle", id="list-as-factor-name"),
+    pytest.param("p2.json", ["verify", "--suite", "segre-comm"], "factors",
+                 [[{"E": 1}, 1]], "unknown bundle", id="object-as-factor-name"),
+    pytest.param("p1xp1.json", ["chern"], "expression", -1, "expression must be a string",
+                 id="number-as-expression"),
+])
+def test_non_string_names_are_input_errors(tmp_path, golden, argv, key, value, message):
+    scn = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
+    scn[key] = value
+    code, text = run(argv + ["--scenario", mk(tmp_path, golden, scn)])
+    assert code == 2
+    assert message in report_of(text)["error"]["message"]
+
+
 def test_integer_strings_still_count_as_integers(tmp_path):
     scn = mk(tmp_path, "tvm.json", {**TVM, "ps": ["2"], "emax": "12"})
     code, text = run(["verify", "--suite", "test-vs-multiplier", "--scenario", scn])
@@ -572,6 +593,10 @@ def test_batch_bare_list_and_empty(tmp_path):
     badman = mk(tmp_path, "badman.json", {"runs": ["volume"]})
     code, text = run(["batch", badman])
     assert code == 2
+    nullruns = mk(tmp_path, "nullruns.json", {"runs": None})
+    code, text = run(["batch", nullruns])
+    assert code == 2
+    assert report_of(text)["error"]["message"].startswith("runs must be a list")
 
 
 # -- console script ---------------------------------------------------------------------
@@ -586,3 +611,84 @@ def test_console_script(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["gens"] == [[1, 0], [0, 1]]
+
+
+# -- fuzz ------------------------------------------------------------------------------
+
+_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-3, max_value=3),
+    st.sampled_from([2**63, -2**64, 10**40]),
+    st.floats(allow_nan=False, allow_infinity=False, width=32),
+    st.sampled_from(["", "x", "0", "-1", "1/2", "1/0", "1,0", "-1,-1", "E", "c1(E)"]),
+    st.text(max_size=4))
+_VALUE = st.one_of(_LEAF, st.lists(_LEAF, max_size=3),
+                   st.dictionaries(st.sampled_from(["", "x", "1,0", "E"]), _LEAF, max_size=2))
+
+
+def _paths(doc, path=()):
+    """Every path to a value inside the JSON document, the root left out."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """The document with one or two values replaced or deleted, at random paths."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[last]
+        else:
+            parent[last] = draw(_VALUE)
+    return doc
+
+
+def _commands(out):
+    scenario = [["intersect"], ["volume"], ["mass"], ["okounkov"], ["partial-okounkov", "--kmax", "3"],
+                ["chern"], ["profile"], ["export-plot", "--out", out]]
+    scenario += [["verify", "--suite", suite, "--kmax", "3"] for suite in cli._SUITES]
+    return {"scenario": [argv + ["--scenario"] for argv in scenario],
+            "ideal": [["mideal", "--c", "7/3", "--ideal"], ["tideal", "--lam", "5/4", "--p", "3", "--ideal"]],
+            "batch": [["batch"]]}
+
+
+def _fuzz_inputs():
+    docs = {name: ("scenario", json.loads((GOLDEN / name).read_text(encoding="utf-8")))
+            for name in ("p2.json", "p2_weil.json", "p2_class.json", "p1xp1.json", "tvm.json")}
+    docs["ideal2.json"] = ("ideal", json.loads((GOLDEN / "ideal2.json").read_text(encoding="utf-8")))
+    # batch entries name their inputs relative to the golden folder
+    runs = json.loads((GOLDEN / "batch.json").read_text(encoding="utf-8"))["runs"]
+    docs["batch.json"] = ("batch", {"runs": [[str(GOLDEN / x) if x.endswith(".json") else x for x in argv]
+                                             for argv in runs]})
+    return docs
+
+
+def test_mutated_inputs_never_crash(tmp_path):
+    # every input fault maps to exit 2 or 3 with a JSON report, never to a traceback
+    docs = _fuzz_inputs()
+    commands = _commands(str(tmp_path / "plot.json"))
+
+    @given(st.sampled_from(sorted(docs)).flatmap(
+        lambda name: st.tuples(st.just(name), _mutated(docs[name][1]))))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def check(case):
+        name, doc = case
+        path = mk(tmp_path, name, doc)
+        for argv in commands[docs[name][0]]:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, text = run(argv + [path])
+            assert code in (0, 1, 2, 3), (argv, doc, text)
+            json.loads(text)
+            assert "Traceback" not in err.getvalue()
+
+    check()

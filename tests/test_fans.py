@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import fan_oracle
 import lp_oracle as lp
-from toricbdiv import dd, fans
-from toricbdiv.fans import (common_refinement, complete_fan_2d, fan_from_json,
-                            make_fan, product_fan, projective_space_fan,
+from toricbdiv import dd, fans, report
+from toricbdiv.fans import (common_refinement, complete_fan_2d, make_fan,
+                            product_fan, projective_space_fan,
                             refine_by_slopes, refines, stellar_refine)
 
 from conftest import half_plane, p1, p1cubed, p1xp1, p2
@@ -31,7 +31,8 @@ def test_make_fan_errors():
 
 def test_fan_json_round_trip():
     f = p1xp1()
-    assert fan_from_json(f.to_json()) == f
+    data = {"rays": [list(r) for r in f.rays], "cones": [list(c) for c in f.cones]}
+    assert report.fan_of({"fan": data}, "scenario") == f
 
 
 def test_cone_membership():
@@ -78,11 +79,6 @@ def test_stellar_refine_p2():
     f = stellar_refine(p2(), (1, 1))
     assert len(f.cones) == 4 and (1, 1) in f.rays
     assert refines(f, p2())
-
-
-def test_refine_with_no_rays_is_identity():
-    from toricbdiv import toric
-    assert toric.refine(p2(), []) == p2()
 
 
 def test_stellar_outside_support():
@@ -203,13 +199,13 @@ def test_lifted_refinement_matches_per_cell_oracle(case):
 
 
 def test_find_cone_after_building_a_fan_runs_no_dd(monkeypatch):
-    base, p2_json = p1xp1(), p2().to_json()
+    base, p2_fan = p1xp1(), p2()
     assert base.halfspaces
     calls = []
     real = dd.extreme_rays
     monkeypatch.setattr(dd, "extreme_rays", lambda rows, dim: calls.append(dim) or real(rows, dim))
     for build, dds in ((lambda: stellar_refine(base, (1, 1)), 5),
-                       (lambda: fan_from_json(p2_json), 3)):
+                       (lambda: make_fan(p2_fan.rays, p2_fan.cones), 3)):
         calls.clear()
         f = build()
         assert f.complete and len(calls) == dds  # one DD per maximal cone

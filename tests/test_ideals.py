@@ -15,7 +15,7 @@ from toricbdiv.ideals import (TestIdealQuery, frobenius_bracket, make_ideal,
                               unit_ideal)
 from toricbdiv.rationals import idot
 
-from conftest import minimal_line, o_p2, weighted_line
+from conftest import ideal_product, ideal_subset, minimal_line, o_p2, weighted_line
 
 TestIdealQuery.__test__ = False  # not a test class despite the name
 
@@ -229,9 +229,9 @@ def test_multiplier_subadditivity():
         c1 = Fraction(rng.randint(1, 5), 2)
         c2 = Fraction(rng.randint(1, 5), 2)
         lhs = multiplier_ideal_monomial(a, c1 + c2)
-        rhs = ideals.ideal_product(multiplier_ideal_monomial(a, c1),
+        rhs = ideal_product(multiplier_ideal_monomial(a, c1),
                                    multiplier_ideal_monomial(a, c2))
-        assert ideals.ideal_subset(lhs, rhs)
+        assert ideal_subset(lhs, rhs)
 
 
 def test_multiplier_snc():
@@ -295,7 +295,7 @@ def test_bracket_chain_increasing_in_e():
             q = p ** e
             cur = ideals._power_bracket(ideal, math.ceil(lam * q), q)
             if prev is not None:
-                assert ideals.ideal_subset(prev, cur)
+                assert ideal_subset(prev, cur)
             prev = cur
 
 
@@ -310,7 +310,7 @@ def test_test_ideal_contains_ideal():
     for gens in ([[1, 1]], [[2, 0], [0, 3]], [[1, 0], [0, 2]]):
         ideal = make_ideal(2, gens)
         tau = ideals.test_ideal(TestIdealQuery(ideal, 1, 3))
-        assert ideals.ideal_subset(ideal, tau)
+        assert ideal_subset(ideal, tau)
 
 
 def test_test_ideal_matches_multiplier_sample():

@@ -16,7 +16,7 @@ from toricbdiv.rationals import dot
 
 import sections_oracle as so
 from conftest import (minimal_line, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
-                      rand_weighted, weighted_line)
+                      rand_weighted, scale, weighted_line)
 
 
 def std_flag():
@@ -106,7 +106,7 @@ def test_partial_weighted():
     assert limit.shift == (1, 0)
     for k, hk in enumerate(hulls, start=1):
         # hulls grow inside the model polytope and hit it at k = 1 already here
-        assert polytopes.translate_into(hk, model) == (0, 0)
+        assert all(model.contains(v) for v in hk.vertices)
     assert hulls[0] == model
     assert 2 * limit.volume() == bdiv.vol(bdiv.bdiv_of_metric(h).cartier)
 
@@ -118,12 +118,12 @@ def all_points_hulls(h, nu, k_max):
     m0 = okounkov._trivialization(m.line, nu)
     out = []
     for k in range(1, k_max + 1):
-        pts = polytopes.lattice_points(polytopes.scale(model, k))
+        pts = polytopes.lattice_points(scale(model, k))
         if not pts:
             out.append(None)
             continue
         vecs = [nu.coords([x - k * y for x, y in zip(p, m0)]) for p in pts]
-        out.append(polytopes.scale(polytopes.canonicalize(vecs), Fraction(1, k)))
+        out.append(scale(polytopes.canonicalize(vecs), Fraction(1, k)))
     return out
 
 
@@ -197,6 +197,44 @@ def test_partial_hulls_match_fraction_oracle(case):
         assert_same_hulls(partial_okounkov(h, nu, k_max)[0], want)
 
 
+small = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def unimodular(draw, n):
+    """An integer n x n matrix of determinant +-1: row operations on a signed permutation."""
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    rows = [[signs[i] * int(perm[i] == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(st.integers(min_value=-2, max_value=2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return rows
+
+
+@st.composite
+def flag_image_cases(draw):
+    """A 2-d or 3-d body of affine rank r <= n (r = 0: one point), a rational m0,
+    and a flag with a unimodular base cone and order matrix."""
+    n = draw(st.sampled_from((2, 3)))
+    r = draw(st.integers(min_value=0, max_value=n))
+    base = draw(st.tuples(*[small] * n))
+    dirs = draw(st.lists(st.tuples(*[small] * n), min_size=r, max_size=r))
+    steps = st.lists(st.integers(min_value=-2, max_value=2), min_size=r, max_size=r)
+    pts = [tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+           for cs in draw(st.lists(steps, min_size=1, max_size=8))]
+    m0 = draw(st.tuples(*[small] * n))
+    return polytopes.canonicalize(pts), flag(draw(unimodular(n)), draw(unimodular(n))), m0
+
+
+@given(flag_image_cases())
+@settings(max_examples=300, deadline=None)
+def test_flag_hull_matches_fraction_image(case):
+    p, nu, m0 = case
+    assert repr(okounkov._flag_hull(p.vertices, nu, m0)) == repr(so.flag_image(p, nu, m0))
+
+
 def test_bundle_hulls_match_all_points_oracle():
     bundle = split_bundle([minimal_line(o_p2(1)), weighted_line(o_p2(2), {(1, 0): 1})])
     nu = flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
@@ -246,7 +284,7 @@ def test_bdiv_body_without_limit_stops_by_tol():
     w = bdiv.weil(approx)
     out = okounkov_of_bdiv(w, std_flag(), tol=Fraction(1, 100))
     lim = hull([(0, 0), (2, 0), (0, 2)])
-    assert polytopes.translate_into(lim, out.body) == (0, 0)
+    assert all(out.body.contains(v) for v in lim.vertices)
     assert polytopes.hausdorff_linf(lim, out.body).value < Fraction(1, 100)
 
 

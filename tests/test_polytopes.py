@@ -15,8 +15,10 @@ from toricbdiv import polytopes
 from toricbdiv.polytopes import (Polytope, canonicalize, from_halfspaces,
                                  hausdorff_linf, lattice_count, lattice_points,
                                  minkowski_sum, mixed_volume, translate,
-                                 translate_into, volume)
+                                 volume)
 from toricbdiv.rationals import dot
+
+from conftest import scale, translate_into
 
 coord = st.integers(min_value=-4, max_value=4)
 point2 = st.tuples(coord, coord)
@@ -166,7 +168,7 @@ def test_mixed_volume_diagonal_and_homogeneity():
         p = _rand_poly(rng, n)
         assert mixed_volume([p] * n) == volume(p)
         t = Fraction(rng.randint(0, 4), rng.choice([1, 2]))
-        scaled = polytopes.scale(p, t)
+        scaled = scale(p, t)
         assert volume(minkowski_sum(p, scaled)) == (1 + t) ** n * volume(p)
 
 
@@ -209,7 +211,7 @@ def test_lattice_count_brute_force_oracle():
     for _ in range(8):
         p = canonicalize([(rng.randint(0, 4), rng.randint(0, 4)) for _ in range(5)])
         k = rng.randint(1, 30)
-        kp = polytopes.scale(p, k)
+        kp = scale(p, k)
         inside = {(x, y) for x in range(0, 4 * k + 1) for y in range(0, 4 * k + 1)
                   if kp.contains((x, y))}
         assert lattice_count(kp) == len(inside)
@@ -370,7 +372,7 @@ tiny = st.builds(Fraction, st.integers(min_value=-2, max_value=2), st.sampled_fr
        st.integers(min_value=1, max_value=2))
 @settings(max_examples=300, deadline=None)
 def test_lattice_runs_match_box_mask_oracle(p, k):
-    kp = polytopes.scale(p, k)
+    kp = scale(p, k)
     want = so.lattice_points(kp)
     assert lattice_points(p, k) == lattice_points(kp) == want
     assert lattice_count(p, k) == lattice_count(kp) == len(want)
@@ -381,7 +383,7 @@ def test_lattice_runs_of_bodies_without_lattice_points():
     thin = canonicalize([(Fraction(1, 3), 0), (Fraction(2, 3), 5), (Fraction(1, 2), -4)])
     assert lattice_points(thin) == polytopes.lattice_run_ends(thin) == []
     assert lattice_count(thin) == 0
-    assert lattice_count(thin, 3) == so.lattice_count(polytopes.scale(thin, 3)) == 2
+    assert lattice_count(thin, 3) == so.lattice_count(scale(thin, 3)) == 2
 
 
 @given(_bodies_in_one_dim(3), st.booleans())
@@ -445,14 +447,9 @@ def test_from_halfspaces_unbounded():
         from_halfspaces([((1, 0), Fraction(0)), ((0, 1), Fraction(0))], 2)
 
 
-def test_json_round_trip():
-    p = canonicalize([(0, 0), (Fraction(5, 2), 0), (0, 3)])
-    assert polytopes.from_json(p.to_json()) == p
-
-
 def test_linear_image_and_affine_rank():
     p = simplex(2)
-    q = polytopes.linear_image(p, [[0, 1], [1, 0]])
+    q = so.linear_image(p, [[0, 1], [1, 0]])
     assert q == p  # simplex is symmetric under coordinate swap
     assert polytopes.affine_rank(list(p.vertices)) == 2
     assert polytopes.affine_rank([(0, 0), (1, 1)]) == 1

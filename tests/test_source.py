@@ -6,6 +6,7 @@ import toricbdiv
 
 SRC = Path(toricbdiv.__file__).parent
 TESTS = Path(__file__).parent
+PERFBENCH = TESTS.parent / "perfbench"
 ORACLES = sorted(TESTS.glob("*_oracle.py")) + [TESTS / "fraction_kernel.py"]
 
 
@@ -61,3 +62,53 @@ def test_no_src_function_copies_an_oracle():
             if body in oracle:
                 copies[", ".join(names)] = oracle[body]
     assert copies == {}
+
+
+def _names_used_from(tree: ast.Module, module: str) -> set[str]:
+    """Names of `module` that the tree reaches as `module.name` or imports from it."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == module:
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module:
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def _unreached(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Public module-level functions and classes of `modules` that no other
+    module, no caller and no other statement of their own module names."""
+    out = []
+    for module, tree in modules.items():
+        reached = set().union(*(_names_used_from(t, module) for name, t in modules.items() if name != module),
+                              *(_names_used_from(t, module) for t in callers))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = any(isinstance(n, ast.Name) and n.id == node.name
+                      for other in tree.body if other is not node for n in ast.walk(other))
+            if node.name not in reached and not own:
+                out.append(f"{module}.{node.name}")
+    return out
+
+
+def test_unreached_names_are_caught():
+    modules = {
+        "__init__": ast.parse("from .geo import exported\n"),
+        "geo": ast.parse("def exported(): pass\ndef helper(): pass\ndef scale(): pass\n"
+                         "def inner(): pass\ndef outer():\n    return inner()\n"
+                         "def benched(): pass\ndef _private(): pass\nclass Body:\n"
+                         "    def scale(self): pass\n"),
+        "alg": ast.parse("from . import geo\nfrom .geo import Body\n"
+                         "def user(b):\n    return geo.helper(), b.scale()\n"),
+    }
+    bench = ast.parse("from toricbdiv import geo\ngeo.benched()\n")
+    # a method of the same name does not reach the module function
+    assert _unreached(modules, [bench]) == ["geo.scale", "geo.outer", "alg.user"]
+
+
+def test_every_public_src_name_has_a_caller():
+    # a name only tests call belongs in tests/; __init__ exports the public API
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.glob("*.py"))]
+    assert _unreached(modules, bench) == []

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricbdiv import fans, polytopes, toric
+from toricbdiv import fans, polytopes, report, toric
 from toricbdiv.polytopes import canonicalize, minkowski_sum, volume
 
 from conftest import minimal_line, o_p1p1, o_p2, p1xp1, p2, weighted_line
@@ -14,7 +14,7 @@ def test_polytope_of_divisor_frozen():
     for d in (1, 3):
         p = toric.polytope_of_divisor(o_p2(d))
         assert p == canonicalize([(0, 0), (d, 0), (0, d)])
-    zero = toric.zero_divisor(p2())
+    zero = toric.divisor(p2(), [0, 0, 0])
     assert toric.polytope_of_divisor(zero).vertices == ((0, 0),)
     box = toric.polytope_of_divisor(o_p1p1(2, 5))
     assert box == canonicalize([(0, 0), (2, 0), (0, 5), (2, 5)])
@@ -26,11 +26,12 @@ def test_polytope_of_divisor_empty():
 
 
 def test_divisor_coefficient_forms():
-    d1 = toric.divisor(p2(), {"1,0": 0, "0,1": 0, "-1,-1": 2})
+    # the command line reads rays given as "r1,r2" map keys; the library takes tuples
+    d1 = report.divisor_of(p2(), {"coeffs": {"1,0": 0, "0,1": 0, "-1,-1": 2}}, "scenario")
     d2 = toric.divisor(p2(), {(1, 0): 0, (0, 1): 0, (-1, -1): 2})
     d3 = toric.divisor(p2(), [2, 0, 0])  # aligned to sorted rays
     assert d1 == d2 == d3
-    assert toric.divisor(p2(), d1.to_json()["coeffs"]) == d1
+    assert toric.divisor(p2(), dict(zip(d1.fan.rays, d1.coeffs))) == d1
 
 
 def test_psi_values():
@@ -98,7 +99,7 @@ def test_np_mass_frozen():
     for d, a in ((3, 1), (4, 2)):
         h = weighted_line(o_p2(d), {(1, 0): a})
         assert toric.np_mass([h, h]) == (d - a) ** 2
-    point = minimal_line(toric.zero_divisor(p2()))
+    point = minimal_line(toric.divisor(p2(), [0, 0, 0]))
     assert toric.np_mass([minimal_line(o_p2(2)), point]) == 0
 
 
@@ -173,10 +174,12 @@ def test_tensor_adds():
 
 def test_metric_json_round_trip():
     h = weighted_line(o_p2(3), {(1, 0): Fraction(1, 2)})
-    data = {"divisor": h.metric.line.to_json(),
+    line = h.metric.line
+    data = {"divisor": {"coeffs": {",".join(map(str, r)): str(a)
+                                   for r, a in zip(line.fan.rays, line.coeffs)}},
             "pieces": [{"slope": [str(x) for x in m], "offset": str(c)}
                        for m, c in h.metric.pieces]}
-    back = toric.metric_from_json(p2(), data)
+    back = report.metric_of(p2(), data, "scenario")
     assert toric.model_polytope(back) == toric.model_polytope(h.metric)
 
 

@@ -16,8 +16,10 @@ from typing import Sequence
 
 from toricbdiv.linalg import det
 from toricbdiv.polytopes import (Polytope, _chain2d, affine_rank, canonicalize,
-                                 minkowski_sum, scale)
+                                 minkowski_sum)
 from toricbdiv.rationals import IntVec, Vec, dot, vsub
+
+from conftest import scale
 
 
 def _facet_vertices(p: Polytope, w: IntVec, c: Fraction) -> list[Vec]:
