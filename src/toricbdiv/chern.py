@@ -91,13 +91,6 @@ class GradedElem:
         return self.substitute(
             lambda s: chern_from_segre(s[2], s[1]) if s[0] == "c" else None)
 
-    def degree(self) -> int | None:
-        """Common degree of all terms, None if mixed; 0 for constants."""
-        degs = {sum(i for _, _, i in m) for m, _ in self.terms}
-        if not degs:
-            return 0
-        return degs.pop() if len(degs) == 1 else None
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import bdiv, chern, ideals, okounkov, polytopes, toric
 from .rationals import fmt
 from .report import (CliError, Report, bundles_of, chain_of, divisor_of,
-                     fan_of, file_digest, flag_of, ideal_of, int_of, load_json,
+                     fan_of, flag_of, ideal_of, int_of, load_json,
                      metric_of, metrics_of, need, need_list, rat_of, weil_of)
 
 _SUITES = ("chern-weil-line", "okouniden", "segre-comm", "dfvol",
@@ -88,8 +88,8 @@ def _tol_of(args, scn: dict) -> Fraction:
 
 
 def _scenario_inputs(args) -> tuple[dict, dict]:
-    scn = load_json(args.scenario)
-    return scn, {"scenario": file_digest(args.scenario)}
+    scn, digest = load_json(args.scenario)
+    return scn, {"scenario": digest}
 
 
 def _interval_json(iv: bdiv.RatInterval) -> dict:
@@ -189,21 +189,21 @@ def _cmd_partial(args):
 
 
 def _cmd_mideal(args):
-    data = load_json(args.ideal)
+    data, digest = load_json(args.ideal)
     ideal = ideal_of(data, args.ideal)
     c = rat_of(args.c, "--c")
     out = ideals.multiplier_ideal_monomial(ideal, c)
-    inputs = {"ideal": file_digest(args.ideal), "c": fmt(c)}
+    inputs = {"ideal": digest, "c": fmt(c)}
     return inputs, out.to_json(), None
 
 
 def _cmd_tideal(args):
-    data = load_json(args.ideal)
+    data, digest = load_json(args.ideal)
     ideal = ideal_of(data, args.ideal)
     lam = rat_of(args.lam, "--lam")
     query = ideals.TestIdealQuery(ideal, lam, args.p, args.emax)
     out = ideals.test_ideal(query)
-    inputs = {"ideal": file_digest(args.ideal), "lam": fmt(lam),
+    inputs = {"ideal": digest, "lam": fmt(lam),
               "p": args.p, "emax": args.emax}
     return inputs, out.to_json(), None
 
@@ -336,7 +336,7 @@ def _cmd_verify(args):
 
 
 def _cmd_batch(args):
-    data = load_json(args.manifest)
+    data, digest = load_json(args.manifest)
     runs = data if isinstance(data, list) else need_list(data, "runs", args.manifest)
     entries, worst = [], 0
     for entry in runs:
@@ -348,7 +348,7 @@ def _cmd_batch(args):
             code, text = 2, _error_text(entry[0], CliError(2, "help is not available in batch"))
         worst = max(worst, code)
         entries.append({"argv": entry, "exit": code, "report": json.loads(text)})
-    inputs = {"manifest": file_digest(args.manifest)}
+    inputs = {"manifest": digest}
     return inputs, {"runs": entries, "worst_exit": worst}, None, worst
 
 

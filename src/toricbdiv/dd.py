@@ -7,10 +7,9 @@ integer vectors, deterministically ordered.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import inverse_directions, nullspace
+from .linalg import _eliminate, inverse_directions, nullspace
 from .rationals import IntVec, Vec, idot, int_row, primitive, rat, vec
 
 
@@ -24,26 +23,10 @@ def _int_rows(rows: Sequence[Sequence]) -> list[IntVec]:
     return list(uniq)
 
 
-def _independent_rows(rows: Sequence[IntVec], dim: int) -> list[int]:
-    """Indices of the first rows, in order, that extend the span of those before them,
-    found by one incremental integer elimination; stops at dim of them."""
-    chosen: list[int] = []
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    for i, row in enumerate(rows):
-        v = list(row)
-        for c, b in basis:
-            if v[c]:
-                f, p = v[c], b[c]
-                v = [p * x - f * y for x, y in zip(v, b)]
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
-            continue
-        g = gcd(*v)
-        basis.append((c, [x // g for x in v]))
-        chosen.append(i)
-        if len(chosen) == dim:
-            break
-    return chosen
+def _independent_rows(rows: Sequence[IntVec]) -> list[int]:
+    """Indices of the first rows, in order, that extend the span of those before
+    them: the pivot columns of the transpose."""
+    return _eliminate([list(col) for col in zip(*rows)])[0]
 
 
 def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fraction, ...]], list[IntVec]]:
@@ -54,7 +37,7 @@ def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fractio
         return basis, []
     # initial simplicial subcone from dim independent constraints; only a
     # rank-deficient A has lineality, whose basis then joins the constraints
-    chosen = _independent_rows(A, dim)
+    chosen = _independent_rows(A)
     lin = nullspace(A, dim) if len(chosen) < dim else []
     constraints: list[IntVec] = list(A)
     for l in lin:
@@ -62,7 +45,7 @@ def extreme_rays(rows: Sequence[Sequence], dim: int) -> tuple[list[tuple[Fractio
         constraints.append(lv)
         constraints.append(tuple(-x for x in lv))
     if lin:
-        chosen = _independent_rows(constraints, dim)
+        chosen = _independent_rows(constraints)
     if len(chosen) < dim:
         raise AssertionError("pointed phase expected full-rank constraint set")
 

@@ -1,6 +1,7 @@
 """Monomial multiplier ideals, section counting, and characteristic-p test ideals."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -71,24 +72,26 @@ def _newton_facets(a: MonomialIdeal) -> list[tuple[tuple[int, ...], int]]:
 def _minimal_in_box(bounds: Sequence[int], member: Callable[[tuple[int, ...]], bool],
                     what: str) -> MonomialIdeal:
     """Ideal generated by the box points m with member(m), for a test closed
-    upward. Lex order visits every m - e_i before m, so m is marked without a
-    member call when some m - e_i is marked, and is a generator otherwise when
-    member(m) holds: member sees the points outside the set and the generators."""
-    shape = [b + 1 for b in bounds]
-    if math.prod(shape) > _BOX_BUDGET:
+    upward: one threshold per column (prefix, t). In lex order, t walks up from
+    0, calling member until it holds (a generator) or t reaches the least
+    threshold of the columns prefix - e_i: member sees only non-members and generators."""
+    if math.prod(b + 1 for b in bounds) > _BOX_BUDGET:
         raise ValueError(f"{what} budget exceeded")
-    steps = [math.prod(shape[i + 1:]) for i in range(len(shape))]
-    marked = np.zeros(math.prod(shape), dtype=bool)
+    n = len(bounds)
+    *head, last = bounds if n else [0]  # no variables: one column, the point ()
+    steps = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
+    thresholds: list[int] = []  # one per prefix, in lex order
     gens: list[tuple[int, ...]] = []
-    for k, m in enumerate(np.ndindex(*shape)):
-        if any(x and marked[k - s] for x, s in zip(m, steps)):
-            marked[k] = True
-        elif member(m):
-            marked[k] = True
+    for k, prefix in enumerate(np.ndindex(*[b + 1 for b in head])):
+        t, stop = 0, min([last + 1] + [thresholds[k - s] for x, s in zip(prefix, steps) if x])
+        while t < stop and not member(m := (*prefix, t)[:n]):
+            t += 1
+        if t < stop:
             gens.append(m)
+        thresholds.append(t)
     if not gens:
         raise AssertionError(f"{what} search box too small")
-    return make_ideal(len(bounds), gens)
+    return make_ideal(n, gens)
 
 
 def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
@@ -97,7 +100,7 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
     if c < 0:
         raise ValueError("exponent must be nonnegative")
     n = a.nvars
-    if c == 0:
+    if c == 0 or a.is_unit():
         return unit_ideal(n)
     # <w, m + 1> > c off  <=>  <w, m> >= floor(c off) - |w|_1 + 1, as w >= 0
     facets = [(w, c.numerator * off // c.denominator - sum(w) + 1) for w, off in _newton_facets(a)]
@@ -183,56 +186,52 @@ def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: i
             elif rhs < 0:
                 return False
         return lo <= hi
-    counts = n_pow + 1 if k == 3 else math.comb(n_pow + k - 1, k - 1)
-    # an N-fold sum is at most N max_i g_ij in coordinate j, so clipping w_j
-    # there changes no answer, and every value below stays within 3 such bounds
+    # per row, g_{k-1} takes 0 <= c <= left counts from g_k: c (g_{k-1} - g_k) <= w - base
+    top, left, base, slope = _power_rows(tuple(gens), n_pow)
+    lo, hi, ok = np.zeros_like(left), left, np.ones(len(left), dtype=bool)
+    for y, t, b, a in zip(w, top, base, slope):
+        rhs = min(y, t) - b
+        if a > 0:
+            hi = np.minimum(hi, rhs // a)
+        elif a < 0:
+            lo = np.maximum(lo, -(rhs // (-a)))
+        else:
+            ok &= rhs >= 0
+    return bool(np.any(ok & (lo <= hi)))
+
+
+def _power_count(k: int, n_pow: int) -> int:
+    """The count of k >= 3 generators' N-fold sums that the power budget caps."""
+    return n_pow + 1 if k == 3 else math.comb(n_pow + k - 1, k - 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _power_rows(gens: tuple[tuple[int, ...], ...], n_pow: int):
+    """One row per count vector c of the first k - 2 generators with |c| <= N:
+    left = N - |c| and base = sum c_i g_i + left g_k, one array per coordinate.
+    w_j is clipped at top_j = N max_i g_ij, which no N-fold sum passes; values stay in 3 top_j."""
     top = [n_pow * max(col) for col in zip(*gens)]
-    if counts > _POWER_BUDGET or 3 * max(top) >= 2**63:
+    if _power_count(len(gens), n_pow) > _POWER_BUDGET or 3 * max(top) >= 2**63:
         raise ValueError("test ideal budget exceeded")
-    wv = np.array([min(y, t) for y, t in zip(w, top)], dtype=np.int64)
     g = np.array(gens, dtype=np.int64)
-    if k == 3:
-        c1 = np.arange(n_pow + 1, dtype=np.int64)
-        lo = np.zeros(n_pow + 1, dtype=np.int64)
-        hi = n_pow - c1
-        ok = np.ones(n_pow + 1, dtype=bool)
-        for j in range(len(w)):
-            a = g[1][j] - g[2][j]
-            rhs = wv[j] - n_pow * g[2][j] - c1 * (g[0][j] - g[2][j])
-            if a > 0:
-                hi = np.minimum(hi, rhs // a)
-            elif a < 0:
-                lo = np.maximum(lo, -(rhs // (-a)))
-            else:
-                ok &= rhs >= 0
-        return bool(np.any(ok & (lo <= hi)))
-    # generic fallback: explicit composition enumeration
-    stack = [(0, n_pow, np.zeros(len(w), dtype=np.int64))]
-    while stack:
-        idx, left, acc = stack.pop()
-        if np.any(acc > wv):
-            continue
-        if idx == k - 1:
-            if np.all(acc + left * g[idx] <= wv):
-                return True
-            continue
-        for c in range(left + 1):
-            stack.append((idx + 1, left - c, acc + c * g[idx]))
-    return False
+    left = np.full(1, n_pow, dtype=np.int64)
+    acc = np.zeros((1, len(top)), dtype=np.int64)
+    for gi in g[:-2]:
+        reps = left + 1  # row r spawns the counts 0..left[r] of gi
+        c = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        left = np.repeat(left, reps) - c
+        acc = np.repeat(acc, reps, axis=0) + np.outer(c, gi)
+    return top, left, (acc + np.outer(left, g[-1])).T.copy(), g[-2] - g[-1]
 
 
 def _bracket_box(i: MonomialIdeal, n_pow: int, q: int) -> list[int]:
-    """Per-axis bounds of the minimal generators of (I^n_pow)^[1/q]: the
-    single-generator brackets floor(n_pow g_j / q)."""
+    """Per-axis bounds of the minimal generators of (I^N)^[1/q]: the largest floor(N g_j / q)."""
     return [max((n_pow * g[j]) // q for g in i.gens) for j in range(i.nvars)]
 
 
 def _power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
-    """frobenius_bracket(I^n_pow, p, e) with q = p^e, without materializing I^n_pow.
-
-    x^m lies in the bracket iff x^(q(m+1)-1) lies in I^n_pow, and the minimal
-    such m lie in _bracket_box.
-    """
+    """frobenius_bracket(I^n_pow, p, e) with q = p^e, without materializing I^n_pow:
+    x^m lies in it iff x^(q(m+1)-1) lies in I^n_pow; the minimal m lie in _bracket_box."""
     if n_pow == 0:
         return unit_ideal(i.nvars)
     return _minimal_in_box(
@@ -245,10 +244,11 @@ def _probe_affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:
     k = len(i.gens)
     if k <= 2:
         return True
+    counts = _power_count(k, n_pow)
     if k == 3:
         box = math.prod(b + 1 for b in _bracket_box(i, n_pow, q))
-        return n_pow + 1 <= _POWER_BUDGET and box * (n_pow + 1) <= 100_000_000
-    return math.comb(n_pow + k - 1, k - 1) <= _POWER_BUDGET
+        return counts <= _POWER_BUDGET and box * counts <= 100_000_000
+    return counts <= _POWER_BUDGET
 
 
 def test_ideal(query: TestIdealQuery) -> MonomialIdeal:

@@ -25,24 +25,21 @@ class CliError(Exception):
         self.message = message
 
 
-def load_json(path: str) -> Any:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(2, f"cannot read {path}: {exc.strerror}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(2, f"parse error in {path}: line {exc.lineno} column {exc.colno}")
-
-
-def file_digest(path: str) -> str:
+def load_json(path: str) -> tuple[Any, str]:
+    """The parsed file and the sha256 of its bytes, from one read."""
     try:
         with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            raw = fh.read()
     except OSError as exc:
         raise CliError(2, f"cannot read {path}: {exc.strerror}")
+    try:
+        # a text-mode read turned \r\n and \r into \n: parse errors keep their line numbers
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text), hashlib.sha256(raw).hexdigest()
+    except UnicodeDecodeError as exc:
+        raise CliError(2, f"parse error in {path}: invalid UTF-8 at byte {exc.start}")
+    except json.JSONDecodeError as exc:
+        raise CliError(2, f"parse error in {path}: line {exc.lineno} column {exc.colno}")
 
 
 def jsonable(x):

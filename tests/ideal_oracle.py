@@ -3,7 +3,9 @@
 - `NewtonRegion.strictly_inside_scaled` tests Howald's condition on `Fraction`s,
   one facet of the Newton polyhedron at a time;
 - `_minimal_in_box` visits the box in graded-lex order (`_graded_box`) and
-  skips a point above any generator kept so far.
+  skips a point above any generator kept so far;
+- `_member_of_power` searches every composition of N for four or more
+  generators, and builds its arrays for three on every call.
 
 `multiplier_ideal_monomial` and `power_bracket` run the old routes end to end.
 The differential tests in `test_ideals.py` compare the library against these.
@@ -17,8 +19,10 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
+import numpy as np
+
 from toricbdiv import dd, ideals
-from toricbdiv.ideals import _BOX_BUDGET, MonomialIdeal, make_ideal, unit_ideal
+from toricbdiv.ideals import _BOX_BUDGET, _POWER_BUDGET, MonomialIdeal, make_ideal, unit_ideal
 from toricbdiv.rationals import rat
 
 
@@ -100,3 +104,58 @@ def power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
     return _minimal_in_box(
         bounds, lambda m: ideals._member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
         "test ideal")
+
+
+def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: int) -> bool:
+    """Does x^w lie in I^N, i.e. is some N-fold generator sum componentwise <= w."""
+    k = len(gens)
+    if k == 1:
+        return all(n_pow * x <= y for x, y in zip(gens[0], w))
+    if k == 2:
+        lo, hi = 0, n_pow
+        for x0, x1, y in zip(gens[0], gens[1], w):
+            a = x0 - x1
+            rhs = y - n_pow * x1
+            if a > 0:
+                hi = min(hi, rhs // a)
+            elif a < 0:
+                lo = max(lo, -(rhs // (-a)))
+            elif rhs < 0:
+                return False
+        return lo <= hi
+    counts = n_pow + 1 if k == 3 else math.comb(n_pow + k - 1, k - 1)
+    # an N-fold sum is at most N max_i g_ij in coordinate j, so clipping w_j
+    # there changes no answer, and every value below stays within 3 such bounds
+    top = [n_pow * max(col) for col in zip(*gens)]
+    if counts > _POWER_BUDGET or 3 * max(top) >= 2**63:
+        raise ValueError("test ideal budget exceeded")
+    wv = np.array([min(y, t) for y, t in zip(w, top)], dtype=np.int64)
+    g = np.array(gens, dtype=np.int64)
+    if k == 3:
+        c1 = np.arange(n_pow + 1, dtype=np.int64)
+        lo = np.zeros(n_pow + 1, dtype=np.int64)
+        hi = n_pow - c1
+        ok = np.ones(n_pow + 1, dtype=bool)
+        for j in range(len(w)):
+            a = g[1][j] - g[2][j]
+            rhs = wv[j] - n_pow * g[2][j] - c1 * (g[0][j] - g[2][j])
+            if a > 0:
+                hi = np.minimum(hi, rhs // a)
+            elif a < 0:
+                lo = np.maximum(lo, -(rhs // (-a)))
+            else:
+                ok &= rhs >= 0
+        return bool(np.any(ok & (lo <= hi)))
+    # generic fallback: explicit composition enumeration
+    stack = [(0, n_pow, np.zeros(len(w), dtype=np.int64))]
+    while stack:
+        idx, left, acc = stack.pop()
+        if np.any(acc > wv):
+            continue
+        if idx == k - 1:
+            if np.all(acc + left * g[idx] <= wv):
+                return True
+            continue
+        for c in range(left + 1):
+            stack.append((idx + 1, left - c, acc + c * g[idx]))
+    return False

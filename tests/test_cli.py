@@ -283,6 +283,27 @@ def test_large_primes_are_no_internal_error(tmp_path, gens, lam, p, emax):
         assert report_of(text)["outputs"] == expect
 
 
+@pytest.mark.parametrize("lam, p, emax", [("3/2", 3, 6), ("7/3", 5, 8)])
+def test_four_generators_answer_within_seconds(tmp_path, lam, p, emax):
+    # the plateau probe at e = 5 once searched 8.2 million compositions per member call
+    ideal = mk(tmp_path, "x.json", {"nvars": 2, "gens": [[3, 0], [2, 1], [1, 2], [0, 3]]})
+    start = time.perf_counter()
+    code, text = run(["tideal", "--ideal", ideal, "--lam", lam, "--p", str(p), "--emax", str(emax)])
+    assert time.perf_counter() - start < 5
+    assert code == 0, text
+    expect = report_of(run(["mideal", "--ideal", ideal, "--c", lam])[1])["outputs"]
+    assert report_of(text)["outputs"] == expect
+
+
+@pytest.mark.parametrize("argv", [["mideal", "--c", "1"], ["tideal", "--lam", "1", "--p", "2"]],
+                         ids=["mideal", "tideal"])
+def test_zero_variable_ideal_is_the_unit_ideal(tmp_path, argv):
+    ideal = mk(tmp_path, "unit0.json", {"nvars": 0, "gens": [[]]})
+    code, text = run(argv[:1] + ["--ideal", ideal] + argv[1:])
+    assert code == 0, text
+    assert report_of(text)["outputs"] == {"nvars": 0, "gens": [[]]}
+
+
 def test_verify_gap_exit(tmp_path, monkeypatch):
     scn = scn_weighted_o3(tmp_path)
     monkeypatch.setitem(cli._SUITE_FNS, "okouniden",
@@ -328,6 +349,17 @@ def test_parse_errors(tmp_path):
     code, text = run(["volume", "--scenario", scn])
     assert code == 2
     assert "missing key 'fan'" in report_of(text)["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["volume", "--scenario"], ["mideal", "--c", "1", "--ideal"], ["batch"],
+], ids=["scenario", "ideal", "manifest"])
+def test_non_utf8_input_is_a_parse_error(tmp_path, argv):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"nvars": 1, "gens": [[1]], "note": "\xff"}\n')
+    code, text = run(argv + [str(path)])
+    assert code == 2, text
+    assert report_of(text)["error"]["message"] == f"parse error in {path}: invalid UTF-8 at byte 37"
 
 
 @pytest.mark.parametrize("edit, message", [

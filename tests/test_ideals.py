@@ -219,6 +219,33 @@ def test_power_bracket_calls_member_where_the_graded_scan_does(monkeypatch, gens
     assert set(new_calls) == set(calls)
 
 
+@st.composite
+def power_memberships(draw):
+    # seeded like ideals_and_exponents; w_j at the edges of top_j = N max_i g_ij
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n, k = rng.randint(1, 3), rng.randint(1, 5)
+    gens = [tuple(rng.randint(0, 6) for _ in range(n)) for _ in range(k)]
+    n_pow = draw(st.integers(min_value=0, max_value=12))
+    tops = [n_pow * max(col) for col in zip(*gens)]
+    w = tuple(rng.choice((0, 1, t - 1, t, t + 1, 10**30, rng.randint(0, t))) for t in tops)
+    return w, gens, n_pow
+
+
+@given(power_memberships())
+@example(((10**6,) * 4, [tuple(int(i == j) for j in range(4)) for i in range(4)], 600))
+@example(((2**64, 2**64), [(2**62, 0), (1, 1), (0, 5)], 2))
+@settings(max_examples=300, deadline=None)
+def test_power_membership_matches_composition_search_oracle(case):
+    # equal answers, or the same budget error
+    assert _outcome(ideals._member_of_power, *case) == _outcome(io._member_of_power, *case)
+
+
+def test_box_scan_of_no_variables_asks_about_the_empty_monomial():
+    assert ideals._minimal_in_box([], lambda m: m == (), "x") == make_ideal(0, [()])
+    with pytest.raises(AssertionError, match="x search box too small"):
+        ideals._minimal_in_box([], lambda m: False, "x")
+
+
 def test_multiplier_subadditivity():
     rng = random.Random(29)
     for _ in range(6):

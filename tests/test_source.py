@@ -1,5 +1,6 @@
 """Static checks of the library source."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import toricbdiv
@@ -112,3 +113,46 @@ def test_every_public_src_name_has_a_caller():
     modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
     bench = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.glob("*.py"))]
     assert _unreached(modules, bench) == []
+
+
+def _attribute_names(node: ast.AST) -> Counter:
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def _unnamed_methods(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """Public methods of public module-level classes that no `.name` names
+    outside the method's own def, in the modules or in the other trees."""
+    named = sum((_attribute_names(t) for t in [*modules.values(), *others]), Counter())
+    out = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")
+                        and named[node.name] == _attribute_names(node)[node.name]):
+                    out.append(f"{module}.{cls.name}.{node.name}")
+    return out
+
+
+def test_unnamed_methods_are_caught():
+    modules = {
+        "geo": ast.parse("class Body:\n    def area(self): pass\n    def dead(self): pass\n"
+                         "    def loop(self):\n        return self.loop()\n"
+                         "    def tested(self): pass\n    def _inner(self): pass\n"
+                         "    def __len__(self): return 0\n"
+                         "class _Hidden:\n    def unused(self): pass\n"
+                         "def area_of(b):\n    return b.area()\n"),
+    }
+    test = ast.parse("from toricbdiv.geo import Body\nBody().tested()\n")
+    # a call inside the method's own def names nothing
+    assert _unnamed_methods(modules, [test]) == ["geo.Body.dead", "geo.Body.loop"]
+
+
+def test_every_public_method_is_named():
+    # a method nothing calls is dead code, whatever its class
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    others = [ast.parse(path.read_text(encoding="utf-8"))
+              for folder in (TESTS, PERFBENCH) for path in sorted(folder.glob("*.py"))]
+    assert _unnamed_methods(modules, others) == []
