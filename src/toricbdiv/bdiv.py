@@ -54,12 +54,11 @@ def cartier(fan: Fan, values: Sequence) -> CartierB:
 @dataclass(frozen=True)
 class HermBDiv:
     """The b-divisor of a Hermitian line: psi = g on the fan refined by the slopes."""
-    source: HermitianToricLine
     cartier: CartierB
 
 
 def bdiv_of_metric(h: HermitianToricLine) -> HermBDiv:
-    return HermBDiv(h, _determination(h.metric))
+    return HermBDiv(_determination(h.metric))
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,11 +76,9 @@ def incarnation(b, fan: Fan) -> ToricDivisor:
 
 
 def add(b1: CartierB, b2: CartierB) -> CartierB:
-    """Sum psi_1 + psi_2, determined on the common refinement."""
-    if b1.fan.dim != b2.fan.dim:
-        raise ValueError("dimension mismatch")
-    common = fans.common_refinement(b1.fan, b2.fan)
-    return cartier(common, [b1.psi(r) + b2.psi(r) for r in common.rays])
+    """Sum psi_1 + psi_2: on the shared fan, else on the common refinement."""
+    d = toric.divisor_sum(b1.incarnation, b2.incarnation)
+    return CartierB(d, toric.is_nef(d))
 
 
 def leq(b1: CartierB, b2: CartierB) -> bool:
@@ -148,6 +145,8 @@ def _as_weil(w) -> WeilNefB:
 
 def intersect_nef(ws: Sequence, tol) -> RatInterval:
     """Diagonal of the approximant sequences, stopped at consecutive gap < tol."""
+    if not ws:
+        raise ValueError("wrong count of bodies")
     tol = rat(tol)
     seqs = [_as_weil(w) for w in ws]
     budget = max(len(s.approximants) for s in seqs)
@@ -180,15 +179,7 @@ def vol(b, tol=Fraction(1, 10**6)):
 
 def incarnation_volumes(b: CartierB, chain: Sequence[Fan]) -> list[Fraction]:
     """n!-normalized volumes of the incarnation divisors along a refinement chain."""
-    for fine, coarse in zip(chain[1:], chain):
-        if not fans.refines(fine, coarse):
-            raise ValueError("chain not nested")
-    n = b.fan.dim
-    out = []
-    for f in chain:
-        d = incarnation(b, f)
-        out.append(math.factorial(n) * polytopes.volume(toric.polytope_of_divisor(d)))
-    return out
+    return toric.volumes_along(chain, b.psi)
 
 
 @dataclass(frozen=True)
@@ -206,7 +197,9 @@ class ChernWeilReport:
 
 
 def chern_weil_line(hs: Sequence[HermitianToricLine]) -> ChernWeilReport:
-    """Mass of the b-divisor intersection vs the non-pluripolar mass, never raising."""
+    """Mass of the b-divisor intersection vs the non-pluripolar mass: a gap is a verdict."""
+    if not hs:
+        raise ValueError("wrong count of bodies")
     n = hs[0].line.fan.dim
     built = {m: bdiv_of_metric(line).cartier for m, line in {h.metric: h for h in hs}.items()}
     lhs = intersect_cartier([built[h.metric] for h in hs])

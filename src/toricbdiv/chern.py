@@ -91,17 +91,6 @@ class GradedElem:
         return self.substitute(
             lambda s: chern_from_segre(s[2], s[1]) if s[0] == "c" else None)
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in sorted(self.terms):
-            factors = [str(c)] if c != 1 or not mono else []
-            for kind, b, i in mono:
-                factors.append(f"{kind}{i}({b})")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
 
 def graded(acc: Mapping[Mono, Fraction] | dict) -> GradedElem:
     clean: dict[Mono, Fraction] = {}
@@ -295,8 +284,7 @@ def fiber_product_projectivization(
             coeffs[rays[ridx]] = b.summands[0].line.coeffs[ridx]
         for k, rid in enumerate(fiber_ray_ids[i]):
             coeffs[rays[rid]] = Fraction(1) if k == 0 else Fraction(0)
-        full = {r: coeffs.get(r, Fraction(0)) for r in rays}
-        line = toric.divisor(fan, {r: full[r] for r in fan.rays})
+        line = toric.divisor(fan, coeffs)
         pieces = []
         for j in range(b.rank):
             for slope, off_c in b.summands[j].metric.pieces:
@@ -413,7 +401,10 @@ class _Parser:
             return self.atom().scale(-1)
         if kind == "num":
             self.take()
-            return constant(Fraction(value))
+            try:
+                return constant(Fraction(value))
+            except ZeroDivisionError:
+                raise ValueError(f"parse error at position {pos}")
         if kind == "op" and value == "(":
             self.take()
             out = self.expr()

@@ -1,5 +1,7 @@
 """Command line front end: scenario files in, deterministic rational reports out.
 
+Reports are JSON with sorted keys and rationals as "p/q" strings; timing is
+null unless requested, so golden files stay stable.
 Exit codes: 0 ok, 1 verification gap, 2 parse error, 3 precondition violated, 4 internal error.
 """
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Sequence
 
 from . import bdiv, chern, ideals, okounkov, polytopes, toric
 from .rationals import fmt
-from .report import (CliError, Report, bundles_of, chain_of, divisor_of,
+from .report import (CliError, bundles_of, chain_of, divisor_of,
                      fan_of, flag_of, ideal_of, int_of, load_json,
                      metric_of, metrics_of, need, need_list, rat_of, weil_of)
 
@@ -114,7 +116,8 @@ def _cmd_intersect(args):
     scn, inputs = _scenario_inputs(args)
     fan = fan_of(scn, args.scenario)
     if "weils" in scn:
-        ws = [weil_of(fan, w, f"weils[{i}]") for i, w in enumerate(scn["weils"])]
+        weils = need_list(scn, "weils", args.scenario)
+        ws = [weil_of(fan, w, f"weils[{i}]") for i, w in enumerate(weils)]
         iv = bdiv.intersect_nef(ws, _tol_of(args, scn))
         return inputs, {"interval": _interval_json(iv)}, None
     hs = metrics_of(fan, scn, args.scenario)
@@ -141,10 +144,14 @@ def _cmd_mass(args):
     return inputs, {"value": fmt(toric.np_mass(hs))}, None
 
 
+def _render(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _write_json(path: str, payload: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+            fh.write(_render(payload))
     except OSError as exc:
         raise CliError(2, f"cannot write {path}: {exc.strerror}")
 
@@ -369,8 +376,7 @@ _HANDLERS = {
 
 
 def _error_text(command: str, err: CliError) -> str:
-    payload = {"command": command, "error": {"code": err.code, "message": err.message}}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _render({"command": command, "error": {"code": err.code, "message": err.message}})
 
 
 _PARSER = _build_parser()
@@ -398,8 +404,10 @@ def _dispatch(argv: Sequence[str]) -> tuple[int, str]:
     inputs, outputs, verdict = result[:3]
     code = result[3] if len(result) > 3 else (1 if verdict == "gap" else 0)
     timing = round((time.monotonic() - t0) * 1000.0, 3) if args.timing else None
-    rep = Report(args.command, inputs, outputs, verdict, timing)
-    return code, rep.render()
+    rep = {"command": args.command, "inputs": inputs, "outputs": outputs, "timing_ms": timing}
+    if verdict is not None:
+        rep["verdict"] = verdict
+    return code, _render(rep)
 
 
 def run(argv: Sequence[str]) -> tuple[int, str]:

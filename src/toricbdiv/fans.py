@@ -44,9 +44,6 @@ class Fan:
             out[cone] = tuple(rows)
         return out
 
-    def __str__(self) -> str:
-        return f"Fan(dim={self.dim}, rays={len(self.rays)}, maximal_cones={len(self.cones)})"
-
 
 def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int | None = None) -> Fan:
     """Normalize rays to primitive vectors, dedupe, sort, and remap cone indices."""

@@ -171,12 +171,10 @@ def _check_prime(p: int) -> None:
 
 def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: int) -> bool:
     """Does x^w lie in I^N, i.e. is some N-fold generator sum componentwise <= w."""
-    k = len(gens)
-    if k == 1:
-        return all(n_pow * x <= y for x, y in zip(gens[0], w))
-    if k == 2:
+    if len(gens) <= 2:
+        # one generator g is the pair (g, g)
         lo, hi = 0, n_pow
-        for x0, x1, y in zip(gens[0], gens[1], w):
+        for x0, x1, y in zip(gens[0], gens[-1], w):
             a = x0 - x1
             rhs = y - n_pow * x1
             if a > 0:

@@ -107,13 +107,9 @@ def _flag_hull(points: Sequence[Sequence], nu: FlagValuation, m0: Vec, k: int = 
     return polytopes.hull_of_ints(sorted(tuple(x // g for x in v) for v in img), t // g, k)
 
 
-def _image(p: Polytope, nu: FlagValuation, m0: Vec) -> Polytope:
-    return _flag_hull(p.vertices, nu, m0)
-
-
 def _body(d: ToricDivisor, nu: FlagValuation) -> Polytope:
     """Flag image of P_D minus its trivializing vertex."""
-    return _image(toric.polytope_of_divisor(d), nu, _trivialization(d, nu))
+    return _flag_hull(toric.polytope_of_divisor(d).vertices, nu, _trivialization(d, nu))
 
 
 def okounkov_of_class(d: ToricDivisor, nu: FlagValuation) -> OkounkovBody:
@@ -124,14 +120,16 @@ def okounkov_of_class(d: ToricDivisor, nu: FlagValuation) -> OkounkovBody:
 
 
 def nu_of_metric(h, nu: FlagValuation) -> Vec:
-    """Valuation vector of the metric: flag coordinates of the singularity data."""
+    """Valuation vector of the metric: flag coordinates of the singularity data.
+
+    The b-divisor has psi = g = min_j <m_j, .>, and the flag rays form a basis,
+    so its functional at v_1 + eps*v_2 + ... is the slope whose values
+    (<m_j, v_1>, ..., <m_j, v_n>) are least in the lex order.
+    """
     m = toric._as_metric(h)
-    return _nu_of(m, bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
-
-
-def _nu_of(m: toric.ToricMetric, b: CartierB, nu: FlagValuation) -> Vec:
-    """nu_of_metric for a metric whose b-divisor b is already built."""
-    return nu.coords(vsub(_trivialization(b.divisor(), nu), _trivialization(m.line, nu)))
+    m0 = _trivialization(m.line, nu)
+    low = min((s for s, _ in m.pieces), key=lambda s: tuple(dot(s, v) for v in nu.base_cone))
+    return nu.coords(vsub(low, m0))
 
 
 def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polytope | None], OkounkovBody]:
@@ -151,7 +149,7 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
     if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")
-    limit = OkounkovBody(_image(model, nu, m0), "partial_Gk", nu_of_metric(m, nu))
+    limit = OkounkovBody(_flag_hull(model.vertices, nu, m0), "partial_Gk", nu_of_metric(m, nu))
     return hulls, limit
 
 
@@ -188,12 +186,10 @@ class OkounidenReport:
 def verify_okouniden(h, nu: FlagValuation) -> OkounidenReport:
     """Check body(bdiv) + nu(h) = body(metric limit) through both pipelines."""
     m = toric._as_metric(h)
-    b = bdiv.bdiv_of_metric(toric.hermitian(m)).cartier
-    lhs = okounkov_of_bdiv(b, nu)
-    model = toric.model_polytope(m)
-    shift = _nu_of(m, b, nu)
-    rhs = OkounkovBody(_image(model, nu, _trivialization(m.line, nu)),
-                       "partial_Gk", shift)
+    lhs = okounkov_of_bdiv(bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
+    m0 = _trivialization(m.line, nu)
+    shift = nu_of_metric(m, nu)
+    rhs = OkounkovBody(_flag_hull(toric.model_polytope(m).vertices, nu, m0), "partial_Gk", shift)
     translated = polytopes.translate(lhs.body, shift)
     verdict = "equal" if translated == rhs.body else "gap"
     return OkounidenReport(lhs, shift, rhs, verdict)
@@ -203,10 +199,6 @@ def verify_okouniden(h, nu: FlagValuation) -> OkounidenReport:
 class ContainmentCertificate:
     holds: bool
     margins: tuple[tuple[IntVec, Fraction, Fraction], ...]  # (normal, offset, slack)
-
-    def to_json(self) -> dict:
-        return {"holds": self.holds,
-                "margins": [[[str(x) for x in w], str(c), str(s)] for w, c, s in self.margins]}
 
 
 def monotone_containment(alpha: ToricDivisor, beta: ToricDivisor,

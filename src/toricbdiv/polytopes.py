@@ -46,9 +46,6 @@ class Polytope:
     def is_point(self) -> bool:
         return len(self.vertices) == 1
 
-    def __str__(self) -> str:
-        return f"Polytope(dim={self.dim}, vertices={[tuple(map(str, v)) for v in self.vertices]})"
-
 
 def affine_rank(points: Sequence[Vec]) -> int:
     if len(points) <= 1:

@@ -1,19 +1,14 @@
-"""Report envelope and scenario ingestion shared by the command line tools.
-
-Reports are deterministic JSON: keys sorted, rationals as "p/q" strings,
-timing omitted (null) unless explicitly requested so golden files stay stable.
-"""
+"""Scenario ingestion and the error type shared by the command line tools."""
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
 from . import bdiv, chern, fans, ideals, okounkov, toric
 from .fans import Fan
-from .rationals import fmt, rat
+from .rationals import rat
 
 
 class CliError(Exception):
@@ -40,43 +35,6 @@ def load_json(path: str) -> tuple[Any, str]:
         raise CliError(2, f"parse error in {path}: invalid UTF-8 at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise CliError(2, f"parse error in {path}: line {exc.lineno} column {exc.colno}")
-
-
-def jsonable(x):
-    if isinstance(x, Fraction):
-        return fmt(x)
-    if isinstance(x, bool) or x is None:
-        return x
-    if isinstance(x, (int, str, float)):
-        return x
-    if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
-    raise TypeError(f"cannot serialize {type(x).__name__}")
-
-
-@dataclass
-class Report:
-    command: str
-    inputs: dict
-    outputs: dict
-    verdict: str | None = None
-    timing_ms: float | None = None
-
-    def to_json(self) -> dict:
-        out = {
-            "command": self.command,
-            "inputs": jsonable(self.inputs),
-            "outputs": jsonable(self.outputs),
-            "timing_ms": self.timing_ms,
-        }
-        if self.verdict is not None:
-            out["verdict"] = self.verdict
-        return out
-
-    def render(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2) + "\n"
 
 
 def need(data: dict, key: str, where: str):

@@ -143,16 +143,19 @@ def metric_with_ray_weights(d: ToricDivisor, weights: Mapping) -> ToricMetric:
     return metric(d, [(v, 0) for v in p.vertices])
 
 
+def divisor_sum(d1: ToricDivisor, d2: ToricDivisor) -> ToricDivisor:
+    """psi_1 + psi_2: coefficients add on a shared fan, else on the common refinement."""
+    if d1.fan == d2.fan:
+        return divisor(d1.fan, [a + b for a, b in zip(d1.coeffs, d2.coeffs)])
+    common = fans.common_refinement(d1.fan, d2.fan)
+    return divisor(common, [-psi_value(d1, r) - psi_value(d2, r) for r in common.rays])
+
+
 def tensor(h1: ToricMetric, h2: ToricMetric) -> ToricMetric:
     """Product metric: divisors add, pieces add pairwise."""
-    if h1.line.fan == h2.line.fan:
-        line = divisor(h1.line.fan, [a + b for a, b in zip(h1.line.coeffs, h2.line.coeffs)])
-    else:
-        common = fans.common_refinement(h1.line.fan, h2.line.fan)
-        line = divisor(common, [-psi_value(h1.line, r) - psi_value(h2.line, r) for r in common.rays])
     pieces = [(tuple(x + y for x, y in zip(m1, m2)), c1 + c2)
               for m1, c1 in h1.pieces for m2, c2 in h2.pieces]
-    return metric(line, pieces)
+    return metric(divisor_sum(h1.line, h2.line), pieces)
 
 
 @dataclass(frozen=True)
@@ -208,14 +211,18 @@ def minimal_extension(h, fan: Fan) -> HermitianToricLine:
     return HermitianToricLine(metric(line, m.pieces), "minimal extension")
 
 
-def volume_profile(h: HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
-    """n!-normalized volumes of the minimal extension's divisor along a refinement chain."""
+def volumes_along(chain: Sequence[Fan], psi) -> list[Fraction]:
+    """n! vol(P_D) for a_rho = -psi(v_rho) on each fan of a refinement chain."""
     for fine, coarse in zip(chain[1:], chain):
         if not fans.refines(fine, coarse):
             raise ValueError("chain not nested")
-    n = h.line.fan.dim
     out = []
     for f in chain:
-        d = minimal_extension(h.metric, f).line
-        out.append(math.factorial(n) * polytopes.volume(polytope_of_divisor(d)))
+        d = divisor(f, [-psi(r) for r in f.rays])
+        out.append(math.factorial(f.dim) * polytopes.volume(polytope_of_divisor(d)))
     return out
+
+
+def volume_profile(h: HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
+    """Volumes of the minimal extension's divisor, a_rho = -g(v_rho), along a refinement chain."""
+    return volumes_along(chain, h.metric.g)

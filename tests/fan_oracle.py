@@ -1,13 +1,17 @@
-"""The per-cell refinement by slopes, kept as a test oracle for `fans.refine_by_slopes`.
+"""Fan routes the library ran before, kept as test oracles.
 
-It runs one double description per (cone, region) cell, where the library runs
-one lifted DD per cone; both must give equal fans, completeness flag included.
+- `refine_by_slopes` runs one double description per (cone, region) cell,
+  where the library runs one lifted DD per cone; both must give equal fans,
+  completeness flag included.
+- `add` sums two Cartier b-divisors on their common refinement, also when
+  they share a fan, where the library adds coefficients on that fan.
 """
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from toricbdiv import dd
+from toricbdiv import bdiv, dd, fans
+from toricbdiv.bdiv import CartierB
 from toricbdiv.fans import Fan
 from toricbdiv.linalg import rank
 from toricbdiv.rationals import IntVec, Vec, primitive, vsub
@@ -42,3 +46,11 @@ def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
     regions = [tuple(primitive(vsub(other, m)) for other in pts if other != m) for m in pts]
     return _fan_from_cells((h + region for region in regions for h in fan.halfspaces.values()),
                            fan.dim, fan.complete)
+
+
+def add(b1: CartierB, b2: CartierB) -> CartierB:
+    """Sum psi_1 + psi_2, determined on the common refinement."""
+    if b1.fan.dim != b2.fan.dim:
+        raise ValueError("dimension mismatch")
+    common = fans.common_refinement(b1.fan, b2.fan)
+    return bdiv.cartier(common, [b1.psi(r) + b2.psi(r) for r in common.rays])

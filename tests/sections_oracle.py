@@ -6,7 +6,9 @@
   `Fraction`s, hulls with `canonicalize` and shrinks with `scale`;
 - `flag_image` maps a body by translating it, taking the `linear_image` of
   its vertices on `Fraction`s and hulling them with `canonicalize`;
-- `_lattice_rows` enumerates the integer points by masking the bounding box.
+- `_lattice_rows` enumerates the integer points by masking the bounding box;
+- `nu_of_metric` builds the metric's b-divisor and reads its functional at
+  the flag's trivializing cone off the determination fan.
 
 The differential tests in `test_polytopes.py` and `test_okounkov.py` compare
 the library against these. Not collected by pytest (no `test_` prefix).
@@ -20,10 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from toricbdiv import okounkov, polytopes, toric
+from toricbdiv import bdiv, okounkov, polytopes, toric
+from toricbdiv.bdiv import CartierB
 from toricbdiv.polytopes import (_LATTICE_BUDGET, Polytope, canonicalize,
                                  minkowski_sum)
-from toricbdiv.rationals import IntVec, dot, vadd, vec, vsub
+from toricbdiv.rationals import IntVec, Vec, dot, vadd, vec, vsub
 
 from conftest import scale
 
@@ -124,3 +127,14 @@ def flag_image(p: Polytope, nu: okounkov.FlagValuation, m0: Sequence) -> Polytop
     """The flag image M (P - m0) of `okounkov._flag_hull` with k = 1, on `Fraction`s."""
     shifted = polytopes.translate(p, [-x for x in vec(m0)])
     return linear_image(shifted, nu.matrix)
+
+
+def nu_of_metric(h, nu: okounkov.FlagValuation) -> Vec:
+    """Valuation vector of the metric: flag coordinates of the singularity data."""
+    m = toric._as_metric(h)
+    return _nu_of(m, bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
+
+
+def _nu_of(m: toric.ToricMetric, b: CartierB, nu: okounkov.FlagValuation) -> Vec:
+    """nu_of_metric for a metric whose b-divisor b is already built."""
+    return nu.coords(vsub(okounkov._trivialization(b.divisor(), nu), okounkov._trivialization(m.line, nu)))

@@ -2,11 +2,13 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fan_oracle as fo
 import lp_oracle as lp
 import volume_oracle as vo
 from toricbdiv import bdiv, fans, polytopes, report, toric
@@ -15,8 +17,8 @@ from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
                             intersect_cartier, intersect_nef, leq,
                             numerically_equal, vol, weil)
 
-from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1xp1, p2,
-                      rand_weighted, rand_weighted3, weighted_line)
+from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1cubed,
+                      p1xp1, p2, rand_weighted, rand_weighted3, weighted_line)
 
 
 def b_of(d: toric.ToricDivisor) -> bdiv.CartierB:
@@ -190,6 +192,80 @@ def test_add_is_minkowski_on_polytopes():
 def test_add_associative_on_polytopes():
     b1, b2, b3 = b_of(o_p2(1)), o3_weighted().cartier, zero_b(p2())
     assert add(add(b1, b2), b3).polytope() == add(b1, add(b2, b3)).polytope()
+
+
+_BASE = {"P2": p2, "P1xP1": p1xp1, "P1^3": p1cubed}
+
+
+def _weighted(rng, name):
+    return rand_weighted3(rng) if name == "P1^3" else rand_weighted(rng, _BASE[name]())
+
+
+def _new_rays(base):
+    """Rays with entries in {-1, 0, 1} that the base fan lacks: each star subdivides it."""
+    return [v for v in product((-1, 0, 1), repeat=base.dim) if any(v) and v not in base.rays]
+
+
+@st.composite
+def cartier_pairs(draw):
+    """Two Cartier b-divisors on P2, P1xP1 or (P1)^3, each a weighted metric's
+    b-divisor (nef) or drawn values (often not nef) on the base fan or on one of
+    two star subdivisions of it: one fan shared or two distinct fans."""
+    name = draw(st.sampled_from(sorted(_BASE)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    base = _BASE[name]()
+    centers = draw(st.lists(st.sampled_from(_new_rays(base)), min_size=2, max_size=2, unique=True))
+    stars = [fans.stellar_refine(base, w) for w in centers]
+    values = st.integers(min_value=-2, max_value=3)
+    out = []
+    for _ in range(2):
+        source = draw(st.sampled_from(["metric", base, *stars]))
+        if source == "metric":
+            out.append(bdiv_of_metric(_weighted(rng, name)).cartier)
+        else:
+            out.append(cartier(source, draw(st.lists(values, min_size=len(source.rays),
+                                                     max_size=len(source.rays)))))
+    return tuple(out)
+
+
+@given(cartier_pairs())
+@settings(max_examples=200, deadline=None)
+def test_add_matches_common_refinement_oracle(case):
+    # on a shared fan whose rays all span cones, the common refinement is that fan
+    b1, b2 = case
+    assert repr(add(b1, b2)) == repr(fo.add(b1, b2))
+
+
+def test_add_dimension_mismatch():
+    for route in (add, fo.add):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            route(b_of(o_p2(1)), b_of(toric.divisor(p1(), [1, 0])))
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(sorted(_BASE)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_chain_volumes_match_extension_and_incarnation_loops(seed, name, data):
+    rng = random.Random(seed)
+    h = _weighted(rng, name)
+    b = bdiv_of_metric(h).cartier
+    base = _BASE[name]()
+    star = fans.stellar_refine(base, data.draw(st.sampled_from(_new_rays(base))))
+    unit = [tuple(int(i == j) for j in range(base.dim)) for i in range(base.dim)]
+    orthant = fans.make_fan(unit, [range(base.dim)])
+    # the last three chains are not nested, not complete, or of another dimension
+    chains = [[base], [base, b.fan], [base, star, fans.common_refinement(star, b.fan)],
+              [star, base], [orthant], [p1cubed() if base.dim == 2 else p2()]]
+    for chain in chains:
+        for route, oracle, x in [(toric.volume_profile, vo.volume_profile, h),
+                                 (incarnation_volumes, vo.incarnation_volumes, b)]:
+            assert _outcome(route, x, chain) == _outcome(oracle, x, chain), (route, chain)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 # -- intersections --------------------------------------------------------------

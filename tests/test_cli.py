@@ -473,6 +473,28 @@ def test_non_string_names_are_input_errors(tmp_path, golden, argv, key, value, m
     assert message in report_of(text)["error"]["message"]
 
 
+@pytest.mark.parametrize("golden, argv, key, value, code, message", [
+    pytest.param("p2.json", ["chern"], "expression", "1/0", 2, "parse error at position 0",
+                 id="chern-zero-denominator"),
+    pytest.param("p2.json", ["verify", "--suite", "chern-weil-line"], "metrics", [], 3,
+                 "wrong count of bodies", id="chern-weil-without-metrics"),
+    pytest.param("p2_weil.json", ["intersect"], "weils", 5, 2, "weils must be a list", id="weils-number"),
+    pytest.param("p2_weil.json", ["intersect"], "weils", None, 2, "weils must be a list", id="weils-null"),
+    pytest.param("p2_weil.json", ["intersect"], "weils", {}, 2, "weils must be a list", id="weils-object"),
+    pytest.param("p2_weil.json", ["intersect"], "weils", [], 3, "wrong count of bodies", id="weils-empty"),
+])
+def test_malformed_golden_scenarios_exit_without_traceback(tmp_path, golden, argv, key, value, code, message):
+    scn = json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
+    scn[key] = value
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        got, text = run(argv + ["--scenario", mk(tmp_path, golden, scn)])
+    assert got == code
+    assert report_of(text)["error"]["code"] == code
+    assert message in report_of(text)["error"]["message"]
+    assert "Traceback" not in err.getvalue()
+
+
 def test_integer_strings_still_count_as_integers(tmp_path):
     scn = mk(tmp_path, "tvm.json", {**TVM, "ps": ["2"], "emax": "12"})
     code, text = run(["verify", "--suite", "test-vs-multiplier", "--scenario", scn])

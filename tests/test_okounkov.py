@@ -15,8 +15,9 @@ from toricbdiv.chern import projectivize_split, split_bundle
 from toricbdiv.rationals import dot
 
 import sections_oracle as so
-from conftest import (minimal_line, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
-                      rand_weighted, scale, weighted_line)
+from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1cubed,
+                      p1xp1, p2, rand_weighted, rand_weighted3, scale,
+                      weighted_line)
 
 
 def std_flag():
@@ -369,6 +370,39 @@ def test_nu_of_metric_slope_convergence():
         prev = nu_k
         assert nu_k >= nu_lim
         assert nu_k - nu_lim == Fraction(2, k)
+
+
+@st.composite
+def weighted_metric_flags(draw):
+    """A random weighted metric on P2, P1xP1 or (P1)^3 and a flag at any cone of
+    its fan (all are smooth), rays in a drawn order, order matrix drawn."""
+    name = draw(st.sampled_from(["P2", "P1xP1", "P1^3"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    h = rand_weighted3(rng) if name == "P1^3" else rand_weighted(rng, p2() if name == "P2" else p1xp1())
+    fan = h.line.fan
+    cone = draw(st.sampled_from(sorted(fan.halfspaces)))
+    rays = draw(st.permutations([fan.rays[i] for i in cone]))
+    return h, flag(rays, draw(unimodular(fan.dim)))
+
+
+@given(st.one_of(weighted_metric_flags(), section_cases().map(lambda case: case[:2])))
+@settings(max_examples=250, deadline=None)
+def test_nu_of_metric_matches_determination_fan_oracle(case):
+    # the lex-least slope is the b-divisor's functional at the flag's cone
+    h, nu = case
+    assert nu_of_metric(h, nu) == so.nu_of_metric(h, nu)
+
+
+def test_nu_of_metric_errors_match_oracle():
+    h = weighted_line(o_p2(3), {(1, 0): 1})
+    upper = toric.hermitian(toric.metric(toric.divisor(half_plane(), [0, 0, 0]),
+                                         [((0, 0), 0), ((0, 1), 0)]))
+    cases = [(h, flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), "dimension mismatch"),
+             (upper, flag([(0, -1), (1, 0)]), "ray not in support")]
+    for line, nu, message in cases:
+        for route in (nu_of_metric, so.nu_of_metric):
+            with pytest.raises(ValueError, match=message):
+                route(line, nu)
 
 
 # -- containment certificates -------------------------------------------------------------

@@ -156,3 +156,51 @@ def test_every_public_method_is_named():
     others = [ast.parse(path.read_text(encoding="utf-8"))
               for folder in (TESTS, PERFBENCH) for path in sorted(folder.glob("*.py"))]
     assert _unnamed_methods(modules, others) == []
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_fields(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
+    """Public fields of public module-level dataclasses that no `.name` reads,
+    in the modules or in the other trees."""
+    read = {n.attr for t in [*modules.values(), *others] for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for module, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_") or not _is_dataclass(cls):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and not node.target.id.startswith("_") and node.target.id not in read):
+                    out.append(f"{module}.{cls.name}.{node.target.id}")
+    return out
+
+
+def test_unread_fields_are_caught():
+    modules = {
+        "geo": ast.parse("import dataclasses\nfrom dataclasses import dataclass\n"
+                         "@dataclass(frozen=True)\nclass Body:\n    dim: int\n    source: str\n"
+                         "    label: str = ''\n    _cache: dict = None\n"
+                         "@dataclasses.dataclass\nclass Pair:\n    left: int\n"
+                         "class Plain:\n    kept: int\n"
+                         "@dataclass\nclass _Hidden:\n    gone: int\n"
+                         "def size(b):\n    b.source = 1\n    return b.dim\n"),
+    }
+    test = ast.parse("from toricbdiv.geo import Body\nassert Body(2, 'x').label == ''\n")
+    # a store is not a read, and only public dataclasses count
+    assert _unread_fields(modules, [test]) == ["geo.Body.source", "geo.Pair.left"]
+
+
+def test_every_public_dataclass_field_is_read():
+    # a field nothing reads is dead data that every instance still carries
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    others = [ast.parse(path.read_text(encoding="utf-8"))
+              for folder in (TESTS, PERFBENCH) for path in sorted(folder.glob("*.py"))]
+    assert _unread_fields(modules, others) == []

@@ -5,6 +5,10 @@ and sums simplex determinants; `mixed_volume` polarizes it by
 inclusion-exclusion over scaled Minkowski sums of the distinct bodies. The
 differential tests in `test_polytopes.py` and `test_bdiv.py`, and
 criterion-2 in `test_acceptance.py`, compare the library against these.
+
+`volume_profile` and `incarnation_volumes` are the two chain-volume loops the
+library ran before `toric.volumes_along`: one through the minimal extension's
+metric on each fan, one through the b-divisor's incarnation.
 Not collected by pytest (no `test_` prefix).
 """
 from __future__ import annotations
@@ -14,6 +18,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
+from toricbdiv import fans, polytopes, toric
+from toricbdiv.bdiv import CartierB, incarnation
+from toricbdiv.fans import Fan
 from toricbdiv.linalg import det
 from toricbdiv.polytopes import (Polytope, _chain2d, affine_rank, canonicalize,
                                  minkowski_sum)
@@ -117,3 +124,29 @@ def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
         sign = -1 if (n - k) % 2 else 1
         total += sign * count * volume(body)
     return total / math.factorial(n)
+
+
+def volume_profile(h: toric.HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
+    """n!-normalized volumes of the minimal extension's divisor along a refinement chain."""
+    for fine, coarse in zip(chain[1:], chain):
+        if not fans.refines(fine, coarse):
+            raise ValueError("chain not nested")
+    n = h.line.fan.dim
+    out = []
+    for f in chain:
+        d = toric.minimal_extension(h.metric, f).line
+        out.append(math.factorial(n) * polytopes.volume(toric.polytope_of_divisor(d)))
+    return out
+
+
+def incarnation_volumes(b: CartierB, chain: Sequence[Fan]) -> list[Fraction]:
+    """n!-normalized volumes of the incarnation divisors along a refinement chain."""
+    for fine, coarse in zip(chain[1:], chain):
+        if not fans.refines(fine, coarse):
+            raise ValueError("chain not nested")
+    n = b.fan.dim
+    out = []
+    for f in chain:
+        d = incarnation(b, f)
+        out.append(math.factorial(n) * polytopes.volume(toric.polytope_of_divisor(d)))
+    return out
