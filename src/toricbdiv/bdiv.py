@@ -33,9 +33,6 @@ class CartierB:
     def values(self) -> tuple[Fraction, ...]:
         return tuple(-a for a in self.incarnation.coeffs)
 
-    def divisor(self) -> ToricDivisor:
-        return self.incarnation
-
     def psi(self, v: Sequence) -> Fraction:
         return toric.psi_value(self.incarnation, v)
 
@@ -72,22 +69,20 @@ def incarnation(b, fan: Fan) -> ToricDivisor:
     """Divisor with a_rho = -psi(v_rho) on the given complete fan."""
     if isinstance(b, WeilNefB):
         b = b.limit if b.limit is not None else b.approximants[-1]
-    return toric.pullback(b.divisor(), fan)
+    return toric.pullback(b.incarnation, fan)
 
 
 def add(b1: CartierB, b2: CartierB) -> CartierB:
-    """Sum psi_1 + psi_2: on the shared fan, else on the common refinement."""
+    """Sum psi_1 + psi_2, on the fan of toric.on_one_fan."""
     d = toric.divisor_sum(b1.incarnation, b2.incarnation)
     return CartierB(d, toric.is_nef(d))
 
 
 def leq(b1: CartierB, b2: CartierB) -> bool:
-    """b1 <= b2: psi_1 - psi_2 + <m, .> >= 0 for some linear functional m."""
-    if b1.fan.dim != b2.fan.dim:
-        raise ValueError("dimension mismatch")
-    common = fans.common_refinement(b1.fan, b2.fan)
-    rows = [(r, b2.psi(r) - b1.psi(r)) for r in common.rays]
-    _, rays = dd.homogenized_rays(rows, common.dim)
+    """b1 <= b2: psi_1 - psi_2 + <m, .> >= 0 for some linear functional m, that is,
+    P_{D2 - D1} = {m : <m, v_rho> >= a1_rho - a2_rho} is nonempty on one fan."""
+    fan, a1, a2 = toric.on_one_fan(b1.incarnation, b2.incarnation)
+    _, rays = dd.homogenized_rays([(r, x - y) for r, x, y in zip(fan.rays, a1, a2)], fan.dim)
     return any(r[-1] > 0 for r in rays)
 
 

@@ -326,24 +326,20 @@ def eval_segre_monomial(bs: Sequence[SplitToricBundle], exps: Sequence[int]) -> 
     return sign * bdiv.intersect_cartier(factors)
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_]\w*)|([()^*+-]))")
+_TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*+-])")
+_SPACE = re.compile(r"\s*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token; whitespace between tokens is skipped."""
     out = []
-    pos = 0
+    pos = _SPACE.match(text).end()
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
+        if not m:
             raise ValueError(f"parse error at position {pos}")
-        num, name, op = m.groups()
-        if num:
-            out.append(("num", num, m.start()))
-        elif name:
-            out.append(("name", name, m.start()))
-        elif op:
-            out.append(("op", op, m.start()))
-        pos = m.end()
+        out.append((m.lastgroup, m.group(), pos))
+        pos = _SPACE.match(text, m.end()).end()
     out.append(("end", "", len(text)))
     return out
 

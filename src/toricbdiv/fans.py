@@ -46,16 +46,23 @@ class Fan:
 
 
 def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int | None = None) -> Fan:
-    """Normalize rays to primitive vectors, dedupe, sort, and remap cone indices."""
+    """Normalize rays to primitive vectors, dedupe, sort, and remap cone indices; each
+    index names a ray and each ray generates a cone, so a divisor's a_rho is -psi(v_rho)."""
     prim = [primitive(vec(r)) for r in rays]
     if not prim:
         raise ValueError("empty fan")
     n = dim if dim is not None else len(prim[0])
     if any(len(r) != n for r in prim):
         raise ValueError("dimension mismatch")
+    cones = [list(c) for c in cones]
+    # a negative index would silently pick a ray from the end of the list
+    if any(not 0 <= i < len(prim) for c in cones for i in c):
+        raise ValueError("cone index out of range")
     uniq = sorted(set(prim))
     remap = {r: i for i, r in enumerate(uniq)}
     new_cones = sorted({tuple(sorted({remap[prim[i]] for i in c})) for c in cones})
+    if len({i for c in new_cones for i in c}) < len(uniq):
+        raise ValueError("ray in no cone")
     fan = Fan(n, tuple(uniq), tuple(new_cones))
     # set before the fan is shared, so it keeps the halfspaces is_complete computes
     object.__setattr__(fan, "complete", is_complete(fan))

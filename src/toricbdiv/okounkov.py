@@ -157,12 +157,12 @@ def okounkov_of_bdiv(w, nu: FlagValuation, tol=Fraction(1, 10**6)) -> OkounkovBo
     """Body of a nef b-divisor: exact for Cartier, Hausdorff limit for Weil."""
     tol = rat(tol)
     if isinstance(w, CartierB):
-        return OkounkovBody(_body(w.divisor(), nu), "bdiv_limit")
+        return OkounkovBody(_body(w.incarnation, nu), "bdiv_limit")
     if w.limit is not None:
-        return OkounkovBody(_body(w.limit.divisor(), nu), "bdiv_limit")
+        return OkounkovBody(_body(w.limit.incarnation, nu), "bdiv_limit")
     prev: Polytope | None = None
     for b in w.approximants:
-        cur = _body(b.divisor(), nu)
+        cur = _body(b.incarnation, nu)
         if prev is not None and polytopes.hausdorff_linf(prev, cur).value < tol:
             return OkounkovBody(cur, "bdiv_limit")
         prev = cur

@@ -143,12 +143,19 @@ def metric_with_ray_weights(d: ToricDivisor, weights: Mapping) -> ToricMetric:
     return metric(d, [(v, 0) for v in p.vertices])
 
 
-def divisor_sum(d1: ToricDivisor, d2: ToricDivisor) -> ToricDivisor:
-    """psi_1 + psi_2: coefficients add on a shared fan, else on the common refinement."""
+def on_one_fan(d1: ToricDivisor, d2: ToricDivisor) -> tuple[Fan, Sequence[Fraction], Sequence[Fraction]]:
+    """One fan both divisors live on, with the coefficients of each there: a shared
+    fan as it is, else the common refinement with a_rho = -psi(v_rho)."""
     if d1.fan == d2.fan:
-        return divisor(d1.fan, [a + b for a, b in zip(d1.coeffs, d2.coeffs)])
+        return d1.fan, d1.coeffs, d2.coeffs
     common = fans.common_refinement(d1.fan, d2.fan)
-    return divisor(common, [-psi_value(d1, r) - psi_value(d2, r) for r in common.rays])
+    return common, [-psi_value(d1, r) for r in common.rays], [-psi_value(d2, r) for r in common.rays]
+
+
+def divisor_sum(d1: ToricDivisor, d2: ToricDivisor) -> ToricDivisor:
+    """psi_1 + psi_2, on the fan of on_one_fan."""
+    fan, a1, a2 = on_one_fan(d1, d2)
+    return divisor(fan, [x + y for x, y in zip(a1, a2)])
 
 
 def tensor(h1: ToricMetric, h2: ToricMetric) -> ToricMetric:

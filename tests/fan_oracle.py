@@ -5,6 +5,9 @@
   completeness flag included.
 - `add` sums two Cartier b-divisors on their common refinement, also when
   they share a fan, where the library adds coefficients on that fan.
+- `leq` compares two Cartier b-divisors by psi at the rays of their common
+  refinement, also when they share a fan, where the library reads the
+  coefficients on that fan.
 """
 from __future__ import annotations
 
@@ -54,3 +57,13 @@ def add(b1: CartierB, b2: CartierB) -> CartierB:
         raise ValueError("dimension mismatch")
     common = fans.common_refinement(b1.fan, b2.fan)
     return bdiv.cartier(common, [b1.psi(r) + b2.psi(r) for r in common.rays])
+
+
+def leq(b1: CartierB, b2: CartierB) -> bool:
+    """b1 <= b2: psi_1 - psi_2 + <m, .> >= 0 for some linear functional m."""
+    if b1.fan.dim != b2.fan.dim:
+        raise ValueError("dimension mismatch")
+    common = fans.common_refinement(b1.fan, b2.fan)
+    rows = [(r, b2.psi(r) - b1.psi(r)) for r in common.rays]
+    _, rays = dd.homogenized_rays(rows, common.dim)
+    return any(r[-1] > 0 for r in rays)

@@ -137,4 +137,4 @@ def nu_of_metric(h, nu: okounkov.FlagValuation) -> Vec:
 
 def _nu_of(m: toric.ToricMetric, b: CartierB, nu: okounkov.FlagValuation) -> Vec:
     """nu_of_metric for a metric whose b-divisor b is already built."""
-    return nu.coords(vsub(okounkov._trivialization(b.divisor(), nu), okounkov._trivialization(m.line, nu)))
+    return nu.coords(vsub(okounkov._trivialization(b.incarnation, nu), okounkov._trivialization(m.line, nu)))

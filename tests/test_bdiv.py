@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fan_oracle as fo
 import lp_oracle as lp
 import volume_oracle as vo
-from toricbdiv import bdiv, fans, polytopes, report, toric
+from toricbdiv import bdiv, dd, fans, polytopes, report, toric
 from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
                             incarnation, incarnation_volumes,
                             intersect_cartier, intersect_nef, leq,
@@ -49,7 +49,7 @@ def shrinking_weil(limit_deg=2, steps=12):
 def test_cartier_basics():
     b = b_of(o_p2(2))
     assert b.nef
-    assert coeffs(b.divisor()) == {(-1, -1): 2, (0, 1): 0, (1, 0): 0}
+    assert coeffs(b.incarnation) == {(-1, -1): 2, (0, 1): 0, (1, 0): 0}
     assert b.polytope() == toric.polytope_of_divisor(o_p2(2))
     with pytest.raises(ValueError, match="value count mismatch"):
         cartier(p2(), [0, 0])
@@ -169,6 +169,18 @@ def test_leq_matches_lp_oracle_on_incomplete_fan(values1, values2):
         assert leq(x, y) is _leq_lp(x, y)
 
 
+@st.composite
+def half_plane_pairs(draw):
+    """Drawn values on the incomplete upper half-plane or its star subdivision at
+    (1, 1), one fan each: shared or distinct."""
+    out = []
+    for _ in range(2):
+        fan = draw(st.sampled_from([HALF_PLANE, fans.stellar_refine(HALF_PLANE, (1, 1))]))
+        out.append(cartier(fan, draw(st.lists(st.integers(min_value=-3, max_value=3),
+                                              min_size=len(fan.rays), max_size=len(fan.rays)))))
+    return tuple(out)
+
+
 # -- sums ----------------------------------------------------------------------
 
 def test_add_zero_and_line_sum():
@@ -234,6 +246,34 @@ def test_add_matches_common_refinement_oracle(case):
     # on a shared fan whose rays all span cones, the common refinement is that fan
     b1, b2 = case
     assert repr(add(b1, b2)) == repr(fo.add(b1, b2))
+
+
+@given(st.one_of(cartier_pairs(), half_plane_pairs()))
+@settings(max_examples=200, deadline=None)
+def test_leq_matches_common_refinement_oracle(case):
+    b1, b2 = case
+    for x, y in ((b1, b2), (b2, b1)):
+        assert leq(x, y) is fo.leq(x, y)
+
+
+def test_leq_on_a_shared_fan_reads_coefficients(monkeypatch):
+    b1 = o3_weighted().cartier
+    b2 = cartier(b1.fan, [v - 1 for v in b1.values])
+    calls = []
+    for module, name in ((toric, "psi_value"), (fans, "common_refinement"), (dd, "extreme_rays")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    assert leq(b1, b2) and not leq(b2, b1)
+    # one homogenized DD per comparison, no psi and no refinement
+    assert calls == ["extreme_rays"] * 2
+
+
+def test_leq_on_a_fan_with_lineality():
+    # two half-planes sharing the x-axis: the common refinement of this fan with
+    # itself has no cone, so the comparison must read the fan's own rays
+    fan = fans.make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
+    abs_y, zero = cartier(fan, [0, 1, 1, 0]), zero_b(fan)
+    assert leq(abs_y, zero) and not leq(zero, abs_y)
 
 
 def test_add_dimension_mismatch():

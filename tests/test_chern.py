@@ -223,6 +223,17 @@ def test_parse_shapes():
     assert parse_chern_expr("3/2") == constant(Fraction(3, 2))
 
 
+@pytest.mark.parametrize("text, pos", [("c1(E) +  x", 9), ("c1(E)^2 - 1/0", 10), ("  @", 2)])
+def test_parse_error_points_at_the_token_not_the_space_before_it(text, pos):
+    with pytest.raises(ValueError, match=f"parse error at position {pos}$"):
+        parse_chern_expr(text)
+
+
+@pytest.mark.parametrize("text", ["c1(E)^2 ", "c1(E)^2\n", " c1(E) ^ 2\t"])
+def test_parse_ignores_surrounding_whitespace(text):
+    assert parse_chern_expr(text) == parse_chern_expr("c1(E)^2")
+
+
 def test_parse_errors():
     for bad in ("c1(E", "q1(E)", "c1(E) +", "c1(E)^(2)", "c1(E) $"):
         with pytest.raises(ValueError, match="parse error at position"):

@@ -495,6 +495,18 @@ def test_malformed_golden_scenarios_exit_without_traceback(tmp_path, golden, arg
     assert "Traceback" not in err.getvalue()
 
 
+def test_ray_in_no_cone_is_input_error(tmp_path):
+    # (1, 1) is listed as a ray, but no cone names it
+    fan = {"rays": P2_FAN["rays"] + [[1, 1]], "cones": P2_FAN["cones"]}
+    scn = mk(tmp_path, "orphan.json", {"fan": fan, "metric": metric_json(3, [(0, 0), (1, 0)])})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(["volume", "--scenario", scn])
+    assert code == 2
+    assert report_of(text)["error"] == {"code": 2, "message": f"bad fan in {scn}: ray in no cone"}
+    assert "Traceback" not in err.getvalue()
+
+
 def test_integer_strings_still_count_as_integers(tmp_path):
     scn = mk(tmp_path, "tvm.json", {**TVM, "ps": ["2"], "emax": "12"})
     code, text = run(["verify", "--suite", "test-vs-multiplier", "--scenario", scn])

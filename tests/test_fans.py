@@ -29,6 +29,28 @@ def test_make_fan_errors():
         make_fan([(1, 0), (0, 1, 0)], [[0, 1]])
 
 
+P2_RAYS = [(1, 0), (0, 1), (-1, -1)]
+
+
+def test_make_fan_rejects_a_ray_in_no_cone():
+    # (1, 1) lies inside the cone of (1, 0) and (0, 1) but generates no listed cone
+    with pytest.raises(ValueError, match="ray in no cone"):
+        make_fan(P2_RAYS + [(1, 1)], [[0, 1], [1, 2], [2, 0]])
+    with pytest.raises(ValueError, match="ray in no cone"):
+        make_fan(P2_RAYS, [])
+
+
+@pytest.mark.parametrize("index", [-1, 7])
+def test_make_fan_rejects_a_cone_index_out_of_range(index):
+    with pytest.raises(ValueError, match="cone index out of range"):
+        make_fan(P2_RAYS, [[0, 1], [1, 2], [2, index]])
+
+
+def test_make_fan_reads_a_generator_of_cones_once():
+    cones = (c for c in [[0, 1], [1, 2], [2, 0]])
+    assert make_fan(P2_RAYS, cones) == p2()
+
+
 def test_fan_json_round_trip():
     f = p1xp1()
     data = {"rays": [list(r) for r in f.rays], "cones": [list(c) for c in f.cones]}
