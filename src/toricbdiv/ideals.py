@@ -1,7 +1,6 @@
 """Monomial multiplier ideals, section counting, and characteristic-p test ideals."""
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,29 +68,26 @@ def _newton_facets(a: MonomialIdeal) -> list[tuple[tuple[int, ...], int]]:
     return [(r[:n], -r[n]) for r in rays if any(r[:n])]
 
 
-def _minimal_in_box(bounds: Sequence[int], member: Callable[[tuple[int, ...]], bool],
+def _minimal_in_box(bounds: Sequence[int], floor_of: Callable[[tuple[int, ...]], int | None],
                     what: str) -> MonomialIdeal:
-    """Ideal generated by the box points m with member(m), for a test closed
-    upward: one threshold per column (prefix, t). In lex order, t walks up from
-    0, calling member until it holds (a generator) or t reaches the least
-    threshold of the columns prefix - e_i: member sees only non-members and generators."""
+    """Ideal generated by the box points of a set closed upward, given floor_of(prefix), the least
+    last coordinate of the set over a column, or None. In lex order, (prefix, t) is a generator iff
+    t <= last and t lies below the threshold min(t', last + 1) of each column prefix - e_i."""
     if math.prod(b + 1 for b in bounds) > _BOX_BUDGET:
         raise ValueError(f"{what} budget exceeded")
-    n = len(bounds)
-    *head, last = bounds if n else [0]  # no variables: one column, the point ()
+    *head, last = bounds or [0]  # no variables: one column, the point ()
     steps = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
     thresholds: list[int] = []  # one per prefix, in lex order
     gens: list[tuple[int, ...]] = []
     for k, prefix in enumerate(np.ndindex(*[b + 1 for b in head])):
-        t, stop = 0, min([last + 1] + [thresholds[k - s] for x, s in zip(prefix, steps) if x])
-        while t < stop and not member(m := (*prefix, t)[:n]):
-            t += 1
-        if t < stop:
-            gens.append(m)
-        thresholds.append(t)
+        stop = min([last + 1] + [thresholds[k - s] for x, s in zip(prefix, steps) if x])
+        t = floor_of(prefix) if stop else None  # a threshold 0 below: the floor is 0 too
+        if t is not None and t < stop:
+            gens.append((*prefix, t)[:len(bounds)])
+        thresholds.append(stop if t is None else min(t, stop))
     if not gens:
         raise AssertionError(f"{what} search box too small")
-    return make_ideal(n, gens)
+    return make_ideal(len(bounds), gens)
 
 
 def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
@@ -102,12 +98,19 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
     n = a.nvars
     if c == 0 or a.is_unit():
         return unit_ideal(n)
-    # <w, m + 1> > c off  <=>  <w, m> >= floor(c off) - |w|_1 + 1, as w >= 0
-    facets = [(w, c.numerator * off // c.denominator - sum(w) + 1) for w, off in _newton_facets(a)]
-    maxcoord = max(max(g) for g in a.gens)
-    bound = math.ceil(c * maxcoord) + n + 2
-    return _minimal_in_box(
-        [bound] * n, lambda m: all(idot(w, m) >= b for w, b in facets), "multiplier ideal")
+    # <w, m + 1> > c off  <=>  <w, m> >= b = floor(c off) - |w|_1 + 1, as w >= 0; over a
+    # column m' that bounds t = m_n from below where w_n > 0, and holds or fails where w_n = 0
+    facets = [(w[:-1], w[-1], c.numerator * off // c.denominator - sum(w) + 1)
+              for w, off in _newton_facets(a)]
+
+    def floor_of(prefix: tuple[int, ...]) -> int | None:
+        cuts = [(b - idot(w, prefix), w_n) for w, w_n, b in facets]
+        if any(r > 0 for r, w_n in cuts if not w_n):
+            return None
+        return max([0] + [-(-r // w_n) for r, w_n in cuts if w_n])
+
+    bound = math.ceil(c * max(max(g) for g in a.gens)) + n + 2
+    return _minimal_in_box([bound] * n, floor_of, "multiplier ideal")
 
 
 def multiplier_ideal_snc(weights: Sequence[tuple[str, object]], k: int) -> dict[str, int]:
@@ -169,45 +172,14 @@ def _check_prime(p: int) -> None:
         raise ValueError("p must be prime")
 
 
-def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: int) -> bool:
-    """Does x^w lie in I^N, i.e. is some N-fold generator sum componentwise <= w."""
-    if len(gens) <= 2:
-        # one generator g is the pair (g, g)
-        lo, hi = 0, n_pow
-        for x0, x1, y in zip(gens[0], gens[-1], w):
-            a = x0 - x1
-            rhs = y - n_pow * x1
-            if a > 0:
-                hi = min(hi, rhs // a)
-            elif a < 0:
-                lo = max(lo, -(rhs // (-a)))
-            elif rhs < 0:
-                return False
-        return lo <= hi
-    # per row, g_{k-1} takes 0 <= c <= left counts from g_k: c (g_{k-1} - g_k) <= w - base
-    top, left, base, slope = _power_rows(tuple(gens), n_pow)
-    lo, hi, ok = np.zeros_like(left), left, np.ones(len(left), dtype=bool)
-    for y, t, b, a in zip(w, top, base, slope):
-        rhs = min(y, t) - b
-        if a > 0:
-            hi = np.minimum(hi, rhs // a)
-        elif a < 0:
-            lo = np.maximum(lo, -(rhs // (-a)))
-        else:
-            ok &= rhs >= 0
-    return bool(np.any(ok & (lo <= hi)))
-
-
 def _power_count(k: int, n_pow: int) -> int:
-    """The count of k >= 3 generators' N-fold sums that the power budget caps."""
-    return n_pow + 1 if k == 3 else math.comb(n_pow + k - 1, k - 1)
+    """The rows _power_rows builds for k >= 3 generators, which the power budget caps; 0 for fewer."""
+    return math.comb(n_pow + k - 2, k - 2) if k > 2 else 0
 
 
-@functools.lru_cache(maxsize=1)
 def _power_rows(gens: tuple[tuple[int, ...], ...], n_pow: int):
-    """One row per count vector c of the first k - 2 generators with |c| <= N:
-    left = N - |c| and base = sum c_i g_i + left g_k, one array per coordinate.
-    w_j is clipped at top_j = N max_i g_ij, which no N-fold sum passes; values stay in 3 top_j."""
+    """One row per count vector c of the first k - 2 generators with |c| <= N: left = N - |c| and
+    base = sum c_i g_i + left g_k per coordinate; no N-fold sum passes top_j = N max_i g_ij."""
     top = [n_pow * max(col) for col in zip(*gens)]
     if _power_count(len(gens), n_pow) > _POWER_BUDGET or 3 * max(top) >= 2**63:
         raise ValueError("test ideal budget exceeded")
@@ -222,56 +194,85 @@ def _power_rows(gens: tuple[tuple[int, ...], ...], n_pow: int):
     return top, left, (acc + np.outer(left, g[-1])).T.copy(), g[-2] - g[-1]
 
 
+def _power_floor(gens: Sequence[tuple[int, ...]], n_pow: int, q: int) -> Callable:
+    """floor_of for (I^N)^[1/q]: x^(x', t) lies in it iff q(t + 1) - 1 >= S, that is t >= S // q,
+    for S the least last coordinate of an N-fold generator sum s with s_j <= q(x_j + 1) - 1 for
+    j < n. Per row, c (g_{k-1} - g_k) <= s - base bounds the count c in one interval [lo, hi]."""
+    if len(gens) <= 2:  # one row on Python ints; one generator g is the pair (g, g)
+        *rows, (a_n, b_n) = [(x0 - x1, n_pow * x1) for x0, x1 in zip(gens[0], gens[-1])]
+
+        def floor_of(prefix: tuple[int, ...]) -> int | None:
+            lo, hi = 0, n_pow
+            for x, (a, b) in zip(prefix, rows):
+                rhs = q * (x + 1) - 1 - b
+                if a > 0:
+                    hi = min(hi, rhs // a)
+                elif a < 0:
+                    lo = max(lo, -(rhs // (-a)))
+                elif rhs < 0:
+                    return None
+            return None if lo > hi else (b_n + a_n * (lo if a_n > 0 else hi)) // q
+        return floor_of
+    top, left, base, slope = _power_rows(tuple(gens), n_pow)
+
+    def floor_of(prefix: tuple[int, ...]) -> int | None:
+        lo, hi, ok = np.zeros_like(left), left, np.ones(len(left), dtype=bool)
+        for x, t, b, a in zip(prefix, top, base, slope):
+            rhs = min(q * (x + 1) - 1, t) - b  # clipped at top, values stay within 3 top_j
+            if a > 0:
+                hi = np.minimum(hi, rhs // a)
+            elif a < 0:
+                lo = np.maximum(lo, -(rhs // (-a)))
+            else:
+                ok &= rhs >= 0
+        ok &= lo <= hi
+        c = (lo if slope[-1] > 0 else hi)[ok]
+        return int((base[-1][ok] + slope[-1] * c).min()) // q if ok.any() else None
+    return floor_of
+
+
 def _bracket_box(i: MonomialIdeal, n_pow: int, q: int) -> list[int]:
     """Per-axis bounds of the minimal generators of (I^N)^[1/q]: the largest floor(N g_j / q)."""
     return [max((n_pow * g[j]) // q for g in i.gens) for j in range(i.nvars)]
 
 
+def _affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:
+    """One or two generators, or rows within the power budget and at most 10^8 row visits: the
+    floor scan makes one numpy pass over the rows per column of the box."""
+    rows = _power_count(len(i.gens), n_pow)
+    columns = math.prod(b + 1 for b in _bracket_box(i, n_pow, q)[:-1])
+    return rows <= _POWER_BUDGET and rows * columns <= 10**8
+
+
 def _power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
-    """frobenius_bracket(I^n_pow, p, e) with q = p^e, without materializing I^n_pow:
-    x^m lies in it iff x^(q(m+1)-1) lies in I^n_pow; the minimal m lie in _bracket_box."""
-    if n_pow == 0:
+    """frobenius_bracket(I^n_pow, p, e) with q = p^e, without materializing I^n_pow."""
+    if n_pow == 0 or i.is_unit():
         return unit_ideal(i.nvars)
-    return _minimal_in_box(
-        _bracket_box(i, n_pow, q),
-        lambda m: _member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
-        "test ideal")
-
-
-def _probe_affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:
-    k = len(i.gens)
-    if k <= 2:
-        return True
-    counts = _power_count(k, n_pow)
-    if k == 3:
-        box = math.prod(b + 1 for b in _bracket_box(i, n_pow, q))
-        return counts <= _POWER_BUDGET and box * counts <= 100_000_000
-    return counts <= _POWER_BUDGET
+    if len(i.gens) >= 4 and not _affordable(i, n_pow, q):
+        raise ValueError("test ideal budget exceeded")
+    return _minimal_in_box(_bracket_box(i, n_pow, q), _power_floor(i.gens, n_pow, q), "test ideal")
 
 
 def test_ideal(query: TestIdealQuery) -> MonomialIdeal:
     """Stable value of e -> (I^ceil(lam p^e))^[1/p^e]; raises if it never settles.
 
-    The chain is increasing in e but may plateau for a few steps before a late
-    jump, so a coincidence of consecutive values is confirmed at a doubled
-    exponent whenever e_max and the work budget allow the extra evaluation.
-    """
+    The chain is increasing in e but may plateau for a few steps before a late jump, so a
+    coincidence of consecutive values is confirmed at a doubled exponent whenever e_max and the
+    work budget allow; with four or more generators, e_max ends where the budget does."""
     i, lam, p = query.ideal, rat(query.lam), query.p
     if lam == 0:
         return unit_ideal(i.nvars)
-    e = 1
-    prev: MonomialIdeal | None = None
-    jump = (0, 0)
-    while e <= query.e_max:
+    e, e_max, prev, jump = 1, query.e_max, None, (0, 0)
+    while e <= e_max:
+        if e > 1 and len(i.gens) >= 4 and not _affordable(i, math.ceil(lam * p**e), p**e):
+            e_max = e - 1  # the chain ends at the last exponent within the work budget
+            break
         cur = _power_bracket(i, math.ceil(lam * p**e), p**e)
         if prev is not None and cur == prev:
-            f = min(2 * e, query.e_max)
-            while f > e and not _probe_affordable(i, math.ceil(lam * p**f), p**f):
+            f = min(2 * e, e_max)
+            while f > e and not _affordable(i, math.ceil(lam * p**f), p**f):
                 f -= 1
-            if f == e:
-                return cur
-            probe = _power_bracket(i, math.ceil(lam * p**f), p**f)
-            if probe == cur:
+            if f == e or (probe := _power_bracket(i, math.ceil(lam * p**f), p**f)) == cur:
                 return cur
             jump = (e, f)
             e, cur = f, probe
@@ -279,8 +280,7 @@ def test_ideal(query: TestIdealQuery) -> MonomialIdeal:
         e += 1
     # a probe that failed at e_max skipped the exponents below it; as the chain
     # increases, a value at k < e_max equal to the one at e_max is stable on [k, e_max]
-    k = query.e_max - 1
-    if jump[1] == query.e_max and jump[0] < k:
-        if _power_bracket(i, math.ceil(lam * p**k), p**k) == prev:
-            return prev
-    raise ValueError("no stabilization by e_max")
+    k = e_max - 1
+    if jump[1] == e_max and jump[0] < k and _power_bracket(i, math.ceil(lam * p**k), p**k) == prev:
+        return prev
+    raise ValueError("test ideal budget exceeded" if e_max < query.e_max else "no stabilization by e_max")

@@ -8,7 +8,17 @@
   generators, and builds its arrays for three on every call.
 
 `multiplier_ideal_monomial` and `power_bracket` run the old routes end to end.
-The differential tests in `test_ideals.py` compare the library against these.
+
+The library's next route, which `ideals` replaced by closed-form column floors:
+- `_walk_in_box` walks each column's last coordinate up from 0 in lex order,
+  calling member until it holds or reaches the least threshold of the columns
+  prefix - e_i;
+- `_member_of_power_by_rows` tests one point against the library's
+  `_power_rows`, or one integer interval for one or two generators.
+
+`walk_multiplier_ideal` and `walk_power_bracket` run that walk end to end,
+with `howald_member` and `bracket_member` as its tests. The differential tests
+in `test_ideals.py` compare the library against all of these.
 Not collected by pytest (no `test_` prefix).
 """
 from __future__ import annotations
@@ -21,9 +31,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from toricbdiv import dd, ideals
-from toricbdiv.ideals import _BOX_BUDGET, _POWER_BUDGET, MonomialIdeal, make_ideal, unit_ideal
-from toricbdiv.rationals import rat
+from toricbdiv import dd
+from toricbdiv.ideals import (_BOX_BUDGET, _POWER_BUDGET, MonomialIdeal, _bracket_box, _newton_facets,
+                              _power_rows, make_ideal, unit_ideal)
+from toricbdiv.rationals import idot, rat
 
 
 @dataclass(frozen=True)
@@ -95,14 +106,13 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
 
 
 def power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
-    """`ideals._power_bracket` on the graded scan; it calls the library's
-    `_member_of_power` through the module, so a test may wrap that."""
+    """`ideals._power_bracket` on the graded scan and the composition search."""
     n = i.nvars
     if n_pow == 0:
         return unit_ideal(n)
     bounds = [max((n_pow * g[j]) // q for g in i.gens) for j in range(n)]
     return _minimal_in_box(
-        bounds, lambda m: ideals._member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
+        bounds, lambda m: _member_of_power(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow),
         "test ideal")
 
 
@@ -159,3 +169,88 @@ def _member_of_power(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: i
         for c in range(left + 1):
             stack.append((idx + 1, left - c, acc + c * g[idx]))
     return False
+
+
+def _walk_in_box(bounds: Sequence[int], member: Callable[[tuple[int, ...]], bool],
+                 what: str) -> MonomialIdeal:
+    """Ideal generated by the box points m with member(m), for a test closed
+    upward: one threshold per column (prefix, t). In lex order, t walks up from
+    0, calling member until it holds (a generator) or t reaches the least
+    threshold of the columns prefix - e_i: member sees only non-members and generators."""
+    if math.prod(b + 1 for b in bounds) > _BOX_BUDGET:
+        raise ValueError(f"{what} budget exceeded")
+    n = len(bounds)
+    *head, last = bounds if n else [0]  # no variables: one column, the point ()
+    steps = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
+    thresholds: list[int] = []  # one per prefix, in lex order
+    gens: list[tuple[int, ...]] = []
+    for k, prefix in enumerate(np.ndindex(*[b + 1 for b in head])):
+        t, stop = 0, min([last + 1] + [thresholds[k - s] for x, s in zip(prefix, steps) if x])
+        while t < stop and not member(m := (*prefix, t)[:n]):
+            t += 1
+        if t < stop:
+            gens.append(m)
+        thresholds.append(t)
+    if not gens:
+        raise AssertionError(f"{what} search box too small")
+    return make_ideal(n, gens)
+
+
+def _member_of_power_by_rows(w: Sequence[int], gens: Sequence[tuple[int, ...]], n_pow: int) -> bool:
+    """Does x^w lie in I^N, i.e. is some N-fold generator sum componentwise <= w."""
+    if len(gens) <= 2:
+        # one generator g is the pair (g, g)
+        lo, hi = 0, n_pow
+        for x0, x1, y in zip(gens[0], gens[-1], w):
+            a = x0 - x1
+            rhs = y - n_pow * x1
+            if a > 0:
+                hi = min(hi, rhs // a)
+            elif a < 0:
+                lo = max(lo, -(rhs // (-a)))
+            elif rhs < 0:
+                return False
+        return lo <= hi
+    # per row, g_{k-1} takes 0 <= c <= left counts from g_k: c (g_{k-1} - g_k) <= w - base
+    top, left, base, slope = _power_rows(tuple(gens), n_pow)
+    lo, hi, ok = np.zeros_like(left), left, np.ones(len(left), dtype=bool)
+    for y, t, b, a in zip(w, top, base, slope):
+        rhs = min(y, t) - b
+        if a > 0:
+            hi = np.minimum(hi, rhs // a)
+        elif a < 0:
+            lo = np.maximum(lo, -(rhs // (-a)))
+        else:
+            ok &= rhs >= 0
+    return bool(np.any(ok & (lo <= hi)))
+
+
+def howald_member(a: MonomialIdeal, c: Fraction) -> Callable[[tuple[int, ...]], bool]:
+    """The walk's test of m in I(a^c): one integer bound per facet of the Newton polyhedron."""
+    # <w, m + 1> > c off  <=>  <w, m> >= floor(c off) - |w|_1 + 1, as w >= 0
+    facets = [(w, c.numerator * off // c.denominator - sum(w) + 1) for w, off in _newton_facets(a)]
+    return lambda m: all(idot(w, m) >= b for w, b in facets)
+
+
+def bracket_member(i: MonomialIdeal, n_pow: int, q: int) -> Callable[[tuple[int, ...]], bool]:
+    """The walk's test of x^m in (I^N)^[1/q]: x^(q(m + 1) - 1) in I^N."""
+    return lambda m: _member_of_power_by_rows(tuple(q * (x + 1) - 1 for x in m), i.gens, n_pow)
+
+
+def walk_multiplier_ideal(a: MonomialIdeal, c) -> MonomialIdeal:
+    """`ideals.multiplier_ideal_monomial` on the column walk."""
+    c = rat(c)
+    if c < 0:
+        raise ValueError("exponent must be nonnegative")
+    n = a.nvars
+    if c == 0 or a.is_unit():
+        return unit_ideal(n)
+    bound = math.ceil(c * max(max(g) for g in a.gens)) + n + 2
+    return _walk_in_box([bound] * n, howald_member(a, c), "multiplier ideal")
+
+
+def walk_power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
+    """`ideals._power_bracket` on the column walk, budgeted by `_power_rows` alone."""
+    if n_pow == 0:
+        return unit_ideal(i.nvars)
+    return _walk_in_box(_bracket_box(i, n_pow, q), bracket_member(i, n_pow, q), "test ideal")

@@ -295,6 +295,20 @@ def test_four_generators_answer_within_seconds(tmp_path, lam, p, emax):
     assert report_of(text)["outputs"] == expect
 
 
+@pytest.mark.parametrize("emax", ["12", "1000000"])
+def test_four_generators_within_the_row_budget_answer(tmp_path, emax):
+    # comb(N + 2, 2) rows, not comb(N + 3, 3) compositions; columns x rows passes 10^8 from
+    # e = 10 on, so the chain ends at e = 9, whatever e_max: the plateau at e = 3, 4 probes
+    # e = 8, which differs, and e = 9 repeats e = 8
+    ideal = mk(tmp_path, "x.json", {"nvars": 3, "gens": [[3, 2, 0], [3, 1, 2], [1, 2, 2], [0, 1, 3]]})
+    start = time.perf_counter()
+    code, text = run(["tideal", "--ideal", ideal, "--lam", "7/3", "--p", "2", "--emax", emax])
+    assert time.perf_counter() - start < 5
+    assert code == 0, text
+    expect = report_of(run(["mideal", "--ideal", ideal, "--c", "7/3"])[1])["outputs"]
+    assert report_of(text)["outputs"] == expect
+
+
 @pytest.mark.parametrize("argv", [["mideal", "--c", "1"], ["tideal", "--lam", "1", "--p", "2"]],
                          ids=["mideal", "tideal"])
 def test_zero_variable_ideal_is_the_unit_ideal(tmp_path, argv):

@@ -1,7 +1,10 @@
 """Monomial multiplier ideals, section counting, Frobenius brackets, test ideals."""
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -167,30 +170,57 @@ def test_multiplier_matches_graded_scan_oracle(case):
         _outcome(io.multiplier_ideal_monomial, ideal, c)
 
 
-def _member_calls(scan, bounds, member):
-    calls = []
-
-    def record(m):
-        calls.append(m)
-        return member(m)
-
-    out = _outcome(scan, bounds, record, "x")
-    assert len(calls) == len(set(calls))
-    return out, set(calls)
+def _recording(scan, calls):
+    """scan(bounds, test, what) with each call x -> y of its test appended to calls as (x, y)."""
+    def run(bounds, test, what):
+        def record(x):
+            calls.append((x, y := test(x)))
+            return y
+        return scan(bounds, record, what)
+    return run
 
 
-@given(st.integers(min_value=1, max_value=3).flatmap(lambda n: st.tuples(
+def _columns_at_zero(points):
+    """The columns whose point with last coordinate 0 is among points; with no variables, ()."""
+    return {m[:-1] for m in points if not m or m[-1] == 0}
+
+
+def _check_floors(floors, member, beyond):
+    """Each column floor t is the least last coordinate with member, and None only where
+    member fails at beyond, past every floor."""
+    for prefix, t in floors:
+        if t is None:
+            assert not member((*prefix, beyond)), prefix
+        else:
+            assert member((*prefix, t)) and (t == 0 or not member((*prefix, t - 1))), (prefix, t)
+
+
+def _ideal_floor(ideal):
+    """floor_of of a monomial ideal: the least last coordinate of a generator below the column."""
+    return lambda prefix: min((g[-1] if g else 0 for g in ideal.gens
+                               if all(x >= y for x, y in zip(prefix, g))), default=None)
+
+
+@given(st.integers(min_value=0, max_value=3).flatmap(lambda n: st.tuples(
     st.lists(st.integers(min_value=0, max_value=6), min_size=n, max_size=n),
     st.lists(st.lists(st.integers(min_value=0, max_value=8), min_size=n, max_size=n),
              min_size=1, max_size=5))))
 @settings(max_examples=150, deadline=None)
 def test_box_scan_calls_member_where_the_graded_scan_does(case):
     # membership in a monomial ideal is closed upward; its generators may lie
-    # outside the box, which then may hold no member at all
+    # outside the box, which then may hold no member at all. The floor scan asks
+    # about the columns whose point at last coordinate 0 the graded scan tests.
     bounds, gens = case
-    member = make_ideal(len(bounds), gens).contains_monomial
-    assert _member_calls(ideals._minimal_in_box, bounds, member) == \
-        _member_calls(io._minimal_in_box, bounds, member)
+    ideal = make_ideal(len(bounds), gens)
+    floors, members = [], []
+    got = _outcome(_recording(ideals._minimal_in_box, floors), bounds, _ideal_floor(ideal), "x")
+    assert got == _outcome(_recording(io._minimal_in_box, members), bounds, ideal.contains_monomial, "x")
+    assert got == _outcome(io._walk_in_box, bounds, ideal.contains_monomial, "x")
+    asked = [prefix for prefix, _ in floors]
+    assert len(asked) == len(set(asked))
+    assert set(asked) == _columns_at_zero(m for m, _ in members)
+    if bounds:
+        _check_floors(floors, ideal.contains_monomial, 9)
 
 
 @pytest.mark.parametrize("gens, n_pow, q", [
@@ -203,20 +233,65 @@ def test_box_scan_calls_member_where_the_graded_scan_does(case):
 ])
 def test_power_bracket_calls_member_where_the_graded_scan_does(monkeypatch, gens, n_pow, q):
     ideal = make_ideal(len(gens[0]), gens)
-    member = ideals._member_of_power
-    calls = []
-
-    def record(w, g, n):
-        calls.append(w)
-        return member(w, g, n)
-
-    monkeypatch.setattr(ideals, "_member_of_power", record)
+    floors, members = [], []
+    monkeypatch.setattr(ideals, "_minimal_in_box", _recording(ideals._minimal_in_box, floors))
+    monkeypatch.setattr(io, "_minimal_in_box", _recording(io._minimal_in_box, members))
     got = ideals._power_bracket(ideal, n_pow, q)
-    new_calls = calls[:]
-    calls.clear()
-    assert got == io.power_bracket(ideal, n_pow, q)
-    assert len(new_calls) == len(set(new_calls))
-    assert set(new_calls) == set(calls)
+    assert got == io.power_bracket(ideal, n_pow, q) == io.walk_power_bracket(ideal, n_pow, q)
+    asked = [prefix for prefix, _ in floors]
+    assert len(asked) == len(set(asked))
+    assert set(asked) == _columns_at_zero(m for m, _ in members)
+    _check_floors(floors, io.bracket_member(ideal, n_pow, q), n_pow * max(g[-1] for g in gens))
+
+
+@given(ideals_and_exponents())
+@settings(max_examples=60, deadline=None)
+def test_multiplier_column_floors_match_the_walk(case):
+    # an empty column has a facet with w_n = 0 that fails, whatever the last coordinate
+    ideal, c = case
+    floors = []
+    with mock.patch.object(ideals, "_minimal_in_box", _recording(ideals._minimal_in_box, floors)):
+        got = _outcome(multiplier_ideal_monomial, ideal, c)
+    assert got == _outcome(io.walk_multiplier_ideal, ideal, c)
+    _check_floors(floors, io.howald_member(ideal, c), 10**9)
+
+
+@st.composite
+def power_brackets(draw):
+    # seeded like ideals_and_exponents; 0 to 3 variables and 1 to 5 drawn generators. With
+    # p = 2^61 - 1, q (m + 1) - 1 passes int64 at once, and N near q keeps the box off 0.
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n, k = rng.choice((0, 1, 2, 2, 3, 3)), rng.randint(1, 5)
+    gens = [[rng.randint(0, 5) for _ in range(n)] for _ in range(k)]
+    if n > 1 and rng.random() < 0.8:  # a staircase in the first two variables
+        xs, ys = sorted(rng.sample(range(6), k)), sorted(rng.sample(range(6), k))
+        for g, x, y in zip(gens, xs, reversed(ys)):
+            g[:2] = x, y
+    ideal = make_ideal(n, gens)
+    q = rng.choice((2, 3, 5, 2**61 - 1)) ** rng.randint(1, 2)
+    if q > 25 and len(ideal.gens) <= 2 and rng.random() < 0.7:
+        return ideal, rng.randint(q // 2, 3 * q), q  # one interval on Python ints
+    return ideal, rng.randint(0, 10 if n < 3 else 4), q
+
+
+@given(power_brackets())
+@settings(max_examples=60, deadline=None)
+def test_power_bracket_column_floors_match_the_walk(case):
+    # an empty column has no N-fold sum within its first n - 1 bounds
+    ideal, n_pow, q = case
+    floors = []
+    with mock.patch.object(ideals, "_minimal_in_box", _recording(ideals._minimal_in_box, floors)):
+        got = _outcome(ideals._power_bracket, ideal, n_pow, q)
+    assert got == _outcome(io.walk_power_bracket, ideal, n_pow, q)
+    if floors:
+        beyond = n_pow * max(g[-1] for g in ideal.gens)  # q (beyond + 1) - 1 passes every sum
+        _check_floors(floors, io.bracket_member(ideal, n_pow, q), beyond)
+
+
+def _in_power(w, gens, n_pow) -> bool:
+    """x^w in I^N read off the column floor at q = 1: w_n is at least the floor."""
+    t = ideals._power_floor(gens, n_pow, 1)(tuple(w[:-1]))
+    return t is not None and t <= w[-1]
 
 
 @st.composite
@@ -232,18 +307,20 @@ def power_memberships(draw):
 
 
 @given(power_memberships())
-@example(((10**6,) * 4, [tuple(int(i == j) for j in range(4)) for i in range(4)], 600))
+@example(((10**6,) * 4, [tuple(int(i == j) for j in range(4)) for i in range(4)], 7745))
 @example(((2**64, 2**64), [(2**62, 0), (1, 1), (0, 5)], 2))
 @settings(max_examples=300, deadline=None)
 def test_power_membership_matches_composition_search_oracle(case):
     # equal answers, or the same budget error
-    assert _outcome(ideals._member_of_power, *case) == _outcome(io._member_of_power, *case)
+    assert _outcome(_in_power, *case) == _outcome(io._member_of_power, *case)
 
 
 def test_box_scan_of_no_variables_asks_about_the_empty_monomial():
-    assert ideals._minimal_in_box([], lambda m: m == (), "x") == make_ideal(0, [()])
+    asked = []
+    assert ideals._minimal_in_box([], lambda prefix: asked.append(prefix) or 0, "x") == make_ideal(0, [()])
+    assert asked == [()]
     with pytest.raises(AssertionError, match="x search box too small"):
-        ideals._minimal_in_box([], lambda m: False, "x")
+        ideals._minimal_in_box([], lambda prefix: None, "x")
 
 
 def test_multiplier_subadditivity():
@@ -312,7 +389,6 @@ def test_bracket_against_member_oracle():
 
 
 def test_bracket_chain_increasing_in_e():
-    import math
     for gens, lam, p in [([[1, 1]], Fraction(1, 2), 2),
                          ([[2, 0], [0, 3]], Fraction(3, 2), 3),
                          ([[1, 0], [0, 1]], Fraction(7, 3), 5)]:
@@ -363,21 +439,33 @@ def test_stabilization_confirmed_below_a_failed_probe_at_e_max():
     assert got == multiplier_ideal_monomial(ideal, Fraction(7, 3))
 
 
-def test_power_membership_budget():
-    # four generators and N = 600 leave comb(603, 3) > 30 million compositions
-    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+def test_chain_ended_by_the_work_budget_fails_at_once():
+    # six generators: the chain ends before the first exponent past 10^8 row visits, with
+    # no value confirmed by then; the composition count let this search run for minutes
+    ideal = make_ideal(3, [[6, 5, 0], [6, 1, 1], [5, 1, 4], [4, 4, 3], [4, 3, 5], [1, 5, 5]])
+    start = time.perf_counter()
     with pytest.raises(ValueError, match="test ideal budget exceeded"):
-        ideals._member_of_power((10**6,) * 4, units, 600)
+        ideals.test_ideal(TestIdealQuery(ideal, Fraction(3), 5))
+    assert time.perf_counter() - start < 5
+
+
+def test_power_membership_budget():
+    # four generators build comb(N + 2, 2) rows: 180,901 at N = 600, over 30 million at N = 7745
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    assert ideals._power_count(4, 600) == math.comb(602, 2)
+    assert _in_power((10**6,) * 4, units, 600)
+    with pytest.raises(ValueError, match="test ideal budget exceeded"):
+        ideals._power_floor(units, 7745, 1)
 
 
 def test_three_generator_power_budget():
-    # N + 1 counts of the first generator, more than the composition budget
+    # N + 1 counts of the first generator, more than the power budget
     gens = [(4, 0), (1, 1), (0, 5)]
     with pytest.raises(ValueError, match="test ideal budget exceeded"):
-        ideals._member_of_power((10**12, 10**12), gens, ideals._POWER_BUDGET)
+        ideals._power_floor(gens, ideals._POWER_BUDGET, 1)
 
 
-def _in_power(w, gens, n_pow) -> bool:
+def _in_power_by_search(w, gens, n_pow) -> bool:
     """Some sum of n_pow generators, with repeats, componentwise <= w."""
     return any(all(sum(g[j] for g in combo) <= w[j] for j in range(len(w)))
                for combo in itertools.combinations_with_replacement(gens, n_pow))
@@ -394,17 +482,17 @@ def test_power_membership_beyond_int64(gens, n_pow):
     # w_j runs past N max_i g_ij, where it cannot bind, up to far beyond int64
     tops = [n_pow * max(col) for col in zip(*gens)]
     for w in itertools.product(*[(0, 1, t - 1, t, t + 1, 10**30) for t in tops]):
-        assert ideals._member_of_power(w, gens, n_pow) == _in_power(w, gens, n_pow), w
+        assert _in_power(w, gens, n_pow) == _in_power_by_search(w, gens, n_pow), w
 
 
 def test_power_membership_of_huge_generators_is_over_budget():
     gens = [(2**62, 0), (1, 1), (0, 5)]
     with pytest.raises(ValueError, match="test ideal budget exceeded"):
-        ideals._member_of_power((2**64, 2**64), gens, 2)
+        ideals._power_floor(gens, 2, 1)
 
 
 def test_search_box_budget():
-    always = lambda m: True  # noqa: E731
+    always = lambda prefix: 0  # noqa: E731
     with pytest.raises(ValueError, match="multiplier ideal budget exceeded"):
         ideals._minimal_in_box([ideals._BOX_BUDGET], always, "multiplier ideal")
     with pytest.raises(ValueError, match="test ideal budget exceeded"):

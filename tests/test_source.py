@@ -1,5 +1,6 @@
 """Static checks of the library source."""
 import ast
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import toricbdiv
 
 SRC = Path(toricbdiv.__file__).parent
 TESTS = Path(__file__).parent
-PERFBENCH = TESTS.parent / "perfbench"
+ROOT = TESTS.parent
+PERFBENCH = ROOT / "perfbench"
 ORACLES = sorted(TESTS.glob("*_oracle.py")) + [TESTS / "fraction_kernel.py"]
 
 
@@ -204,3 +206,12 @@ def test_every_public_dataclass_field_is_read():
     others = [ast.parse(path.read_text(encoding="utf-8"))
               for folder in (TESTS, PERFBENCH) for path in sorted(folder.glob("*.py"))]
     assert _unread_fields(modules, others) == []
+
+
+def test_bench_records_parse():
+    # a perf change records its measured parent and change runs in a root BENCH_*.json
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert {"change", "command", "claimed", "workloads"} <= set(record), path.name
