@@ -7,6 +7,7 @@ by the lexicographic perturbation v_1 + eps*v_2 + ... of the flag directions.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,6 +133,20 @@ def nu_of_metric(h, nu: FlagValuation) -> Vec:
     return nu.coords(vsub(low, m0))
 
 
+def _slice_vertices(ends: list[IntVec]) -> list[IntVec]:
+    """Of lex-sorted integer points, those that are vertices of their 2-d slice,
+    the points with the same first n-2 coordinates: a vertex of the hull of all
+    of them is a vertex of every slice through it."""
+    if not ends or len(ends[0]) < 2:
+        return ends
+    out = []
+    for head, group in itertools.groupby(ends, key=lambda x: x[:-2]):
+        tails = [x[-2:] for x in group]
+        # the chain of a single point is empty
+        out += [head + t for t in (polytopes._chain2d(tails) if len(tails) > 1 else tails)]
+    return out
+
+
 def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polytope | None], OkounkovBody]:
     """Section hulls Delta_k for k <= k_max and their limit body."""
     m = toric._as_metric(h)
@@ -144,8 +159,8 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
     m0 = _trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
     for k in range(1, k_max + 1):
-        # the flag map is affine, so the ends of the lattice runs span the hull
-        pts = polytopes.lattice_run_ends(model, k)
+        # the flag map is affine, so the vertices of the run ends' slices span the hull
+        pts = _slice_vertices(polytopes.lattice_run_ends(model, k))
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
     if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")

@@ -6,6 +6,7 @@ constraints of lower-dimensional bodies appear as opposite halfspace pairs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,22 @@ class Polytope:
 
     def is_point(self) -> bool:
         return len(self.vertices) == 1
+
+    @functools.cached_property
+    def _ints(self) -> tuple[int, list[tuple[int, int]], np.ndarray | None, list[int], tuple[int, int], int]:
+        """The body times the lcm s of the denominators of its vertices and
+        offsets: s, the (min, max) of each axis over the vertices, the facet
+        normals as an int64 matrix (None past int64) and their offsets, sorted
+        with w_n > 0 first and w_n = 0 last, how many facets have w_n > 0 and
+        w_n != 0, and the largest |w_1| + ... + |w_{n-1}|."""
+        n, m = self.dim, len(self.vertices) * self.dim
+        rows = sorted(self.halfspaces, key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0))
+        ints, s = int_row([x for v in self.vertices for x in v] + [c for _, c in rows])
+        ends = [(min(ints[i:m:n]), max(ints[i:m:n])) for i in range(n)]
+        normals = [w for w, _ in rows]
+        w = np.array(normals, dtype=np.int64) if max(abs(x) for v in normals for x in v) < 2**63 else None
+        split = (sum(v[-1] > 0 for v in normals), sum(v[-1] != 0 for v in normals))
+        return s, ends, w, ints[m:], split, max(sum(map(abs, v[:-1])) for v in normals)
 
 
 def affine_rank(points: Sequence[Vec]) -> int:
@@ -89,8 +106,9 @@ def _hull(pts: list[IntVec], s: int) -> tuple[list[IntVec], list[tuple[IntVec, i
             e = tuple(int(i == j) for j in range(n))
             rows += [(e, x), (tuple(-y for y in e), -x)]
         return pts, rows
-    if n == 2 and affine_rank(pts) == 2:
-        hull = _chain2d(pts)
+    hull = _chain2d(pts) if n == 2 else []
+    if len(hull) >= 3:
+        # three chain vertices span the plane
         rows = []
         for v, u in zip(hull, hull[1:] + hull[:1]):
             w = primitive((v[1] - u[1], u[0] - v[0]))
@@ -269,24 +287,28 @@ class HausdorffDist:
     norm: str = "linf"
 
 
-def _grown_normals(pts: list[IntVec], rows: Iterable[Halfspace]) -> list[IntVec]:
-    """Normals holding every facet normal of Q + [-1,1]^n, Q the hull of the
-    integer points pts, with halfspaces `rows`.
+def _grown_rows(pts: list[IntVec], rows: list[tuple[IntVec, int]]) -> list[tuple[IntVec, int]]:
+    """Rows (w, min over Q of <w, .>) whose normals hold every facet normal of
+    Q + [-1,1]^n, Q the hull of the integer points pts, with facet rows `rows`.
 
     A facet of Q + [-1,1]^n is a face of Q plus the cube's face along the axes
     S on which its normal w vanishes, so w is a facet normal or an equation of
     the projection of Q that drops S: one of Q's rows, a row of a projection
-    onto 2 to n-1 axes lifted back with zeros, or one of the +-e_i.
+    onto 2 to n-1 axes lifted back with zeros, or one of the +-e_i. Each
+    minimum is read off the row the normal came from.
     """
     n = len(pts[0])
-    normals = [w for w, _ in rows]
+    out = list(rows)
     for size in range(2, n):
         for axes in combinations(range(n), size):
             proj = sorted({tuple(v[i] for i in axes) for v in pts})
-            for w, _ in _hull(proj, 1)[1]:
+            for w, c in _hull(proj, 1)[1]:
                 lifted = dict(zip(axes, w))
-                normals.append(tuple(lifted.get(i, 0) for i in range(n)))
-    return normals + [tuple(sign * int(i == j) for j in range(n)) for i in range(n) for sign in (1, -1)]
+                out.append((tuple(lifted.get(i, 0) for i in range(n)), c))
+    for i in range(n):
+        e, xs = tuple(int(i == j) for j in range(n)), [v[i] for v in pts]
+        out += [(e, min(xs)), (tuple(-x for x in e), -max(xs))]
+    return out
 
 
 def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
@@ -297,7 +319,7 @@ def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
     distance from P to Q is the largest (min_Q <w, .> - min_P <w, .>)/|w|_1 over
     the facet normals w of Q + [-1,1]^n, or 0. Any other w gives at most that
     distance, so extra rows do no harm. Both bodies are scaled once by the lcm
-    s of their denominators.
+    s of their denominators; the facet offsets of Q are its tight minima.
     """
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
@@ -308,8 +330,9 @@ def hausdorff_linf(p: Polytope, q: Polytope) -> HausdorffDist:
     num, den = 0, 1
     # the vertices of P against the body Q, then those of Q against P
     for verts, body_verts, body in ((a, b, q), (b, a, p)):
-        for w in _grown_normals(body_verts, body.halfspaces):
-            gap = min(idot(w, v) for v in body_verts) - min(idot(w, v) for v in verts)
+        rows = [(w, c.numerator * (s // c.denominator)) for w, c in body.halfspaces]
+        for w, low in _grown_rows(body_verts, rows):
+            gap = low - min(idot(w, v) for v in verts)
             norm = sum(map(abs, w))
             if gap * den > num * norm:
                 num, den = gap, norm
@@ -323,12 +346,10 @@ def _ceil_div(a: int, b: int) -> int:
 def _box(p: Polytope, k: int) -> list[tuple[int, int]] | None:
     """Integer bounds (lo, hi) of each axis of the bounding box of kP, or None
     when an axis holds no integer; raises when the box has too many cells."""
+    s, ends = p._ints[:2]
     box, cells = [], 1
-    for i in range(p.dim):
-        xs = [v[i] for v in p.vertices]
-        a, b = min(xs), max(xs)
-        lo = _ceil_div(k * a.numerator, a.denominator)
-        hi = k * b.numerator // b.denominator
+    for a, b in ends:
+        lo, hi = _ceil_div(k * a, s), k * b // s
         if hi < lo:
             return None
         box.append((lo, hi))
@@ -347,31 +368,33 @@ def _lattice_runs(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """The nonempty runs of integer points of kP along the last axis, in lex order:
     int64 prefixes (the first n-1 coordinates) and each run's first and last value.
 
-    One run per prefix in the box of the first n-1 axes: each facet
-    <w, x> >= k c bounds the last coordinate by an exact ceil or floor division
-    of ceil(k c) - <w', x'> by w_n, or, when w_n = 0, keeps or empties the run.
+    One run per prefix in the box of the first n-1 axes, bounded in one pass
+    over all facets <w, x> >= k c: rest = ceil(k c) - <w', x'> bounds the last
+    coordinate by an exact ceil or floor division by w_n, or, when w_n = 0,
+    empties the run if rest > 0. Raises before any value could leave int64.
     """
     n = p.dim
     box = _box(p, k)
     if box is None:
         none = np.empty(0, dtype=np.int64)
         return np.empty((0, n - 1), dtype=np.int64), none, none
+    s, _, w, offsets, (a, b), wide = p._ints
+    ck = [_ceil_div(k * c, s) for c in offsets]
+    top = max(abs(x) for ab in box for x in ab)
+    if w is None or max(top, wide * top + max(map(abs, ck))) >= 2**63:
+        raise ValueError("lattice enumeration exceeds int64")
     if n == 1:
         prefixes = np.empty((1, 0), dtype=np.int64)
+    elif n == 2:
+        prefixes = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[:, None]
     else:
-        axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in box[:-1]]
+        axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box[:-1]]
         prefixes = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    lo = np.full(len(prefixes), box[-1][0], dtype=np.int64)
-    hi = np.full(len(prefixes), box[-1][1], dtype=np.int64)
-    for w, c in p.halfspaces:
-        rest = _ceil_div(k * c.numerator, c.denominator) - prefixes @ np.array(w[:-1], dtype=np.int64)
-        if w[-1] > 0:
-            lo = np.maximum(lo, -(-rest // w[-1]))
-        elif w[-1] < 0:
-            hi = np.minimum(hi, rest // w[-1])
-        else:
-            hi = np.where(rest <= 0, hi, lo - 1)
-    keep = lo <= hi
+    rest = np.array(ck, dtype=np.int64) - prefixes @ w[:, :-1].T
+    wn = w[:, -1]
+    lo = (-(-rest[:, :a] // wn[:a])).max(axis=1, initial=box[-1][0])
+    hi = (rest[:, a:b] // wn[a:b]).min(axis=1, initial=box[-1][1])
+    keep = (lo <= hi) & (rest[:, b:] <= 0).all(axis=1)
     return prefixes[keep], lo[keep], hi[keep]
 
 

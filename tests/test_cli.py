@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,18 @@ def test_huge_kmax_fails_the_lattice_budget_at_once(argv):
     assert time.perf_counter() - start < 1
     assert code == 3
     assert report_of(text)["error"] == {"code": 3, "message": "lattice enumeration budget exceeded"}
+
+
+@pytest.mark.parametrize("argv", [["partial-okounkov"], ["verify", "--suite", "dfvol"]],
+                         ids=["partial-okounkov", "dfvol"])
+def test_normals_past_int64_are_domain_errors(tmp_path, argv):
+    # the thin triangle's facet normal (-1, -10^20) does not fit in int64
+    scn = mk(tmp_path, "thin.json", {
+        "fan": P2_FAN, "metric": metric_json(1, [(0, 0), (1, 0), (0, Fraction(1, 10**20))]),
+        "flag": {"cone": [[1, 0], [0, 1]]}})
+    code, text = run(argv + ["--scenario", scn, "--kmax", "3"])
+    assert code == 3
+    assert report_of(text)["error"] == {"code": 3, "message": "lattice enumeration exceeds int64"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,7 +18,7 @@ from toricbdiv.ideals import (TestIdealQuery, frobenius_bracket, make_ideal,
                               unit_ideal)
 from toricbdiv.rationals import idot
 
-from conftest import ideal_product, ideal_subset, minimal_line, o_p2, weighted_line
+from conftest import ideal_product, ideal_subset, minimal_line, o_p1p1, o_p2, weighted_line
 
 TestIdealQuery.__test__ = False  # not a test class despite the name
 
@@ -356,6 +356,13 @@ def test_volume_of_pair():
     # Ehrhart boundary bound: |seq_k - exact| <= C/k with a perimeter constant
     for k in (4, 8, 12):
         assert abs(seq_w[k - 1] - exact_w) <= Fraction(4, k)
+
+
+def test_volume_of_pair_counts_graded_sections():
+    # the sequence counts on the model polytope that graded_sections looks up
+    for h, n in ((weighted_line(o_p2(2), {(1, 0): 1}), 2), (minimal_line(o_p1p1(1, 2)), 2)):
+        _, seq = ideals.volume_of_pair(h, k_max=9)
+        assert seq == [Fraction(ideals.graded_sections(h, k), k**n) for k in range(1, 10)]
 
 
 def test_graded_sections_requires_positive_k():

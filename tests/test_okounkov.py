@@ -1,12 +1,13 @@
 """Flag valuations, Okounkov bodies, section hulls, translation identity."""
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricbdiv import bdiv, fans, okounkov, polytopes, toric
+from toricbdiv import bdiv, cli, fans, okounkov, polytopes, toric
 from toricbdiv.okounkov import (flag, monotone_containment, nu_of_metric,
                                 okounkov_of_bdiv, okounkov_of_bundle,
                                 okounkov_of_class, partial_okounkov,
@@ -18,6 +19,9 @@ import sections_oracle as so
 from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1cubed,
                       p1xp1, p2, rand_weighted, rand_weighted3, scale,
                       weighted_line)
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def std_flag():
@@ -157,10 +161,11 @@ _ORDERS = {
 
 
 @st.composite
-def section_cases(draw):
+def section_cases(draw, k_max_by_dim=(6, 3)):
     """(line, flag, k_max): a nef and big divisor with rational coefficients on
     P2, P1xP1 or (P1)^3, a metric whose slopes are rational convex combinations
-    of its polytope's vertices, and a flag at a drawn cone in a drawn order."""
+    of its polytope's vertices, a flag at a drawn cone in a drawn order, and
+    k_max up to k_max_by_dim[0] in 2-d and k_max_by_dim[1] in 3-d."""
     fan = draw(st.sampled_from([p2, p1xp1, p1cubed]))()
     coeff = st.builds(Fraction, st.integers(min_value=-2, max_value=3), st.sampled_from([1, 2, 3]))
     degree = st.builds(Fraction, st.integers(min_value=1, max_value=4), st.sampled_from([1, 2, 3]))
@@ -183,7 +188,7 @@ def section_cases(draw):
     cone = draw(st.sampled_from(sorted(fan.halfspaces)))
     rays = draw(st.permutations([fan.rays[i] for i in cone]))
     nu = flag(rays, draw(st.sampled_from(_ORDERS[fan.dim])))
-    return h, nu, draw(st.integers(min_value=1, max_value=6 if fan.dim == 2 else 3))
+    return h, nu, draw(st.integers(min_value=1, max_value=k_max_by_dim[fan.dim - 2]))
 
 
 @given(section_cases())
@@ -196,6 +201,61 @@ def test_partial_hulls_match_fraction_oracle(case):
             partial_okounkov(h, nu, k_max)
     else:
         assert_same_hulls(partial_okounkov(h, nu, k_max)[0], want)
+
+
+# Delta_k from the vertices of the 2-d slices against the flag hull of all run
+# ends: flat hulls at small k, empty ones, and k up to 40 in 2-d, 8 in 3-d
+@given(section_cases((40, 8)))
+@settings(max_examples=60, deadline=None)
+def test_partial_hulls_match_run_ends_oracle(case):
+    h, nu, k_max = case
+    want = so.partial_hulls_by_run_ends(h, nu, k_max)
+    if all(w is None for w in want):
+        with pytest.raises(ValueError, match="empty section space"):
+            partial_okounkov(h, nu, k_max)
+    else:
+        assert_same_hulls(partial_okounkov(h, nu, k_max)[0], want)
+
+
+def test_flat_3d_hulls_match_run_ends_oracle():
+    # O(1, 1, 1) on (P1)^3 cut to slopes whose hull holds three lattice points
+    # at k = 1, a flat triangle, and the point (0, 0, 1) from k = 2 on
+    d = toric.divisor(p1cubed(), {r: (1 if min(r) < 0 else 0) for r in p1cubed().rays})
+    slopes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))]
+    h = toric.hermitian(toric.metric(d, [(m, 0) for m in slopes]))
+    for nu in (flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), flag([(0, 0, 1), (1, 0, 0), (0, 1, 0)], _ORDERS[3][3])):
+        hulls = partial_okounkov(h, nu, k_max=5)[0]
+        assert polytopes.affine_rank(hulls[0].vertices) == 2
+        assert polytopes.affine_rank(hulls[1].vertices) == 3
+        assert_same_hulls(hulls, so.partial_hulls_by_run_ends(h, nu, 5))
+
+
+def test_slice_vertices_keep_single_points():
+    ends = [(0, 0, 0), (0, 0, 3), (1, 2, 2), (2, 0, 0), (2, 0, 1), (2, 0, 2), (2, 1, 0), (2, 1, 2)]
+    # the slice x_1 = 1 is one point, and (2, 0, 1) lies inside its slice's edge
+    assert okounkov._slice_vertices(ends) == [(0, 0, 0), (0, 0, 3), (1, 2, 2),
+                                              (2, 0, 0), (2, 1, 0), (2, 1, 2), (2, 0, 2)]
+    assert okounkov._slice_vertices([(1,), (4,)]) == [(1,), (4,)]
+    assert okounkov._slice_vertices([]) == []
+
+
+def _logged(log, value):
+    log.append(value)
+    return value
+
+
+def test_p1cubed_hull_gets_only_slice_vertices(monkeypatch):
+    # at k = 20 the golden (P1)^3 scenario has 1,302 run ends, of which 124
+    # are vertices of their slice x_1 = const
+    ends, sizes = [], []
+    run_ends, hull_of_ints = polytopes.lattice_run_ends, polytopes.hull_of_ints
+    monkeypatch.setattr(polytopes, "lattice_run_ends", lambda *args: _logged(ends, run_ends(*args)))
+    monkeypatch.setattr(polytopes, "hull_of_ints", lambda pts, *args: _logged(sizes, pts) and hull_of_ints(pts, *args))
+    code, _ = cli.run(["partial-okounkov", "--scenario", str(GOLDEN / "p1cubed.json"), "--kmax", "20"])
+    assert code == 0
+    # the hull at k = 20 is the last before the limit body's
+    assert len(ends) == 20
+    assert (len(ends[19]), len(sizes[-2])) == (1302, 124)
 
 
 small = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))

@@ -11,7 +11,7 @@ import hull_oracle as ho
 import lp_oracle as lp
 import sections_oracle as so
 import volume_oracle as vo
-from toricbdiv import polytopes
+from toricbdiv import dd, polytopes
 from toricbdiv.polytopes import (Polytope, canonicalize, from_halfspaces,
                                  hausdorff_linf, lattice_count, lattice_points,
                                  minkowski_sum, mixed_volume, translate,
@@ -102,6 +102,24 @@ def test_tail_sum_normals_match_oracle(sets):
     assert set(old) <= set(normals)
     if polytopes.affine_rank(sums) == len(sums[0]):
         assert sorted(old) == sorted(normals)
+
+
+@pytest.mark.parametrize("pts", [
+    [(3, -1)],
+    [(-2, 5), (4, 1)],
+    [(x, 2 * x - 1) for x in range(-3, 6)],
+    [(0, 0), (1, 3), (4, 1)],
+], ids=["point", "two points", "collinear", "triangle"])
+def test_planar_hull_cases_match_fraction_oracle(pts, monkeypatch):
+    want = ho.canonicalize([tuple(Fraction(x, 3) for x in v) for v in pts])
+    runs = []
+    extreme_rays = dd.extreme_rays
+    monkeypatch.setattr(dd, "extreme_rays", lambda *args: runs.append(args) or extreme_rays(*args))
+    got = polytopes.hull_of_ints(sorted(pts), 3)
+    assert (got.vertices, got.halfspaces) == (want.vertices, want.halfspaces)
+    # Andrew's chain answers a hull with three vertices; a flat one of two or
+    # more points goes on to the double description
+    assert len(runs) == (len(pts) > 1 and polytopes.affine_rank(pts) < 2)
 
 
 def test_minkowski_squares():
@@ -319,6 +337,13 @@ def bodies(draw, n):
     return canonicalize(pts)
 
 
+@st.composite
+def boxes(draw, n):
+    """Products of half-integer intervals: their facets +-e_i with i < n have w_n = 0."""
+    ends = draw(st.lists(st.tuples(half, half), min_size=n, max_size=n))
+    return canonicalize(product(*ends))
+
+
 def _bodies_in_one_dim(count):
     return st.integers(min_value=1, max_value=3).flatmap(
         lambda n: st.tuples(*[bodies(n)] * count))
@@ -339,6 +364,15 @@ def test_hausdorff_matches_lp_oracle(pq):
 def test_hausdorff_matches_grown_body_oracle(pq):
     p, q = pq
     assert hausdorff_linf(p, q).value == so.hausdorff_linf(p, q)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.tuples(*[st.one_of(bodies(n), boxes(n), flat_point_sets((n,)).map(canonicalize))] * 2)))
+@settings(max_examples=200, deadline=None)
+def test_hausdorff_matches_normal_scan_oracle(pq):
+    # each normal's minimum over its own body comes from the row it came from
+    p, q = pq
+    assert hausdorff_linf(p, q) == so.hausdorff_by_normals(p, q)
 
 
 def test_planar_hausdorff_grows_no_body(monkeypatch):
@@ -377,6 +411,45 @@ def test_lattice_runs_match_box_mask_oracle(p, k):
     assert lattice_points(p, k) == lattice_points(kp) == want
     assert lattice_count(p, k) == lattice_count(kp) == len(want)
     assert polytopes.lattice_run_ends(p, k) == so.lattice_run_ends(kp)
+
+
+def _outcome(f, *args):
+    """f's value as lists, or the message of the ValueError it raised."""
+    try:
+        out = f(*args)
+    except ValueError as exc:
+        return str(exc)
+    return out if out is None or isinstance(out, list) else [a.tolist() for a in out]
+
+
+# 1-4-d hulls, some pinned to a coordinate plane, boxes, and 1-4-d sets on
+# skew flats that often hold no lattice point; k up to 40, so some boxes
+# exceed the budget
+@given(st.one_of(st.integers(min_value=1, max_value=4).flatmap(bodies),
+                 st.integers(min_value=1, max_value=4).flatmap(boxes),
+                 flat_point_sets((1, 2, 3, 4), tiny).map(canonicalize)),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=200, deadline=None)
+def test_lattice_runs_match_per_facet_oracle(p, k):
+    assert _outcome(polytopes._box, p, k) == _outcome(so._box, p, k)
+    assert _outcome(polytopes._lattice_runs, p, k) == _outcome(so._lattice_runs, p, k)
+
+
+def test_lattice_enumeration_past_int64_fails_cleanly():
+    a = 2**32
+    cases = [
+        # the facet normal (-1, -10^20) of a thin triangle
+        canonicalize([(0, 0), (1, 0), (0, Fraction(1, 10**20))]),
+        # a box corner past int64
+        canonicalize([(2**63,), (2**63 + 1,)]),
+        # normal (a, -1) and offset a^2 fit as Python ints, not as int64
+        canonicalize([(a, 0), (a + Fraction(1, a), 1), (a, 1)]),
+    ]
+    for p in cases:
+        polytopes.check_lattice_budget(p, 3)
+        for f in (lattice_count, lattice_points, polytopes.lattice_run_ends):
+            with pytest.raises(ValueError, match="lattice enumeration exceeds int64"):
+                f(p, 3)
 
 
 def test_lattice_runs_of_bodies_without_lattice_points():
