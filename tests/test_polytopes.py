@@ -442,7 +442,7 @@ def test_lattice_enumeration_past_int64_fails_cleanly():
         canonicalize([(0, 0), (1, 0), (0, Fraction(1, 10**20))]),
         # a box corner past int64
         canonicalize([(2**63,), (2**63 + 1,)]),
-        # normal (a, -1) and offset a^2 fit as Python ints, not as int64
+        # the normal (-a, 1) fits in int64, its offset -a^2 does not
         canonicalize([(a, 0), (a + Fraction(1, a), 1), (a, 1)]),
     ]
     for p in cases:
