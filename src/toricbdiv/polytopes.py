@@ -22,6 +22,7 @@ from .rationals import IntVec, Vec, dot, idot, int_row, primitive, vadd, vec, vs
 Halfspace = tuple[IntVec, Fraction]
 
 _LATTICE_BUDGET = 50_000_000
+_RUN_BLOCK = 1 << 20  # prefix-facet cells per pass of _lattice_runs
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,7 +372,8 @@ def _lattice_runs(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     One run per prefix in the box of the first n-1 axes, bounded in one pass
     over all facets <w, x> >= k c: rest = ceil(k c) - <w', x'> bounds the last
     coordinate by an exact ceil or floor division by w_n, or, when w_n = 0,
-    empties the run if rest > 0. Raises before any value could leave int64.
+    empties the run if rest > 0. The pass takes _RUN_BLOCK prefix-facet cells
+    at a time. Raises before any value could leave int64.
     """
     n = p.dim
     box = _box(p, k)
@@ -383,18 +385,18 @@ def _lattice_runs(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     top = max(abs(x) for ab in box for x in ab)
     if w is None or max(top, wide * top + max(map(abs, ck))) >= 2**63:
         raise ValueError("lattice enumeration exceeds int64")
-    if n == 1:
-        prefixes = np.empty((1, 0), dtype=np.int64)
-    elif n == 2:
-        prefixes = np.arange(box[0][0], box[0][1] + 1, dtype=np.int64)[:, None]
-    else:
-        axes = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box[:-1]]
-        prefixes = np.stack([g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")], axis=1)
-    rest = np.array(ck, dtype=np.int64) - prefixes @ w[:, :-1].T
-    wn = w[:, -1]
-    lo = (-(-rest[:, :a] // wn[:a])).max(axis=1, initial=box[-1][0])
-    hi = (rest[:, a:b] // wn[a:b]).min(axis=1, initial=box[-1][1])
-    keep = (lo <= hi) & (rest[:, b:] <= 0).all(axis=1)
+    ck, wn, step = np.array(ck, dtype=np.int64), w[:, -1], max(1, _RUN_BLOCK // len(w))
+    sizes = [hi - lo + 1 for lo, hi in box[:-1]]
+    prefixes = np.indices(sizes, dtype=np.int64).reshape(n - 1, math.prod(sizes)).T \
+        + np.array([lo for lo, _ in box[:-1]], dtype=np.int64)
+    lo, hi, open_ = (np.empty(len(prefixes), dtype=t) for t in (np.int64, np.int64, bool))
+    for i in range(0, len(prefixes), step):
+        run = slice(i, i + step)
+        rest = ck - prefixes[run] @ w[:, :-1].T
+        lo[run] = (-(-rest[:, :a] // wn[:a])).max(axis=1, initial=box[-1][0])
+        hi[run] = (rest[:, a:b] // wn[a:b]).min(axis=1, initial=box[-1][1])
+        open_[run] = (rest[:, b:] <= 0).all(axis=1)
+    keep = (lo <= hi) & open_
     return prefixes[keep], lo[keep], hi[keep]
 
 

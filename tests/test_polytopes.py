@@ -1,7 +1,9 @@
 """Convex bodies: hulls, Minkowski sums, volumes, mixed volumes, Hausdorff."""
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -424,15 +426,35 @@ def _outcome(f, *args):
 
 # 1-4-d hulls, some pinned to a coordinate plane, boxes, and 1-4-d sets on
 # skew flats that often hold no lattice point; k up to 40, so some boxes
-# exceed the budget
+# exceed the budget; small blocks split the prefixes into many passes
 @given(st.one_of(st.integers(min_value=1, max_value=4).flatmap(bodies),
                  st.integers(min_value=1, max_value=4).flatmap(boxes),
                  flat_point_sets((1, 2, 3, 4), tiny).map(canonicalize)),
-       st.integers(min_value=1, max_value=40))
+       st.integers(min_value=1, max_value=40),
+       st.sampled_from([polytopes._RUN_BLOCK, 1 << 12, 16]))
 @settings(max_examples=200, deadline=None)
-def test_lattice_runs_match_per_facet_oracle(p, k):
+def test_lattice_runs_match_per_facet_oracle(p, k, block):
     assert _outcome(polytopes._box, p, k) == _outcome(so._box, p, k)
-    assert _outcome(polytopes._lattice_runs, p, k) == _outcome(so._lattice_runs, p, k)
+    with mock.patch.object(polytopes, "_RUN_BLOCK", block):
+        assert _outcome(polytopes._lattice_runs, p, k) == _outcome(so._lattice_runs, p, k)
+
+
+def test_lattice_runs_memory_does_not_grow_with_facets(monkeypatch):
+    # a polygon 2 high under a parabola of 200 edges: at k = 200 its 40,001
+    # prefixes times 203 facets make a 65 MB int64 matrix in one pass
+    n = 100
+    p = canonicalize([(i, Fraction(i * i, n * n)) for i in range(-n, n + 1)] + [(-n, 2), (n, 2)])
+    assert len(p.halfspaces) == 2 * n + 3
+    monkeypatch.setattr(polytopes, "_RUN_BLOCK", 1 << 16)
+    _, lo, hi = so._lattice_runs(p, 200)
+    want = int((hi - lo + 1).sum())
+    tracemalloc.start()
+    try:
+        assert lattice_count(p, 200) == want
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_lattice_enumeration_past_int64_fails_cleanly():
