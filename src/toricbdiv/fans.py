@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from . import dd
 from .linalg import rank
-from .rationals import IntVec, Vec, dot, idot, primitive, vec
+from .rationals import IntVec, Vec, dot, idot, int_row, primitive, vec
 
 Cone = tuple[int, ...]
 
@@ -47,7 +47,8 @@ class Fan:
 
 def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int | None = None) -> Fan:
     """Normalize rays to primitive vectors, dedupe, sort, and remap cone indices; each
-    index names a ray and each ray generates a cone, so a divisor's a_rho is -psi(v_rho)."""
+    index names a ray and each ray generates a cone, so a divisor's a_rho is -psi(v_rho).
+    Each cone must be pointed (strongly convex: Cox, Little & Schenck, Def. 3.1.2)."""
     prim = [primitive(vec(r)) for r in rays]
     if not prim:
         raise ValueError("empty fan")
@@ -64,6 +65,9 @@ def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int 
     if len({i for c in new_cones for i in c}) < len(uniq):
         raise ValueError("ray in no cone")
     fan = Fan(n, tuple(uniq), tuple(new_cones))
+    # a cone contains no line exactly when its dual spans, that is, its rows have full rank
+    if any(rank(rows) < n for rows in fan.halfspaces.values()):
+        raise ValueError("cone not pointed")
     # set before the fan is shared, so it keeps the halfspaces is_complete computes
     object.__setattr__(fan, "complete", is_complete(fan))
     return fan
@@ -125,14 +129,12 @@ def _fan_of_cones(cones_rays: Sequence[Sequence[IntVec]], dim: int, complete: bo
     """Fan whose maximal cones are spanned by the given ray lists.
 
     The cones refine fans that are complete when `complete` is, and cover the
-    same support, so is_complete is not rerun. All cones of a fan share one
-    lineality space, so either every cell of a refinement has lineality and no
-    cone is left (an empty, incomplete fan), or none has.
+    same support, so is_complete is not rerun.
     """
     all_rays = sorted({r for rays in cones_rays for r in rays})
     idx = {r: i for i, r in enumerate(all_rays)}
     cones = sorted({tuple(sorted(idx[r] for r in rays)) for rays in cones_rays})
-    return Fan(dim, tuple(all_rays), tuple(cones), complete and bool(cones))
+    return Fan(dim, tuple(all_rays), tuple(cones), complete)
 
 
 def common_refinement(f1: Fan, f2: Fan) -> Fan:
@@ -142,8 +144,8 @@ def common_refinement(f1: Fan, f2: Fan) -> Fan:
     cells = []
     for a in f1.halfspaces.values():
         for b in f2.halfspaces.values():
-            lin, rays = dd.extreme_rays(a + b, f1.dim)
-            if not lin and rank(rays) == f1.dim:
+            _, rays = dd.extreme_rays(a + b, f1.dim)
+            if rank(rays) == f1.dim:
                 cells.append(rays)
     return _fan_of_cones(cells, f1.dim, f1.complete and f2.complete)
 
@@ -159,6 +161,28 @@ def refines(fine: Fan, coarse: Fan) -> bool:
     return True
 
 
+def _linear_on_cones(fan: Fan, pts: Sequence[Vec]) -> bool:
+    """Every maximal cone is simplicial and one slope m attains g = min_k <slope_k, .>
+    at each of its rays, tested on integers after one lcm over the slopes.
+
+    g is concave and positively homogeneous, so superadditive: for x = sum l_rho v_rho
+    in the cone, g(x) >= sum l_rho g(v_rho) = <m, x> >= g(x). So g = <m, .> on the
+    cone, and the lifted DD would give the cone back as its one spanning cell.
+    """
+    n = fan.dim
+    if any(len(c) != n for c in fan.cones):
+        return False
+    ints = int_row([x for m in pts for x in m])[0]
+    ms = [ints[i:i + n] for i in range(0, len(ints), n)]
+    least = []
+    for r in fan.rays:
+        vals = [idot(m, r) for m in ms]
+        low = min(vals)
+        least.append({j for j, v in enumerate(vals) if v == low})
+    return all(set.intersection(*(least[i] for i in c)) and rank(fan.cone_rays(c)) == n
+               for c in fan.cones)
+
+
 def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
     """Refine so each cone lies in one region of linearity of g = min_k <slope_k, v>.
 
@@ -167,17 +191,22 @@ def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
     {(x, t) : x in sigma, t <= <m, x> for every slope m}. The cell of sigma where
     g = <m, .> is its face t = <m, x>, so the cell's rays are the lifted rays
     tight at the row (m, -1), dropped to x; a cell is kept when it spans.
+
+    When g is already linear on every maximal cone, the fan is its own
+    refinement and is returned as it is, with its cached halfspaces.
     """
     pts = list(dict.fromkeys(slopes))
-    if len(pts) == 1:
-        return fan
     n = fan.dim
+    if not pts:
+        raise ValueError("no slopes")
+    if any(len(m) != n for m in pts):
+        raise ValueError("dimension mismatch")
+    if len(pts) == 1 or _linear_on_cones(fan, pts):
+        return fan
     lifted = [primitive(tuple(m) + (-1,)) for m in pts]
     cells = []
     for rows in fan.halfspaces.values():
-        lin, rays = dd.extreme_rays([a + (0,) for a in rows] + lifted, n + 1)
-        if lin:
-            continue  # the line lies in every cell of this cone
+        _, rays = dd.extreme_rays([a + (0,) for a in rows] + lifted, n + 1)
         for s in lifted:
             cell = [primitive(r[:n]) for r in rays if idot(s, r) == 0]
             if len(cell) >= n and rank(cell) == n:

@@ -17,7 +17,7 @@ from . import fans, polytopes
 from .fans import Fan
 from .linalg import solve
 from .polytopes import Polytope
-from .rationals import IntVec, Vec, dot, rat, vec
+from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec
 
 Piece = tuple[Vec, Fraction]
 
@@ -65,21 +65,36 @@ def psi_value(d: ToricDivisor, v: Sequence) -> Fraction:
 
 @lru_cache(maxsize=None)
 def polytope_of_divisor(d: ToricDivisor) -> Polytope:
-    """P_D = {m : <m, v_rho> >= -a_rho}; raises "empty polytope" when infeasible."""
+    """P_D = {m : <m, v_rho> >= -a_rho}; raises "empty polytope" when infeasible.
+
+    For a nef divisor on a complete fan, P_D is the hull of the cone functionals
+    m_sigma (Cox, Little & Schenck, Thm 6.1.7), each a vertex, as the n rays of
+    its full-dimensional cone are tight there; other divisors take a DD.
+    """
     if not d.fan.complete:
         raise ValueError("fan must be complete")
+    if is_nef(d):
+        return polytopes.canonicalize(d.functionals.values())
     rows = [(vec(r), -a) for r, a in zip(d.fan.rays, d.coeffs)]
     return polytopes.from_halfspaces(rows, d.fan.dim)
 
 
-def _in_polytope(d: ToricDivisor, m: Vec) -> bool:
-    """m lies in P_D: <m, v_rho> >= -a_rho for every ray."""
-    return all(dot(m, r) >= -a for r, a in zip(d.fan.rays, d.coeffs))
+def _in_polytope(d: ToricDivisor, points: Sequence[Vec]) -> bool:
+    """Every point m lies in P_D: <m, v_rho> + a_rho >= 0 for every ray, tested on
+    integers after one lcm over the points and the coefficients."""
+    n = d.fan.dim
+    if any(len(m) != n for m in points):
+        raise ValueError("dimension mismatch")
+    k = len(points) * n
+    ints = int_row([x for m in points for x in m] + list(d.coeffs))[0]
+    offsets = ints[k:]
+    return all(idot(ints[i:i + n], r) + a >= 0
+               for i in range(0, k, n) for r, a in zip(d.fan.rays, offsets))
 
 
 def is_nef(d: ToricDivisor) -> bool:
     """psi_D concave: each cone's functional lies in P_D."""
-    return all(_in_polytope(d, m) for m in d.functionals.values())
+    return _in_polytope(d, list(d.functionals.values()))
 
 
 def is_big(d: ToricDivisor) -> bool:
@@ -111,7 +126,7 @@ def metric(line: ToricDivisor, pieces: Iterable[tuple[Sequence, object]]) -> Tor
     norm: list[Piece] = sorted({(vec(m), rat(c)) for m, c in pieces})
     if not norm:
         raise ValueError("metric needs at least one piece")
-    if not all(_in_polytope(line, m) for m, _ in norm):
+    if not _in_polytope(line, [m for m, _ in norm]):
         raise ValueError("negative Lelong number")
     return ToricMetric(line, tuple(norm))
 

@@ -26,8 +26,6 @@ def _fan_from_cells(cells: Iterable[Sequence[IntVec]], dim: int, complete: bool)
     The cells meet the cones of the fans being refined with each other or with
     regions that cover space, so they cover the same support: the result is
     complete when those fans are (`complete`), and is_complete is not rerun.
-    All cones of a fan share one lineality space, so either every cell has
-    lineality and no cone is left, or none has.
     """
     cones_rays: list[list[IntVec]] = []
     for rows in cells:
@@ -37,7 +35,7 @@ def _fan_from_cells(cells: Iterable[Sequence[IntVec]], dim: int, complete: bool)
     all_rays = sorted({r for rays in cones_rays for r in rays})
     idx = {r: i for i, r in enumerate(all_rays)}
     cones = sorted({tuple(sorted(idx[r] for r in rays)) for rays in cones_rays})
-    return Fan(dim, tuple(all_rays), tuple(cones), complete and bool(cones))
+    return Fan(dim, tuple(all_rays), tuple(cones), complete)
 
 
 def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:

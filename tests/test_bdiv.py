@@ -269,11 +269,34 @@ def test_leq_on_a_shared_fan_reads_coefficients(monkeypatch):
 
 
 def test_leq_on_a_fan_with_lineality():
-    # two half-planes sharing the x-axis: the common refinement of this fan with
-    # itself has no cone, so the comparison must read the fan's own rays
-    fan = fans.make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
-    abs_y, zero = cartier(fan, [0, 1, 1, 0]), zero_b(fan)
-    assert leq(abs_y, zero) and not leq(zero, abs_y)
+    # two half-planes sharing the x-axis each contain a line, so they make no
+    # fan: no comparison can read an empty common refinement of such fans
+    with pytest.raises(ValueError, match="cone not pointed"):
+        fans.make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
+
+
+@pytest.mark.parametrize("name", sorted(_BASE))
+def test_weighted_metric_intersection_runs_no_dd_past_its_hull(name, monkeypatch):
+    # the base fan's halfspaces are warm: the refinement gives the fan back, the
+    # nef polytope is the hull of the functionals, and only a 3-d hull runs a DD
+    rng = random.Random(18)
+    real = dd.extreme_rays
+    for _ in range(6):
+        h = _weighted(rng, name)
+        fan, slopes = h.line.fan, [m for m, _ in h.metric.pieces]
+        assert fan.halfspaces
+        bdiv._determination.cache_clear()
+        toric.polytope_of_divisor.cache_clear()
+        calls = []
+        monkeypatch.setattr(dd, "extreme_rays", lambda rows, dim: calls.append(dim) or real(rows, dim))
+        b = bdiv_of_metric(h).cartier
+        assert b.fan is fan and fans.refine_by_slopes(fan, slopes) is fan
+        intersect_cartier([b] * fan.dim)
+        seen = list(calls)
+        calls.clear()
+        polytopes.canonicalize(b.incarnation.functionals.values())
+        assert seen == calls == ([] if fan.dim == 2 else [4])
+        monkeypatch.undo()
 
 
 def test_add_dimension_mismatch():

@@ -534,6 +534,25 @@ def test_ray_in_no_cone_is_input_error(tmp_path):
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("fan", [
+    pytest.param({"rays": [[1, 0], [0, 1], [-1, 0], [0, -1]], "cones": [[0, 1, 2], [0, 2, 3]]},
+                 id="half-planes-F"),
+    pytest.param({"rays": [[1, 0], [-1, 0], [1, 1], [0, -1]], "cones": [[0, 1, 2], [0, 1, 3]]},
+                 id="half-planes-G"),
+    pytest.param({"rays": [[1, 0], [0, 1], [-1, 0]], "cones": [[0, 1, 2]]}, id="one-half-plane"),
+])
+def test_cone_with_a_line_is_input_error(tmp_path, fan):
+    coeffs = {",".join(map(str, r)): "0" for r in fan["rays"]}
+    scn = mk(tmp_path, "line.json", {"fan": fan, "metric": {"divisor": {"coeffs": coeffs},
+                                                             "pieces": [{"slope": ["0", "0"]}]}})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(["volume", "--scenario", scn])
+    assert code == 2
+    assert report_of(text)["error"] == {"code": 2, "message": f"bad fan in {scn}: cone not pointed"}
+    assert "Traceback" not in err.getvalue()
+
+
 def test_integer_strings_still_count_as_integers(tmp_path):
     scn = mk(tmp_path, "tvm.json", {**TVM, "ps": ["2"], "emax": "12"})
     code, text = run(["verify", "--suite", "test-vs-multiplier", "--scenario", scn])

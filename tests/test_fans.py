@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import fan_oracle
 import lp_oracle as lp
-from toricbdiv import dd, fans, report
+from toricbdiv import dd, fans, report, toric
 from toricbdiv.fans import (common_refinement, complete_fan_2d, make_fan,
                             product_fan, projective_space_fan,
                             refine_by_slopes, refines, stellar_refine)
+from toricbdiv.rationals import dot, vec
 
 from conftest import half_plane, p1, p1cubed, p1xp1, p2
 
@@ -91,6 +92,14 @@ def test_cone_contains_matches_lp_oracle_on_square_pyramid(v):
        st.lists(point3, min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_cone_contains_matches_lp_oracle_on_random_cones(rays, points):
+    # the cone holds a line iff 0 is a convex combination of its rays
+    k = len(rays)
+    a_ub = [[Fraction(-int(i == j)) for i in range(k)] for j in range(k)]
+    a_eq = [[Fraction(r[i]) for r in rays] for i in range(3)] + [[Fraction(1)] * k]
+    if lp.feasible(a_ub, [Fraction(0)] * k, a_eq, [0, 0, 0, 1]) is not None:
+        with pytest.raises(ValueError, match="cone not pointed"):
+            make_fan(rays, [range(k)], 3)
+        return
     fan = make_fan(rays, [range(len(rays))], 3)
     cone = fan.cones[0]
     for v in points:
@@ -170,34 +179,52 @@ def test_refinements_of_the_half_plane_are_incomplete():
 
 
 def test_refinements_of_a_fan_with_lineality():
-    # two half-planes: every cone of a fan has the same lineality space, so the
-    # cells of a refinement either all keep a line (and are left out) or none does
-    f = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
-    assert f.complete
-    quadrants = refine_by_slopes(f, [(0, 0), (1, 0)])
-    assert len(quadrants.cones) == 4
-    assert quadrants.complete and fans.is_complete(quadrants)
-    lines = refine_by_slopes(f, [(0, 0), (0, 1)])
-    assert lines.cones == ()
-    assert not lines.complete and not fans.is_complete(lines)
+    # two half-planes sharing the x-axis: each contains a line, so they are no
+    # fan, and no refinement of them is built
+    with pytest.raises(ValueError, match="cone not pointed"):
+        make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
 
 
-LINEALITY = make_fan([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]])
-LIFT_FANS = {**BASE_FANS, "lineality": LINEALITY}
+@pytest.mark.parametrize("rays, cones", [
+    pytest.param([(1, 0), (-1, 0), (1, 1), (0, -1)], [[0, 1, 2], [0, 1, 3]], id="half-planes-G"),
+    pytest.param([(1, 0), (0, 1), (-1, 0)], [[0, 1, 2]], id="one-half-plane"),
+    pytest.param([(1, 0, 0), (-1, 0, 0), (0, 1, 0)], [[0, 1, 2]], id="half-plane-in-3d"),
+])
+def test_make_fan_rejects_a_cone_with_a_line(rays, cones):
+    # G and the two half-planes above once had a common refinement with no cone,
+    # so leq and add answered from an empty fan; the single half-plane once
+    # failed stellar_refine at (1, 1)
+    with pytest.raises(ValueError, match="cone not pointed"):
+        make_fan(rays, cones)
+
+
+def test_make_fan_accepts_a_lower_dimensional_pointed_cone():
+    # a quadrant of the plane z = 0 contains no line, though its rows include +-e_3
+    f = make_fan([(1, 0, 0), (0, 1, 0)], [[0, 1]])
+    assert not f.complete and len(f.halfspaces[f.cones[0]]) == 4
+
+
+# square pyramid {|x| + |y| <= z} and the normal fan of the octahedron, whose
+# cones over the faces of the cube have four rays each: neither is simplicial
+CUBE_RAYS = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+CUBE = make_fan(CUBE_RAYS, [[i for i, r in enumerate(CUBE_RAYS) if r[axis] == sign]
+                            for axis in range(3) for sign in (-1, 1)])
+LIFT_FANS = {**BASE_FANS, "pyramid": PYRAMID, "cube": CUBE}
+
+
+def _random_fan_2d(draw):
+    rays = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                         min_size=3, max_size=7))
+    try:
+        return complete_fan_2d(rays)
+    except ValueError:
+        assume(False)
 
 
 @st.composite
 def _fan_and_slopes(draw):
     name = draw(st.sampled_from(sorted(LIFT_FANS) + ["random 2-d"]))
-    if name == "random 2-d":
-        rays = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
-                             min_size=3, max_size=7))
-        try:
-            base = complete_fan_2d(rays)
-        except ValueError:
-            assume(False)
-    else:
-        base = LIFT_FANS[name]
+    base = _random_fan_2d(draw) if name == "random 2-d" else LIFT_FANS[name]
     pts = draw(_slopes(base.dim))
     extra = draw(st.sets(st.sampled_from(["repeated", "collinear", "non-vertex"])))
     a, b = pts[0], pts[-1]
@@ -218,6 +245,66 @@ def test_lifted_refinement_matches_per_cell_oracle(case):
     cells = fan_oracle.refine_by_slopes(base, slopes)
     # Fan equality compares dim, rays, cones and the completeness flag
     assert lifted == cells
+
+
+@st.composite
+def _vertex_slopes(draw):
+    """A complete simplicial fan, a divisor D with a_rho = -min_j <m_j, v_rho>, and
+    the vertices of P_D as slopes, with points of P_D that are no vertex added."""
+    name = draw(st.sampled_from(["P2", "P1xP1", "P1^3", "random 2-d"]))
+    base = _random_fan_2d(draw) if name == "random 2-d" else BASE_FANS[name]
+    ms = draw(_slopes(base.dim))
+    d = toric.divisor(base, [-min(dot(m, vec(r)) for m in ms) for r in base.rays])
+    pts = list(toric.polytope_of_divisor(d).vertices)
+    a, b = pts[0], pts[-1]
+    extra = draw(st.sets(st.sampled_from(["repeated", "midpoint", "mean"])))
+    if "repeated" in extra:
+        pts.append(a)
+    if "midpoint" in extra:
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    if "mean" in extra:
+        pts.append(tuple(sum(c) / len(pts) for c in zip(*pts)))
+    return base, d, draw(st.permutations(pts))
+
+
+@given(_vertex_slopes())
+@settings(max_examples=150, deadline=None)
+def test_slopes_linear_on_every_cone_give_the_fan_back(case):
+    base, d, slopes = case
+    # each ray's halfspace touches conv(m_j), which on a product of projective
+    # spaces or a complete 2-d fan makes D nef; then g = psi_D is linear on each
+    # cone, and the fan itself comes back
+    assert toric.is_nef(d)
+    got = refine_by_slopes(base, slopes)
+    assert got is base
+    assert got == fan_oracle.refine_by_slopes(base, slopes)
+
+
+def test_a_non_simplicial_fan_takes_the_lifted_dd():
+    # g = -max_i |v_i| is linear on each cone of CUBE, yet its cones have four rays
+    octahedron = [tuple(s * int(i == j) for j in range(3)) for i in range(3) for s in (-1, 1)]
+    got = refine_by_slopes(CUBE, octahedron)
+    assert got is not CUBE
+    assert got == CUBE == fan_oracle.refine_by_slopes(CUBE, octahedron)
+
+
+def test_a_flat_cone_with_n_rays_takes_the_lifted_dd():
+    # three rays in the plane z = 0: as many as the dimension, yet not a simplicial
+    # cone of R^3, so the cone spans no cell and the refinement is empty
+    flat = make_fan([(1, 0, 0), (0, 1, 0), (1, 1, 0)], [[0, 1, 2]])
+    slopes = [(0, 0, 0), (1, 1, 1)]
+    got = refine_by_slopes(flat, slopes)
+    assert got.cones == () and got == fan_oracle.refine_by_slopes(flat, slopes)
+
+
+@pytest.mark.parametrize("slopes, message", [
+    ([], "no slopes"), ([(0, 0), (1,)], "dimension mismatch"),
+    ([(0, 0), (1, 0, 0)], "dimension mismatch"), ([(0, 0, 0), (1, 0, 0)], "dimension mismatch"),
+])
+def test_refine_by_slopes_rejects_slopes_it_cannot_read(slopes, message):
+    # the lifted DD once failed an assertion or returned an empty fan on these
+    with pytest.raises(ValueError, match=message):
+        refine_by_slopes(p2(), slopes)
 
 
 def test_find_cone_after_building_a_fan_runs_no_dd(monkeypatch):

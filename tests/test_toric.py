@@ -3,11 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import toric_oracle
 from toricbdiv import fans, polytopes, report, toric
 from toricbdiv.polytopes import canonicalize, minkowski_sum, volume
+from toricbdiv.rationals import dot, vec
 
-from conftest import minimal_line, o_p1p1, o_p2, p1xp1, p2, weighted_line
+from conftest import minimal_line, o_p1p1, o_p2, p1cubed, p1xp1, p2, weighted_line
 
 
 def test_polytope_of_divisor_frozen():
@@ -189,3 +193,99 @@ def test_graded_sections_frozen():
     assert ideals.graded_sections(h, 3) == 28
     hw = weighted_line(o_p2(2), {(1, 0): 1})
     assert ideals.graded_sections(hw, 3) == 10
+
+
+_FANS = {"P2": p2, "P1xP1": p1xp1, "P1^3": p1cubed}
+frac = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+def _base_fan(draw) -> fans.Fan:
+    name = draw(st.sampled_from(sorted(_FANS) + ["random 2-d"]))
+    if name != "random 2-d":
+        return _FANS[name]()
+    rays = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any),
+                         min_size=3, max_size=7))
+    try:
+        return fans.complete_fan_2d(rays)
+    except ValueError:
+        assume(False)
+
+
+@st.composite
+def _support_divisors(draw):
+    """a_rho = -min_j <m_j, v_rho> on a complete fan, with the slopes' span cut
+    down to a point or to the first axis for flat polytopes."""
+    fan = _base_fan(draw)
+    ms = draw(st.lists(st.tuples(*[frac] * fan.dim), min_size=1, max_size=5))
+    shape = draw(st.sampled_from(["full", "point", "first axis"]))
+    if shape == "point":
+        ms = ms[:1]
+    elif shape == "first axis":
+        ms = [(m[0],) + (Fraction(0),) * (fan.dim - 1) for m in ms]
+    return toric.divisor(fan, [-min(dot(m, vec(r)) for m in ms) for r in fan.rays])
+
+
+def _same_polytope(d: toric.ToricDivisor) -> None:
+    got, want = toric.polytope_of_divisor(d), toric_oracle.polytope_of_divisor(d)
+    assert got.vertices == want.vertices and got.halfspaces == want.halfspaces
+
+
+@given(_support_divisors())
+@settings(max_examples=150, deadline=None)
+def test_nef_polytope_matches_halfspace_route(d):
+    # every ray's halfspace touches the hull of the slopes: nef on these fans
+    assert toric.is_nef(d)
+    _same_polytope(d)
+
+
+def test_flat_nef_polytopes_match_halfspace_route():
+    zeros = [toric.divisor(f(), [0] * len(f().rays)) for f in (p2, p1xp1, p1cubed)]
+    # pullbacks from a factor: a segment in the plane, a rectangle in 3-space
+    factor = [o_p1p1(2, 0), o_p1p1(0, 3),
+              toric.divisor(p1cubed(), {(-1, 0, 0): 2, (0, -1, 0): Fraction(1, 2)})]
+    for d in zeros + factor:
+        assert toric.is_nef(d) and not toric.is_big(d)
+        _same_polytope(d)
+
+
+def test_a_divisor_that_is_not_nef_keeps_the_halfspace_route():
+    # on the blow-up of P2 at (1, 1), O(1) plus the exceptional divisor, whose
+    # halfspace <m, (1, 1)> >= -1 misses P_D; and one with P_D empty
+    fine = fans.stellar_refine(p2(), (1, 1))
+    d = toric.divisor(fine, {(-1, -1): 1, (1, 1): 1, (1, 0): 0, (0, 1): 0})
+    assert not toric.is_nef(d)
+    _same_polytope(d)
+    empty = toric.divisor(fine, {(-1, -1): 1, (1, 1): -2, (1, 0): 0, (0, 1): 0})
+    for route in (toric.polytope_of_divisor, toric_oracle.polytope_of_divisor):
+        with pytest.raises(ValueError, match="empty polytope"):
+            route(empty)
+
+
+@given(st.sampled_from(sorted(_FANS)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_integer_membership_matches_fraction_oracle(name, data):
+    fan = _FANS[name]()
+    n, k = fan.dim, len(fan.rays)
+    denoms = st.sampled_from([1, 2, 3, 5, 7, 12])
+    mixed = st.builds(Fraction, st.integers(-9, 9), denoms)
+    d = toric.divisor(fan, data.draw(st.lists(mixed, min_size=k, max_size=k)))
+    pts = data.draw(st.lists(st.tuples(*[mixed] * n), max_size=4))
+    # each functional is tight at the rays of its cone: on the boundary of those halfspaces
+    pts += list(d.functionals.values())
+    try:
+        pts += list(toric_oracle.polytope_of_divisor(d).vertices)
+    except ValueError:
+        pass  # P_D is empty
+    pts = data.draw(st.permutations(pts))
+    for m in pts:
+        assert toric._in_polytope(d, [m]) is toric_oracle.in_polytope(d, m)
+    assert toric._in_polytope(d, pts) is all(toric_oracle.in_polytope(d, m) for m in pts)
+
+
+@pytest.mark.parametrize("slope", [(1,), (0, 0, 1)])
+def test_metric_rejects_a_slope_of_the_wrong_length(slope):
+    # a slice of the wrong width would test another point: the length is checked first
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        toric.metric(o_p2(2), [((0, 0), 0), (slope, 0)])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        toric._in_polytope(o_p2(2), [(Fraction(0),) * 2, vec(slope)])
