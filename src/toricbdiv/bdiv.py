@@ -15,7 +15,7 @@ from typing import Sequence
 from . import dd, fans, polytopes, toric
 from .fans import Fan
 from .polytopes import Polytope
-from .rationals import fmt, rat
+from .rationals import fmt, idot, int_row, rat
 from .toric import HermitianToricLine, ToricDivisor, ToricMetric
 
 
@@ -61,8 +61,12 @@ def bdiv_of_metric(h: HermitianToricLine) -> HermBDiv:
 @functools.lru_cache(maxsize=None)
 def _determination(g: ToricMetric) -> CartierB:
     """psi = g on the fan refined by g's slopes, built once per metric, whatever its label."""
-    fan = fans.refine_by_slopes(g.line.fan, [m for m, _ in g.pieces])
-    return cartier(fan, [g.g(r) for r in fan.rays])
+    slopes = [m for m, _ in g.pieces]
+    fan = fans.refine_by_slopes(g.line.fan, slopes)
+    # psi = g = min_j <m_j, .> at each ray, on the slopes scaled by their lcm s
+    ints, s = int_row([x for m in slopes for x in m])
+    rows = [ints[i:i + fan.dim] for i in range(0, len(ints), fan.dim)]
+    return cartier(fan, [Fraction(min(idot(m, r) for m in rows), s) for r in fan.rays])
 
 
 def incarnation(b, fan: Fan) -> ToricDivisor:

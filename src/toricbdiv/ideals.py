@@ -141,7 +141,8 @@ def volume_of_pair(h: HermitianToricLine, k_max: int = 20) -> tuple[Fraction, li
     polytopes.check_lattice_budget(model, k_max)
     exact = polytopes.volume(model)
     n = h.line.fan.dim
-    seq = [Fraction(polytopes.lattice_count(model, k), k**n) for k in range(1, k_max + 1)]
+    ks = range(1, k_max + 1)
+    seq = [Fraction(c, k**n) for k, c in zip(ks, polytopes.lattice_counts(model, ks))]
     return exact, seq
 
 

@@ -158,9 +158,10 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
     polytopes.check_lattice_budget(model, k_max)
     m0 = _trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
-    for k in range(1, k_max + 1):
+    ks = range(1, k_max + 1)
+    for k, ends in zip(ks, polytopes.lattice_run_ends(model, ks)):
         # the flag map is affine, so the vertices of the run ends' slices span the hull
-        pts = _slice_vertices(polytopes.lattice_run_ends(model, k))
+        pts = _slice_vertices(ends)
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
     if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")

@@ -10,8 +10,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Iterable, Sequence
+from itertools import accumulate, combinations, product
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -53,10 +53,11 @@ class Polytope:
         """The body times the lcm s of the denominators of its vertices and
         offsets: s, the (min, max) of each axis over the vertices, the facet
         normals as an int64 matrix (None past int64) and their offsets, sorted
-        with w_n > 0 first and w_n = 0 last, how many facets have w_n > 0 and
-        w_n != 0, and the largest |w_1| + ... + |w_{n-1}|."""
+        with w_n > 0 first and w_n = 0 last and by w_n within each, how many
+        facets have w_n > 0 and w_n != 0, and the largest |w_1| + ... +
+        |w_{n-1}|."""
         n, m = self.dim, len(self.vertices) * self.dim
-        rows = sorted(self.halfspaces, key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0))
+        rows = sorted(self.halfspaces, key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0, r[0][-1]))
         ints, s = int_row([x for v in self.vertices for x in v] + [c for _, c in rows])
         ends = [(min(ints[i:m:n]), max(ints[i:m:n])) for i in range(n)]
         normals = [w for w, _ in rows]
@@ -163,9 +164,11 @@ def hull_of_ints(pts: list[IntVec], s: int, k: int = 1) -> Polytope:
     lift by s k can pick other equations for a flat hull.
     """
     verts, rows = _hull(pts, s)
+    # dividing by d > 0 keeps the lex order and is one to one, so sorting and
+    # dedup on integers leave each Fraction to be built once, in order
     d = s * k
-    return _build(len(pts[0]), [tuple(Fraction(x, d) for x in v) for v in verts],
-                  [(w, Fraction(c, d)) for w, c in rows])
+    return Polytope(len(pts[0]), tuple(tuple(Fraction(x, d) for x in v) for v in sorted(set(verts))),
+                    tuple((w, Fraction(c, d)) for w, c in sorted(set(rows))))
 
 
 def from_halfspaces(rows: Iterable[tuple[Sequence, Fraction]], dim: int) -> Polytope:
@@ -365,44 +368,98 @@ def check_lattice_budget(p: Polytope, k: int = 1) -> None:
     _box(p, k)
 
 
-def _lattice_runs(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonempty runs of integer points of kP along the last axis, in lex order:
-    int64 prefixes (the first n-1 coordinates) and each run's first and last value.
+def _lattice_runs(p: Polytope, ks: range) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """For each k of ks in order, the nonempty runs of integer points of kP along
+    the last axis, in lex order: int64 prefixes (the first n-1 coordinates) and
+    each run's first and last value.
 
-    One run per prefix in the box of the first n-1 axes, bounded in one pass
-    over all facets <w, x> >= k c: rest = ceil(k c) - <w', x'> bounds the last
-    coordinate by an exact ceil or floor division by w_n, or, when w_n = 0,
-    empties the run if rest > 0. The pass takes _RUN_BLOCK prefix-facet cells
-    at a time. Raises before any value could leave int64.
+    Consecutive k's share one pass while their prefix-facet cells, at least
+    one row's worth each, fit _RUN_BLOCK; a k with more cells runs alone and is
+    split over several. Each k's box and int64 bounds are checked before its
+    group runs, so a range raises what its first failing k raises, after the
+    runs of the k's before it.
     """
-    n = p.dim
-    box = _box(p, k)
-    if box is None:
+    s, _, w, offsets, _, wide = p._ints
+    group, cells = [], 0
+    for k in ks:
+        # an empty box has no rows, so its table entries are never read
+        box, ck, rows = _box(p, k), [0] * len(offsets), 0
+        if box is not None:
+            ck = [_ceil_div(k * c, s) for c in offsets]
+            top = max(abs(x) for ab in box for x in ab)
+            if w is None or max(top, wide * top + max(map(abs, ck))) >= 2**63:
+                raise ValueError("lattice enumeration exceeds int64")
+            rows = math.prod(hi - lo + 1 for lo, hi in box[:-1])
+        size = max(rows, 1) * len(ck)
+        if group and cells + size > _RUN_BLOCK:
+            yield from _stacked_runs(p, group)
+            group, cells = [], 0
+        group.append((box or [(0, 0)] * p.dim, ck, rows))
+        cells += size
+    yield from _stacked_runs(p, group)
+
+
+def _stacked_runs(p: Polytope, group: list) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The runs of `_lattice_runs` for a group of k's, given as (box, offsets
+    ceil(k c), rows): one pass over the rows of all of them, or, for a single
+    k of more than _RUN_BLOCK cells, one per block of its rows.
+
+    The rows, one per prefix in each k's box of the first n-1 axes, are
+    stacked in k order. Each row decodes its prefix from its index in its k's
+    box and takes that k's offsets from a per-k table. One pass over all
+    facets <w, x> >= k c gives rest = ceil(k c) - <w', x'>, which bounds the
+    last coordinate by an exact division by w_n or, when w_n = 0, empties the
+    run if rest > 0; a run so bounded lies in kP, so within its box. The
+    facets with w_n > 0 are negated, so that each bound is a floor division,
+    ceil(r/w) being -floor(-r/w); numpy divides an int64 array by a scalar far
+    faster than by a broadcast column, so each run of facets with equal w_n is
+    divided at once by its w_n.
+    """
+    n, (_, _, w, _, (a, b), _) = p.dim, p._ints
+    ends = list(accumulate((rows for _, _, rows in group), initial=0))
+    if not ends[-1]:
+        # no k has a prefix, and w may be None
         none = np.empty(0, dtype=np.int64)
-        return np.empty((0, n - 1), dtype=np.int64), none, none
-    s, _, w, offsets, (a, b), wide = p._ints
-    ck = [_ceil_div(k * c, s) for c in offsets]
-    top = max(abs(x) for ab in box for x in ab)
-    if w is None or max(top, wide * top + max(map(abs, ck))) >= 2**63:
-        raise ValueError("lattice enumeration exceeds int64")
-    ck, wn, step = np.array(ck, dtype=np.int64), w[:, -1], max(1, _RUN_BLOCK // len(w))
-    sizes = [hi - lo + 1 for lo, hi in box[:-1]]
-    prefixes = np.indices(sizes, dtype=np.int64).reshape(n - 1, math.prod(sizes)).T \
-        + np.array([lo for lo, _ in box[:-1]], dtype=np.int64)
-    lo, hi, open_ = (np.empty(len(prefixes), dtype=t) for t in (np.int64, np.int64, bool))
-    for i in range(0, len(prefixes), step):
-        run = slice(i, i + step)
-        rest = ck - prefixes[run] @ w[:, :-1].T
-        lo[run] = (-(-rest[:, :a] // wn[:a])).max(axis=1, initial=box[-1][0])
-        hi[run] = (rest[:, a:b] // wn[a:b]).min(axis=1, initial=box[-1][1])
-        open_[run] = (rest[:, b:] <= 0).all(axis=1)
-    keep = (lo <= hi) & open_
-    return prefixes[keep], lo[keep], hi[keep]
+        for _ in group:
+            yield np.empty((0, n - 1), dtype=np.int64), none, none
+        return
+    lows = np.array([[lo for lo, _ in box[:-1]] for box, _, _ in group], dtype=np.int64)
+    sizes = np.array([[hi - lo + 1 for lo, hi in box[:-1]] for box, _, _ in group], dtype=np.int64)
+    sign = np.where(np.arange(len(w)) < a, -1, 1)[:, None]
+    cks = sign * np.array([ck for _, ck, _ in group], dtype=np.int64).T
+    wp, wn = sign * w[:, :-1], w[:b, -1].tolist()
+    cuts = [f for f in range(b + 1) if f in (0, b) or wn[f] != wn[f - 1]]
+    starts, step = np.array(ends, dtype=np.int64), max(1, _RUN_BLOCK // len(w))
+    passes = []
+    for i in range(0, ends[-1], step):
+        row = np.arange(i, min(i + step, ends[-1]), dtype=np.int64)
+        kk = np.searchsorted(starts, row, side="right") - 1
+        local = row - starts[kk]
+        prefixes = np.empty((len(row), n - 1), dtype=np.int64)
+        for j in range(n - 2, 0, -1):
+            local, prefixes[:, j] = np.divmod(local, sizes[kk, j])
+        if n > 1:
+            prefixes[:, 0] = local
+        prefixes += lows[kk]
+        # facets down the first axis, rows along the second
+        rest = np.take(cks, kk, axis=1)
+        for j in range(n - 1):
+            rest -= wp[:, j:j + 1] * prefixes[:, j]
+        bound = np.empty((b, len(row)), dtype=np.int64)
+        for f, g in zip(cuts, cuts[1:]):
+            np.floor_divide(rest[f:g], wn[f], out=bound[f:g])
+        lo, hi = -bound[:a].min(axis=0, initial=2**63 - 1), bound[a:].min(axis=0, initial=2**63 - 1)
+        keep = np.flatnonzero((lo <= hi) & (rest[b:] <= 0).all(axis=0))
+        passes.append((kk[keep], prefixes[keep], lo[keep], hi[keep]))
+    kk, *runs = passes[0] if len(passes) == 1 else map(np.concatenate, zip(*passes))
+    cut = np.searchsorted(kk, np.arange(len(group) + 1)).tolist()
+    for t in range(len(group)):
+        yield tuple(x[cut[t]:cut[t + 1]] for x in runs)
 
 
 def lattice_points(p: Polytope, k: int = 1) -> list[IntVec]:
     """Integer points of kP in lex order."""
-    prefixes, lo, hi = _lattice_runs(p, k)
+    prefixes, lo, hi = next(_lattice_runs(p, range(k, k + 1)))
     lengths = hi - lo + 1
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)
     last = np.repeat(lo, lengths) + np.arange(len(first)) - first
@@ -410,22 +467,27 @@ def lattice_points(p: Polytope, k: int = 1) -> list[IntVec]:
     return [tuple(row) for row in rows.tolist()]
 
 
+def lattice_counts(p: Polytope, ks: range) -> list[int]:
+    """Exact number of integer points of kP for each k of ks."""
+    return [int((hi - lo + 1).sum()) for _, lo, hi in _lattice_runs(p, ks)]
+
+
 def lattice_count(p: Polytope, k: int = 1) -> int:
     """Exact number of integer points of kP."""
-    _, lo, hi = _lattice_runs(p, k)
-    return int((hi - lo + 1).sum())
+    return lattice_counts(p, range(k, k + 1))[0]
 
 
-def lattice_run_ends(p: Polytope, k: int = 1) -> list[IntVec]:
-    """First and last integer point of each run of kP along the last axis, in lex order.
+def lattice_run_ends(p: Polytope, ks: range) -> Iterator[list[IntVec]]:
+    """For each k of ks in order, the first and last integer point of each run of
+    kP along the last axis, in lex order.
 
     The integer points of a convex body on one axis-parallel line form an
     unbroken run, so these points have the same convex hull as all of them.
     """
-    prefixes, lo, hi = _lattice_runs(p, k)
-    ends = []
-    for x, a, b in zip(prefixes.tolist(), lo.tolist(), hi.tolist()):
-        ends.append((*x, a))
-        if b > a:
-            ends.append((*x, b))
-    return ends
+    for prefixes, lo, hi in _lattice_runs(p, ks):
+        ends = []
+        for x, a, b in zip(prefixes.tolist(), lo.tolist(), hi.tolist()):
+            ends.append((*x, a))
+            if b > a:
+                ends.append((*x, b))
+        yield ends

@@ -2,9 +2,11 @@
 
 `canonicalize` extracts facets on `Fraction` points, with `Fraction` offsets
 and a `Fraction` tight test; `_sum_normals` hulls a Minkowski sum of integer
-point sets by its own lifted double description. The differential tests in
-`test_polytopes.py` compare the library's `canonicalize` and tail normals
-against these. Not collected by pytest (no `test_` prefix).
+point sets by its own lifted double description; `hull_of_ints` builds the
+`Fraction`s of an integer hull first and sorts and dedups them after. The
+differential tests in `test_polytopes.py` compare the library's
+`canonicalize`, tail normals and `hull_of_ints` against these. Not collected
+by pytest (no `test_` prefix).
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 from toricbdiv import dd
 from toricbdiv.linalg import rank
-from toricbdiv.polytopes import (Halfspace, Polytope, _build, _chain2d,
+from toricbdiv.polytopes import (Halfspace, Polytope, _build, _chain2d, _hull,
                                  affine_rank)
 from toricbdiv.rationals import IntVec, dot, primitive, vec, vsub
 
@@ -98,3 +100,12 @@ def _sum_normals(bodies: Sequence[Sequence[IntVec]]) -> list[IntVec]:
         a = primitive(lin[0][:m])
         return [a, tuple(-x for x in a)] if len(lin) == 1 else []
     return [primitive(r[:m]) for r in rays if any(r[:m])]
+
+
+def hull_of_ints(pts: list[IntVec], s: int, k: int = 1) -> Polytope:
+    """Hull of lex-sorted distinct integer points meant as pts/(s k), its vertices
+    and rows sorted as `Fraction`s."""
+    verts, rows = _hull(pts, s)
+    d = s * k
+    return _build(len(pts[0]), [tuple(Fraction(x, d) for x in v) for v in verts],
+                  [(w, Fraction(c, d)) for w, c in rows])

@@ -6,6 +6,8 @@
   `_grown_normals` and scans both bodies' vertices for each normal's minimum;
 - `_box` and `_lattice_runs` read the box bounds of kP off the `Fraction`
   vertices and bound each run by one numpy pass per facet;
+- `_lattice_runs_per_k` bounds the runs of one kP in one pass over all
+  facets, with its prefixes from `np.indices`, one call per k;
 - `partial_hulls_by_run_ends` hands every lattice run end of kP to the flag
   hull, not only the vertices of its 2-d slice;
 - `partial_hulls` maps each lattice run end through `FlagValuation.coords` on
@@ -155,6 +157,41 @@ def _lattice_runs(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return prefixes[keep], lo[keep], hi[keep]
 
 
+def _lattice_runs_per_k(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonempty runs of integer points of kP along the last axis, in lex order:
+    int64 prefixes (the first n-1 coordinates) and each run's first and last value.
+
+    One run per prefix in the box of the first n-1 axes, bounded in one pass
+    over all facets <w, x> >= k c: rest = ceil(k c) - <w', x'> bounds the last
+    coordinate by an exact ceil or floor division by w_n, or, when w_n = 0,
+    empties the run if rest > 0. The pass takes _RUN_BLOCK prefix-facet cells
+    at a time. Raises before any value could leave int64.
+    """
+    n = p.dim
+    box = polytopes._box(p, k)
+    if box is None:
+        none = np.empty(0, dtype=np.int64)
+        return np.empty((0, n - 1), dtype=np.int64), none, none
+    s, _, w, offsets, (a, b), wide = p._ints
+    ck = [_ceil_div(k * c, s) for c in offsets]
+    top = max(abs(x) for ab in box for x in ab)
+    if w is None or max(top, wide * top + max(map(abs, ck))) >= 2**63:
+        raise ValueError("lattice enumeration exceeds int64")
+    ck, wn, step = np.array(ck, dtype=np.int64), w[:, -1], max(1, polytopes._RUN_BLOCK // len(w))
+    sizes = [hi - lo + 1 for lo, hi in box[:-1]]
+    prefixes = np.indices(sizes, dtype=np.int64).reshape(n - 1, math.prod(sizes)).T \
+        + np.array([lo for lo, _ in box[:-1]], dtype=np.int64)
+    lo, hi, open_ = (np.empty(len(prefixes), dtype=t) for t in (np.int64, np.int64, bool))
+    for i in range(0, len(prefixes), step):
+        run = slice(i, i + step)
+        rest = ck - prefixes[run] @ w[:, :-1].T
+        lo[run] = (-(-rest[:, :a] // wn[:a])).max(axis=1, initial=box[-1][0])
+        hi[run] = (rest[:, a:b] // wn[a:b]).min(axis=1, initial=box[-1][1])
+        open_[run] = (rest[:, b:] <= 0).all(axis=1)
+    keep = (lo <= hi) & open_
+    return prefixes[keep], lo[keep], hi[keep]
+
+
 def partial_hulls_by_run_ends(h, nu: okounkov.FlagValuation, k_max: int) -> list[Polytope | None]:
     """The section hulls Delta_k of `okounkov.partial_okounkov`, from the flag
     hull of every lattice run end of kP."""
@@ -162,9 +199,9 @@ def partial_hulls_by_run_ends(h, nu: okounkov.FlagValuation, k_max: int) -> list
     model = toric.model_polytope(m)
     m0 = okounkov._trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
-    for k in range(1, k_max + 1):
+    ks = range(1, k_max + 1)
+    for k, pts in zip(ks, polytopes.lattice_run_ends(model, ks)):
         # the flag map is affine, so the ends of the lattice runs span the hull
-        pts = polytopes.lattice_run_ends(model, k)
         hulls.append(okounkov._flag_hull(pts, nu, m0, k) if pts else None)
     return hulls
 

@@ -65,6 +65,15 @@ def test_bdiv_of_metric_refines_and_is_nef():
         assert b.psi(r) == h.metric.g(r)
 
 
+def test_determination_psi_is_g_on_rational_slopes():
+    # psi at the rays is read on the slopes scaled to integers, and g on Fractions
+    rng = random.Random(41)
+    for h in [rand_weighted(rng, fan()) for fan in (p2, p1xp1) for _ in range(8)] \
+            + [rand_weighted3(rng) for _ in range(6)]:
+        b = bdiv_of_metric(h).cartier
+        assert [b.psi(r) for r in b.fan.rays] == [h.metric.g(r) for r in b.fan.rays]
+
+
 def test_incarnation_pushforward_compatible():
     h = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
     b = bdiv_of_metric(h).cartier

@@ -249,7 +249,8 @@ def test_p1cubed_hull_gets_only_slice_vertices(monkeypatch):
     # are vertices of their slice x_1 = const
     ends, sizes = [], []
     run_ends, hull_of_ints = polytopes.lattice_run_ends, polytopes.hull_of_ints
-    monkeypatch.setattr(polytopes, "lattice_run_ends", lambda *args: _logged(ends, run_ends(*args)))
+    monkeypatch.setattr(polytopes, "lattice_run_ends",
+                        lambda *args: (_logged(ends, e) for e in run_ends(*args)))
     monkeypatch.setattr(polytopes, "hull_of_ints", lambda pts, *args: _logged(sizes, pts) and hull_of_ints(pts, *args))
     code, _ = cli.run(["partial-okounkov", "--scenario", str(GOLDEN / "p1cubed.json"), "--kmax", "20"])
     assert code == 0

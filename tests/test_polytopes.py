@@ -1,4 +1,5 @@
 """Convex bodies: hulls, Minkowski sums, volumes, mixed volumes, Hausdorff."""
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -6,7 +7,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hull_oracle as ho
@@ -32,6 +33,10 @@ def square(a=1):
 
 def simplex(d=1):
     return canonicalize([(0, 0), (d, 0), (0, d)])
+
+
+def run_ends(p, k=1):
+    return next(polytopes.lattice_run_ends(p, range(k, k + 1)))
 
 
 def test_canonicalize_drops_interior_point():
@@ -91,6 +96,16 @@ def test_canonicalize_matches_fraction_hull_oracle(pts):
     p, q = canonicalize(pts), ho.canonicalize(pts)
     assert p.vertices == q.vertices
     assert p.halfspaces == q.halfspaces
+
+
+@given(flat_point_sets(coords=st.integers(min_value=-4, max_value=4)),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_hull_of_ints_matches_fraction_sort_route(pts, s, k):
+    # sorting on integers before dividing by s k > 0 keeps every field
+    pts = sorted(set(pts))
+    got, want = polytopes.hull_of_ints(pts, s, k), ho.hull_of_ints(pts, s, k)
+    assert (got.dim, got.vertices, got.halfspaces) == (want.dim, want.vertices, want.halfspaces)
 
 
 @given(st.sampled_from([3, 4]).flatmap(lambda n: st.lists(
@@ -242,9 +257,9 @@ def test_lattice_count_brute_force_oracle():
         for x in {x for x, _ in inside}:
             ys = [y for x2, y in inside if x2 == x]
             ends |= {(x, min(ys)), (x, max(ys))}
-        run_ends = polytopes.lattice_run_ends(kp)
-        assert len(run_ends) == len(set(run_ends))
-        assert set(run_ends) == ends
+        got = run_ends(kp)
+        assert len(got) == len(set(got))
+        assert set(got) == ends
 
 
 def test_lattice_count_budget():
@@ -412,7 +427,7 @@ def test_lattice_runs_match_box_mask_oracle(p, k):
     want = so.lattice_points(kp)
     assert lattice_points(p, k) == lattice_points(kp) == want
     assert lattice_count(p, k) == lattice_count(kp) == len(want)
-    assert polytopes.lattice_run_ends(p, k) == so.lattice_run_ends(kp)
+    assert run_ends(p, k) == so.lattice_run_ends(kp)
 
 
 def _outcome(f, *args):
@@ -422,6 +437,16 @@ def _outcome(f, *args):
     except ValueError as exc:
         return str(exc)
     return out if out is None or isinstance(out, list) else [a.tolist() for a in out]
+
+
+def _runs_over(p, ks):
+    """The runs of kP for each k of ks, from one call of the range route, as lists."""
+    return [[a.tolist() for a in runs] for runs in polytopes._lattice_runs(p, ks)]
+
+
+def _runs_per_k(p, ks):
+    """The same from one call of the per-k pass for each k; the first error ends it."""
+    return [[a.tolist() for a in so._lattice_runs_per_k(p, k)] for k in ks]
 
 
 # 1-4-d hulls, some pinned to a coordinate plane, boxes, and 1-4-d sets on
@@ -435,25 +460,111 @@ def _outcome(f, *args):
 @settings(max_examples=200, deadline=None)
 def test_lattice_runs_match_per_facet_oracle(p, k, block):
     assert _outcome(polytopes._box, p, k) == _outcome(so._box, p, k)
+    want = _outcome(so._lattice_runs, p, k)
     with mock.patch.object(polytopes, "_RUN_BLOCK", block):
-        assert _outcome(polytopes._lattice_runs, p, k) == _outcome(so._lattice_runs, p, k)
+        assert _outcome(_runs_over, p, range(k, k + 1)) == (want if isinstance(want, str) else [want])
+
+
+@st.composite
+def thin_boxes(draw, n):
+    """Products of intervals [i/d, (i + j)/d] narrower than 1, the last axis
+    [0, m] when n > 1: their boxes at k are empty or not monotone in k, and
+    for m = 10^7 or 3 10^7 they pass the budget at some k with one prefix."""
+    axes = []
+    for _ in range(n if n == 1 else n - 1):
+        d = draw(st.sampled_from([2, 3, 4, 5, 6]))
+        i, j = draw(st.integers(min_value=-6, max_value=6)), draw(st.integers(min_value=0, max_value=d - 1))
+        axes.append((Fraction(i, d), Fraction(i + j, d)))
+    if n > 1:
+        axes.append((0, draw(st.one_of(st.integers(min_value=0, max_value=6), st.sampled_from([10**7, 3 * 10**7])))))
+    return canonicalize(product(*axes))
+
+
+def test_thin_box_counts_are_not_monotone():
+    thin = canonicalize(product((Fraction(1, 3), Fraction(2, 3)), (0, 5)))
+    assert polytopes.lattice_counts(thin, range(1, 8)) == [0, 11, 32, 21, 52, 93, 72]
+    assert _outcome(_runs_over, thin, range(1, 8)) == _outcome(_runs_per_k, thin, range(1, 8))
+
+
+def _work(p, ks, block):
+    """The prefix rows over ks up to the first k whose box raises, and about
+    how many passes the range route takes over them at this block."""
+    rows = 0
+    for k in ks:
+        box = _outcome(polytopes._box, p, k)
+        if isinstance(box, str):
+            break
+        rows += math.prod(hi - lo + 1 for lo, hi in box[:-1]) if box else 0
+    return rows, rows // max(1, block // len(p.halfspaces))
+
+
+# the bodies, boxes and flat sets above, and thin boxes; ranges reach k = 40,
+# so some boxes exceed the budget partway; small blocks split one k over many
+# passes, large ones take many k's in one. The per-k pass, whose output does
+# not depend on the block, runs at the default one. Examples of more than
+# 50,000 rows or 2,000 passes are skipped, so that the test's time stays bounded
+@given(st.one_of(st.integers(min_value=1, max_value=4).flatmap(bodies),
+                 st.integers(min_value=1, max_value=4).flatmap(boxes),
+                 flat_point_sets((1, 2, 3, 4), tiny).map(canonicalize),
+                 st.integers(min_value=1, max_value=3).flatmap(thin_boxes)),
+       st.integers(min_value=1, max_value=40).flatmap(
+           lambda last: st.integers(min_value=1, max_value=last).map(lambda first: range(first, last + 1))),
+       st.sampled_from([polytopes._RUN_BLOCK, 1 << 12, 16]))
+@settings(max_examples=200, deadline=None)
+def test_lattice_runs_over_a_range_match_the_per_k_pass(p, ks, block):
+    rows, passes = _work(p, ks, block)
+    assume(rows <= 50_000 and passes <= 2000)
+    want = _outcome(_runs_per_k, p, ks)
+    with mock.patch.object(polytopes, "_RUN_BLOCK", block):
+        assert _outcome(_runs_over, p, ks) == want
+
+
+def test_lattice_runs_over_a_range_raise_the_first_per_k_error():
+    a = 2**32
+    # empty boxes at odd k; at k = 6 the box has 6 * 10^7 + 1 cells, over the
+    # budget, while the box at k = 7 is empty again
+    segment = canonicalize([(Fraction(1, 2), 0), (Fraction(1, 2), 10**7)])
+    polytopes.check_lattice_budget(segment, 7)
+    assert polytopes.lattice_counts(segment, range(1, 6)) == [0, 2 * 10**7 + 1, 0, 4 * 10**7 + 1, 0]
+    # an offset past int64 at every k whose box holds an integer, and the
+    # int64 error at k = 2 before the budget error at k = 6
+    wide = canonicalize([(a, 0), (a + Fraction(1, a), 1), (a, 1)])
+    both = canonicalize([(Fraction(1, 2), 0), (Fraction(1, 2), 10**7),
+                         (Fraction(1, 2) + Fraction(1, 2**62), 0)])
+    for p, ks, message in [(segment, range(1, 8), "lattice enumeration budget exceeded"),
+                           (wide, range(1, 4), "lattice enumeration exceeds int64"),
+                           (both, range(1, 8), "lattice enumeration exceeds int64")]:
+        assert _outcome(_runs_over, p, ks) == _outcome(_runs_per_k, p, ks) == message
+        with pytest.raises(ValueError, match=message):
+            polytopes.lattice_counts(p, ks)
+    # the offset of the facet (-1, -10^18) leaves int64 at k = 3, whose box
+    # is empty, and at k = 4, but not at k = 2, where the box has 9 points
+    steep = canonicalize([(Fraction(1, 2), 0), (Fraction(1, 2), 4),
+                          (Fraction(5, 8), 4 - Fraction(1, 8 * 10**18)), (Fraction(5, 8), 0)])
+    assert polytopes.lattice_counts(steep, range(1, 4)) == [0, 9, 0]
+    assert _outcome(_runs_over, steep, range(1, 5)) == _outcome(_runs_per_k, steep, range(1, 5)) \
+        == "lattice enumeration exceeds int64"
 
 
 def test_lattice_runs_memory_does_not_grow_with_facets(monkeypatch):
     # a polygon 2 high under a parabola of 200 edges: at k = 200 its 40,001
-    # prefixes times 203 facets make a 65 MB int64 matrix in one pass
+    # prefixes times 203 facets make a 65 MB int64 matrix in one pass, and
+    # all k up to 200 have about 4 million runs
     n = 100
     p = canonicalize([(i, Fraction(i * i, n * n)) for i in range(-n, n + 1)] + [(-n, 2), (n, 2)])
     assert len(p.halfspaces) == 2 * n + 3
     monkeypatch.setattr(polytopes, "_RUN_BLOCK", 1 << 16)
-    _, lo, hi = so._lattice_runs(p, 200)
-    want = int((hi - lo + 1).sum())
+    want = {}
+    for k in (1, 99, 200):
+        _, lo, hi = so._lattice_runs(p, k)
+        want[k] = int((hi - lo + 1).sum())
     tracemalloc.start()
     try:
-        assert lattice_count(p, 200) == want
+        counts = polytopes.lattice_counts(p, range(1, 201))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert {k: counts[k - 1] for k in want} == want
     assert peak < 8 << 20
 
 
@@ -469,14 +580,14 @@ def test_lattice_enumeration_past_int64_fails_cleanly():
     ]
     for p in cases:
         polytopes.check_lattice_budget(p, 3)
-        for f in (lattice_count, lattice_points, polytopes.lattice_run_ends):
+        for f in (lattice_count, lattice_points, run_ends):
             with pytest.raises(ValueError, match="lattice enumeration exceeds int64"):
                 f(p, 3)
 
 
 def test_lattice_runs_of_bodies_without_lattice_points():
     thin = canonicalize([(Fraction(1, 3), 0), (Fraction(2, 3), 5), (Fraction(1, 2), -4)])
-    assert lattice_points(thin) == polytopes.lattice_run_ends(thin) == []
+    assert lattice_points(thin) == run_ends(thin) == []
     assert lattice_count(thin) == 0
     assert lattice_count(thin, 3) == so.lattice_count(scale(thin, 3)) == 2
 

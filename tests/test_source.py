@@ -1,6 +1,7 @@
 """Static checks of the library source."""
 import ast
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -215,3 +216,62 @@ def test_bench_records_parse():
     for path in records:
         record = json.loads(path.read_text(encoding="utf-8"))
         assert {"change", "command", "claimed", "workloads"} <= set(record), path.name
+
+
+_FLOAT_TYPES = {"float", "float16", "float32", "float64", "float96", "float128", "float_",
+                "double", "half", "single", "longdouble", "floating"}
+_FLOAT_CODES = re.compile(r"[<>=|]?(float\d*|f\d*|d|e|g|double|half|single|longdouble)")
+
+
+def _float_uses(tree: ast.Module) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of each float an exact count could pass
+    through: the name `float`, a numpy float type, a float dtype string given
+    to astype, a dtype= or a numpy call, and `weights=` in a numpy call, whose
+    sums numpy takes in float64."""
+    out = []
+
+    def numpy_rooted(node: ast.AST) -> bool:
+        while isinstance(node, (ast.Attribute, ast.Call)):
+            node = node.value if isinstance(node, ast.Attribute) else node.func
+        return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+    def visit(node: ast.AST, func: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and child.id == "float":
+                out.append((func, child.lineno))
+            elif isinstance(child, ast.Attribute) and child.attr in _FLOAT_TYPES and numpy_rooted(child):
+                out.append((func, child.lineno))
+            elif isinstance(child, ast.Call):
+                kws = {k.arg: k.value for k in child.keywords}
+                typed = (numpy_rooted(child.func) or "dtype" in kws
+                         or isinstance(child.func, ast.Attribute) and child.func.attr == "astype")
+                codes = [x for x in [*child.args, kws.get("dtype")]
+                         if isinstance(x, ast.Constant) and isinstance(x.value, str)
+                         and _FLOAT_CODES.fullmatch(x.value)]
+                if typed and codes or "weights" in kws and numpy_rooted(child.func):
+                    out.append((func, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return out
+
+
+def test_float_uses_are_caught():
+    tree = ast.parse("import numpy as np\n"
+                     "def f(x, w):\n"
+                     "    a = np.array(x, dtype=np.int64)\n"
+                     "    b = a.astype(float)\n"
+                     "    c = np.zeros(3, dtype='f8') + np.float64(1)\n"
+                     "    d = np.bincount(a, weights=w)\n"
+                     "    e = a.astype('float32') + a.astype('int64')\n"
+                     "    return [float(v) for v in x], np.bincount(a), x.count('d')\n")
+    assert _float_uses(tree) == [("f", 4), ("f", 5), ("f", 5), ("f", 6), ("f", 7), ("f", 8)]
+
+
+def test_no_float_in_src():
+    # exact counts and Fractions never pass through float64; export-plot's
+    # output is documented as approximate
+    allowed = {("cli.py", "_cmd_export_plot")}
+    uses = [(path.name, func, line) for path in sorted(SRC.glob("*.py"))
+            for func, line in _float_uses(ast.parse(path.read_text(encoding="utf-8")))]
+    assert [use for use in uses if use[:2] not in allowed] == []
