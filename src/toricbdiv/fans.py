@@ -62,13 +62,20 @@ def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int 
     uniq = sorted(set(prim))
     remap = {r: i for i, r in enumerate(uniq)}
     new_cones = sorted({tuple(sorted({remap[prim[i]] for i in c})) for c in cones})
-    if len({i for c in new_cones for i in c}) < len(uniq):
+    return _checked_fan(n, tuple(uniq), tuple(new_cones))
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_fan(n: int, rays: tuple[IntVec, ...], cones: tuple[Cone, ...]) -> Fan:
+    """The fan of normalized rays and cones, checked and built once per process; an
+    invalid one raises on every call, as errors are not cached."""
+    if len({i for c in cones for i in c}) < len(rays):
         raise ValueError("ray in no cone")
-    fan = Fan(n, tuple(uniq), tuple(new_cones))
+    fan = Fan(n, rays, cones)
     # a cone contains no line exactly when its dual spans, that is, its rows have full rank
     if any(rank(rows) < n for rows in fan.halfspaces.values()):
         raise ValueError("cone not pointed")
-    # set before the fan is shared, so it keeps the halfspaces is_complete computes
+    # set before the cache shares the fan, so it keeps the halfspaces is_complete computes
     object.__setattr__(fan, "complete", is_complete(fan))
     return fan
 

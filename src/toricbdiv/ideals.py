@@ -1,6 +1,8 @@
 """Monomial multiplier ideals, section counting, and characteristic-p test ideals."""
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,14 +60,16 @@ def unit_ideal(nvars: int) -> MonomialIdeal:
     return make_ideal(nvars, [tuple(0 for _ in range(nvars))])
 
 
-def _newton_facets(a: MonomialIdeal) -> list[tuple[tuple[int, ...], int]]:
-    """Facets <w, x> >= off of conv(generators) + the nonnegative orthant, w >= 0."""
+@functools.lru_cache(maxsize=None)
+def _newton_facets(a: MonomialIdeal) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Facets <w, x> >= off of conv(generators) + the nonnegative orthant, w >= 0, found
+    once per ideal."""
     n = a.nvars
     rows = [g + (1,) for g in a.gens] + [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
     lin, rays = dd.extreme_rays(rows, n + 1)
     if lin:
         raise AssertionError("newton region must be full-dimensional")
-    return [(r[:n], -r[n]) for r in rays if any(r[:n])]
+    return tuple((r[:n], -r[n]) for r in rays if any(r[:n]))
 
 
 def _minimal_in_box(bounds: Sequence[int], floor_of: Callable[[tuple[int, ...]], int | None],
@@ -79,7 +83,7 @@ def _minimal_in_box(bounds: Sequence[int], floor_of: Callable[[tuple[int, ...]],
     steps = [math.prod(b + 1 for b in head[i + 1:]) for i in range(len(head))]
     thresholds: list[int] = []  # one per prefix, in lex order
     gens: list[tuple[int, ...]] = []
-    for k, prefix in enumerate(np.ndindex(*[b + 1 for b in head])):
+    for k, prefix in enumerate(itertools.product(*[range(b + 1) for b in head])):
         stop = min([last + 1] + [thresholds[k - s] for x, s in zip(prefix, steps) if x])
         t = floor_of(prefix) if stop else None  # a threshold 0 below: the floor is 0 too
         if t is not None and t < stop:
@@ -127,7 +131,8 @@ def multiplier_ideal_snc(weights: Sequence[tuple[str, object]], k: int) -> dict[
 
 
 def graded_sections(h: HermitianToricLine, k: int) -> int:
-    """Count of lattice points of k * P(g): sections of L^k cut by the ideal of k*h."""
+    """Count of the lattice points of k * P(g), for P(g) the hull of the metric's slopes.
+    These are not the sections of L^k cut by the multiplier ideal of k*h."""
     if k <= 0:
         raise ValueError("k must be positive")
     return polytopes.lattice_count(toric.model_polytope(h.metric), k)

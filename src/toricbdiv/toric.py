@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from . import fans, polytopes
@@ -25,7 +26,8 @@ Piece = tuple[Vec, Fraction]
 @dataclass(frozen=True)
 class ToricDivisor:
     """Torus-invariant divisor sum a_rho D_rho on a fixed fan, with the functional m
-    of each maximal cone (<m, v_rho> = -a_rho on its rays), which eq and hash skip."""
+    of each maximal cone (<m, v_rho> = -a_rho on its rays), a read-only map that
+    equal divisors share and that eq and hash skip."""
     fan: Fan
     coeffs: tuple[Fraction, ...]
     functionals: Mapping[fans.Cone, Vec] = field(compare=False, repr=False)
@@ -45,13 +47,20 @@ def divisor(fan: Fan, coeffs) -> ToricDivisor:
         vals = tuple(rat(c) for c in coeffs)
         if len(vals) != len(fan.rays):
             raise ValueError("coefficient count mismatch")
+    return ToricDivisor(fan, vals, _functionals(fan, vals))
+
+
+@lru_cache(maxsize=None)
+def _functionals(fan: Fan, vals: tuple[Fraction, ...]) -> Mapping[fans.Cone, Vec]:
+    """The functional of each maximal cone, solved once per (fan, coefficients) and
+    read-only, as equal divisors share it."""
     functionals = {}
     for cone in fan.cones:
         m = solve(fan.cone_rays(cone), tuple(-vals[i] for i in cone))
         if m is None:
             raise ValueError("support function not linear on a cone")
         functionals[cone] = m
-    return ToricDivisor(fan, vals, functionals)
+    return MappingProxyType(functionals)
 
 
 def psi_value(d: ToricDivisor, v: Sequence) -> Fraction:

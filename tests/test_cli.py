@@ -8,13 +8,14 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricbdiv
-from toricbdiv import cli
+from toricbdiv import cli, fans
 from toricbdiv.cli import run
 
 P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
@@ -690,6 +691,23 @@ def test_parser_is_built_once(tmp_path, monkeypatch):
     ideal = mk(tmp_path, "x.json", {"nvars": 1, "gens": [[1]]})
     manifest = mk(tmp_path, "runs.json", [["mideal", "--ideal", ideal, "--c", "1/2"]])
     assert run(["batch", manifest])[0] == 0
+
+
+def test_a_repeated_run_builds_no_fan_again(tmp_path, monkeypatch):
+    scn = scn_weighted_o3(tmp_path)
+    calls = []
+    real = fans.dd.extreme_rays
+    monkeypatch.setattr(fans, "dd", SimpleNamespace(
+        extreme_rays=lambda rows, dim: calls.append(dim) or real(rows, dim)))
+    fans._checked_fan.cache_clear()
+    first = run(["volume", "--scenario", scn])
+    assert first[0] == 0 and calls
+    calls.clear()
+    assert run(["volume", "--scenario", scn]) == first and calls == []
+    # what a file holds decides the answer, not its path
+    mk(tmp_path, "w3.json", {"fan": P2_FAN, "metric": metric_json(1, [(0, 0), (1, 0), (0, 1)])})
+    code, text = run(["volume", "--scenario", scn])
+    assert code == 0 and report_of(text)["outputs"]["value"] == "1"
 
 
 def test_batch_bare_list_and_empty(tmp_path):

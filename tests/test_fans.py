@@ -315,12 +315,31 @@ def test_find_cone_after_building_a_fan_runs_no_dd(monkeypatch):
     monkeypatch.setattr(dd, "extreme_rays", lambda rows, dim: calls.append(dim) or real(rows, dim))
     for build, dds in ((lambda: stellar_refine(base, (1, 1)), 5),
                        (lambda: make_fan(p2_fan.rays, p2_fan.cones), 3)):
+        fans._checked_fan.cache_clear()
         calls.clear()
         f = build()
         assert f.complete and len(calls) == dds  # one DD per maximal cone
         calls.clear()
         assert fans.find_cone(f, (-2, 3)) is not None
+        assert build() is f  # a repeat build is the same fan
         assert calls == []
+
+
+def test_equal_fans_are_one_object():
+    f = make_fan(P2_RAYS, [[0, 1], [1, 2], [2, 0]])
+    # the same rays in another order, one of them not primitive, and the cones renumbered
+    assert make_fan([(-2, -2), (0, 1), (1, 0)], [[2, 1], [1, 0], [0, 2]]) is f
+    assert f is p2() and f.complete
+
+
+@pytest.mark.parametrize("rays, cones, message", [
+    (P2_RAYS + [(1, 1)], [[0, 1], [1, 2], [2, 0]], "ray in no cone"),
+    ([(1, 0), (0, 1), (-1, 0), (0, -1)], [[0, 1, 2], [0, 2, 3]], "cone not pointed"),
+])
+def test_a_rejected_fan_raises_on_every_call(rays, cones, message):
+    for _ in range(3):
+        with pytest.raises(ValueError, match=message):
+            make_fan(rays, cones)
 
 
 def test_product_fan():

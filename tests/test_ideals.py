@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ideal_oracle as io
 import lp_oracle as lp
-from toricbdiv import ideals, toric
+from toricbdiv import dd, ideals, toric
 from toricbdiv.ideals import (TestIdealQuery, frobenius_bracket, make_ideal,
                               multiplier_ideal_monomial, multiplier_ideal_snc,
                               unit_ideal)
@@ -103,6 +103,20 @@ def test_multiplier_against_interior_oracle():
                 expect = tuple(x + 1 for x in m)
                 assert mult.contains_monomial(m) == _in_interior_of_scaled_newton(
                     expect, ideal.gens, c), (ideal.gens, c, m)
+
+
+def test_newton_facets_run_one_dd_per_ideal(monkeypatch):
+    ideals._newton_facets.cache_clear()
+    calls = []
+    real = dd.extreme_rays
+    monkeypatch.setattr(dd, "extreme_rays", lambda rows, dim: calls.append(dim) or real(rows, dim))
+    a = make_ideal(2, [[4, 0], [1, 1], [0, 5]])
+    same = make_ideal(2, [[0, 5], [2, 2], [4, 0], [1, 1]])  # (2, 2) is no minimal generator
+    for c in (1, Fraction(3, 2), 7):
+        assert multiplier_ideal_monomial(a, c) == multiplier_ideal_monomial(same, c)
+    assert calls == [3]
+    multiplier_ideal_monomial(make_ideal(2, [[2, 0], [0, 3]]), 1)
+    assert calls == [3, 3]
 
 
 def test_multiplier_against_interior_oracle_in_three_variables():

@@ -38,6 +38,22 @@ def test_divisor_coefficient_forms():
     assert toric.divisor(p2(), dict(zip(d1.fan.rays, d1.coeffs))) == d1
 
 
+def test_a_divisor_solves_each_cone_once(monkeypatch):
+    fan = p1xp1()
+    toric._functionals.cache_clear()
+    calls = []
+    real = toric.solve
+    monkeypatch.setattr(toric, "solve", lambda rows, rhs: calls.append(rhs) or real(rows, rhs))
+    d = toric.divisor(fan, [1, 2, 3, 4])
+    assert len(calls) == len(fan.cones)
+    calls.clear()
+    # equal coefficients, given as a map of other rationals, read the same functionals
+    e = toric.divisor(fan, dict(zip(fan.rays, ["1", Fraction(2), 3, 4])))
+    assert calls == [] and e == d and e.functionals is d.functionals
+    with pytest.raises(TypeError):
+        d.functionals[fan.cones[0]] = (Fraction(0),) * 2
+
+
 def test_psi_values():
     d = o_p2(3)
     assert toric.psi_value(d, (1, 0)) == 0
