@@ -91,7 +91,9 @@ def _minimal_in_box(bounds: Sequence[int], floor_of: Callable[[tuple[int, ...]],
         thresholds.append(stop if t is None else min(t, stop))
     if not gens:
         raise AssertionError(f"{what} search box too small")
-    return make_ideal(len(bounds), gens)
+    # no earlier generator lies below a later one, and the scan runs in ascending lex
+    # order, so the generators are the minimal ones, and reversed in make_ideal's order
+    return MonomialIdeal(len(bounds), tuple(reversed(gens)))
 
 
 def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:

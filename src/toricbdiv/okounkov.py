@@ -16,9 +16,9 @@ from typing import Sequence
 from . import bdiv, polytopes, toric
 from .bdiv import CartierB
 from .chern import projectivize_split
-from .linalg import det
+from .linalg import det, inverse_directions
 from .polytopes import Polytope
-from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec, vsub
+from .rationals import IntVec, Vec, dot, idot, int_row, rat, vadd, vec, vsub
 from .toric import ToricDivisor
 
 
@@ -38,6 +38,11 @@ class FlagValuation:
         return tuple(tuple(sum(a * v[j] for a, v in zip(row, self.base_cone))
                            for j in range(self.dim)) for row in self.order)
 
+    @functools.cached_property
+    def _inverse_transpose(self) -> tuple[IntVec, ...]:
+        """The rows of M^-T, the columns of M^-1: integral, as M is unimodular."""
+        return tuple(map(tuple, inverse_directions(self.matrix)))
+
     def coords(self, m: Sequence) -> Vec:
         """Flag coordinates A * (<m, v_1>, ..., <m, v_n>)."""
         x = vec(m)
@@ -47,13 +52,20 @@ class FlagValuation:
 def flag(cone_rays: Sequence[Sequence[int]], order: Sequence[Sequence[int]] | None = None) -> FlagValuation:
     rays = tuple(tuple(int(x) for x in r) for r in cone_rays)
     n = len(rays)
+    if order is None:
+        order = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    return _checked_flag(rays, tuple(tuple(int(x) for x in row) for row in order))
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_flag(rays: tuple[IntVec, ...], a: tuple[IntVec, ...]) -> FlagValuation:
+    """The flag of int rays and order, checked and built once per process, so its
+    matrix and inverse are too; an invalid one raises on every call."""
+    n = len(rays)
     if any(len(r) != n for r in rays):
         raise ValueError("dimension mismatch")
     if abs(det(rays)) != 1:
         raise ValueError("flag cone must be smooth")
-    if order is None:
-        order = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    a = tuple(tuple(int(x) for x in row) for row in order)
     if len(a) != n or any(len(row) != n for row in a):
         raise ValueError("order matrix must be n x n")
     if abs(det(a)) != 1:
@@ -90,13 +102,14 @@ def _trivialization(d: ToricDivisor, nu: FlagValuation) -> Vec:
     raise ValueError("ray not in support")
 
 
-def _flag_hull(points: Sequence[Sequence], nu: FlagValuation, m0: Vec, k: int = 1) -> Polytope:
-    """Hull of the flag images M (x - k m0)/k of the points, M = nu.matrix.
+def _flag_ints(points: Sequence[Sequence], nu: FlagValuation, m0: Vec, k: int) -> tuple[list[IntVec], int]:
+    """The flag images M (x - k m0) of the points, M = nu.matrix, as sorted integer
+    points and a scale s: the images are the points over s.
 
     Points and m0 are scaled once by the lcm t of their denominators, so
     t M (x - k m0) is an integer vector; dividing it and t by their common gcd
-    g leaves, for k = 1, exactly the integer points and scale `canonicalize`
-    would find for the images.
+    g leaves exactly the integer points and scale `canonicalize` would find
+    for the images.
     """
     n = len(m0)
     ints, t = int_row([x for p in points for x in p] + list(m0))
@@ -105,12 +118,39 @@ def _flag_hull(points: Sequence[Sequence], nu: FlagValuation, m0: Vec, k: int = 
     pts = [ints[i:i + n] for i in range(0, len(ints) - n, n)]
     img = [tuple(idot(r, p) - c for r, c in rows) for p in pts]
     g = math.gcd(t, *(x for v in img for x in v))
-    return polytopes.hull_of_ints(sorted(tuple(x // g for x in v) for v in img), t // g, k)
+    return sorted(tuple(x // g for x in v) for v in img), t // g
+
+
+def _flag_hull(points: Sequence[Sequence], nu: FlagValuation, m0: Vec, k: int = 1) -> Polytope:
+    """Hull of the flag images M (x - k m0)/k of the points, M = nu.matrix."""
+    return polytopes.hull_of_ints(*_flag_ints(points, nu, m0, k), k)
+
+
+def _flag_image(p: Polytope, nu: FlagValuation, m0: Vec) -> Polytope:
+    """The body M (P - m0), M = nu.matrix, equal to `_flag_hull` of P's vertices.
+
+    M is unimodular, so it maps P's vertices to the body's vertices, and each
+    facet normal w of a full-dimensional P to the body's facet normal M^-T w,
+    integral and still primitive, whose offset is its least value on the
+    image. A flat P, one with an opposite row pair, is hulled, as its equations
+    could come out in another basis.
+    """
+    pts, s = _flag_ints(p.vertices, nu, m0, 1)
+    inv = nu._inverse_transpose
+    rows = []
+    for w, _ in p.halfspaces:
+        u = tuple(idot(r, w) for r in inv)
+        rows.append((u, min(idot(u, v) for v in pts)))
+    offsets = dict(rows)
+    if any(offsets.get(tuple(-x for x in u)) == -c for u, c in rows):
+        return polytopes.hull_of_ints(pts, s)
+    return Polytope(p.dim, tuple(tuple(Fraction(x, s) for x in v) for v in pts),
+                    tuple((u, Fraction(c, s)) for u, c in sorted(rows)))
 
 
 def _body(d: ToricDivisor, nu: FlagValuation) -> Polytope:
     """Flag image of P_D minus its trivializing vertex."""
-    return _flag_hull(toric.polytope_of_divisor(d).vertices, nu, _trivialization(d, nu))
+    return _flag_image(toric.polytope_of_divisor(d), nu, _trivialization(d, nu))
 
 
 def okounkov_of_class(d: ToricDivisor, nu: FlagValuation) -> OkounkovBody:
@@ -129,8 +169,11 @@ def nu_of_metric(h, nu: FlagValuation) -> Vec:
     """
     m = toric._as_metric(h)
     m0 = _trivialization(m.line, nu)
-    low = min((s for s, _ in m.pieces), key=lambda s: tuple(dot(s, v) for v in nu.base_cone))
-    return nu.coords(vsub(low, m0))
+    # the lex order of the values is that of the values times the lcm of the slopes' denominators
+    n = nu.dim
+    ints = int_row([x for s, _ in m.pieces for x in s])[0]
+    low = min(range(len(m.pieces)), key=lambda j: tuple(idot(ints[j * n:(j + 1) * n], v) for v in nu.base_cone))
+    return nu.coords(vsub(m.pieces[low][0], m0))
 
 
 def _slice_vertices(ends: list[IntVec]) -> list[IntVec]:
@@ -165,7 +208,7 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
     if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")
-    limit = OkounkovBody(_flag_hull(model.vertices, nu, m0), "partial_Gk", nu_of_metric(m, nu))
+    limit = OkounkovBody(_flag_image(model, nu, m0), "partial_Gk", nu_of_metric(m, nu))
     return hulls, limit
 
 
@@ -205,9 +248,9 @@ def verify_okouniden(h, nu: FlagValuation) -> OkounidenReport:
     lhs = okounkov_of_bdiv(bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
     m0 = _trivialization(m.line, nu)
     shift = nu_of_metric(m, nu)
-    rhs = OkounkovBody(_flag_hull(toric.model_polytope(m).vertices, nu, m0), "partial_Gk", shift)
-    translated = polytopes.translate(lhs.body, shift)
-    verdict = "equal" if translated == rhs.body else "gap"
+    rhs = OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", shift)
+    # Polytope equality reads the vertices only, and a translate keeps their order
+    verdict = "equal" if tuple(vadd(v, shift) for v in lhs.body.vertices) == rhs.body.vertices else "gap"
     return OkounidenReport(lhs, shift, rhs, verdict)
 
 

@@ -49,6 +49,11 @@ class Polytope:
         return len(self.vertices) == 1
 
     @functools.cached_property
+    def _volume(self) -> Fraction:
+        """Euclidean volume, computed once per body."""
+        return _mixed_volume([self] * self.dim) if self.dim else Fraction(0)
+
+    @functools.cached_property
     def _ints(self) -> tuple[int, list[tuple[int, int]], np.ndarray | None, list[int], tuple[int, int], int]:
         """The body times the lcm s of the denominators of its vertices and
         offsets: s, the (min, max) of each axis over the vertices, the facet
@@ -268,6 +273,14 @@ def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
         raise ValueError("dimension mismatch")
     if len(ps) != n:
         raise ValueError("wrong count of bodies")
+    if all(q is ps[0] for q in ps):
+        return ps[0]._volume
+    return _mixed_volume(ps)
+
+
+def _mixed_volume(ps: Sequence[Polytope]) -> Fraction:
+    """The facet formula of `mixed_volume` on n checked bodies of dimension n > 0."""
+    n = ps[0].dim
     groups, den = [], math.factorial(n)
     for t, body in enumerate(ps):
         if any(q.vertices == body.vertices for q in ps[:t]):
@@ -282,7 +295,7 @@ def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
 
 def volume(p: Polytope) -> Fraction:
     """Euclidean volume in the ambient dimension (0 for lower-dimensional bodies)."""
-    return mixed_volume([p] * p.dim) if p.dim else Fraction(0)
+    return p._volume
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +31,14 @@ class ToricDivisor:
     fan: Fan
     coeffs: tuple[Fraction, ...]
     functionals: Mapping[fans.Cone, Vec] = field(compare=False, repr=False)
+
+    # cache keys: each Fraction hash takes a modular inverse, so hash once per object
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.fan, self.coeffs))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def divisor(fan: Fan, coeffs) -> ToricDivisor:
@@ -124,6 +132,13 @@ class ToricMetric:
     """PL concave metric g = min_j(<m_j, v> + c_j) on the line bundle O(D)."""
     line: ToricDivisor
     pieces: tuple[Piece, ...]
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.line, self.pieces))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def g(self, v: Sequence) -> Fraction:
         """Recession value min_j <m_j, v>: the slope of the metric at infinity."""

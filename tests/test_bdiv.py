@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bdiv_oracle as bo
 import fan_oracle as fo
 import lp_oracle as lp
 import volume_oracle as vo
@@ -272,9 +273,43 @@ def test_leq_on_a_shared_fan_reads_coefficients(monkeypatch):
     for module, name in ((toric, "psi_value"), (fans, "common_refinement"), (dd, "extreme_rays")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
-    assert leq(b1, b2) and not leq(b2, b1)
-    # one homogenized DD per comparison, no psi and no refinement
-    assert calls == ["extreme_rays"] * 2
+    assert leq(b1, b2)
+    # a1 <= a2 at every ray: m = 0 certifies the order with no DD, no psi and no refinement
+    assert calls == []
+    assert not leq(b2, b1)
+    # the other direction takes one homogenized DD, still with no psi and no refinement
+    assert calls == ["extreme_rays"]
+
+
+@st.composite
+def translated_pairs(draw):
+    """b1 from `cartier_pairs` and b2 = b1 + <m, .> - bump in psi on b1's fan, with
+    m != 0 and bump >= 0 at each ray: m certifies b1 <= b2, and m = 0 mostly does not."""
+    b1 = draw(cartier_pairs())[0]
+    fan = b1.fan
+    m = draw(st.lists(st.integers(min_value=-2, max_value=2), min_size=fan.dim,
+                      max_size=fan.dim).filter(any))
+    bumps = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(1, 2)]), min_size=len(fan.rays),
+                          max_size=len(fan.rays)))
+    return b1, cartier(fan, [v + sum(x * y for x, y in zip(m, r)) - bump
+                             for v, r, bump in zip(b1.values, fan.rays, bumps)])
+
+
+@given(translated_pairs())
+@settings(max_examples=150, deadline=None)
+def test_leq_of_a_translate_matches_dd_oracle(case):
+    b1, b2 = case
+    assert leq(b1, b2) and bo.leq(b1, b2)
+    assert leq(b2, b1) is bo.leq(b2, b1)
+
+
+@given(cartier_pairs())
+@settings(max_examples=150, deadline=None)
+def test_leq_matches_dd_oracle(case):
+    # unordered pairs, on one fan or on two
+    b1, b2 = case
+    for x, y in ((b1, b2), (b2, b1)):
+        assert leq(x, y) is bo.leq(x, y)
 
 
 def test_leq_on_a_fan_with_lineality():

@@ -329,6 +329,32 @@ def test_power_membership_matches_composition_search_oracle(case):
     assert _outcome(_in_power, *case) == _outcome(io._member_of_power, *case)
 
 
+def _as_make_ideal_gives(got) -> bool:
+    """An ideal the box scan returned holds the generators, in the order, that
+    make_ideal would keep of them; an error message stands as it is."""
+    return not isinstance(got, ideals.MonomialIdeal) or got == make_ideal(got.nvars, got.gens)
+
+
+@given(ideals_and_exponents())
+@settings(max_examples=80, deadline=None)
+def test_multiplier_box_scan_gives_make_ideals_generators(case):
+    assert _as_make_ideal_gives(_outcome(multiplier_ideal_monomial, *case))
+
+
+@given(power_brackets())
+@settings(max_examples=80, deadline=None)
+def test_power_bracket_box_scan_gives_make_ideals_generators(case):
+    assert _as_make_ideal_gives(_outcome(ideals._power_bracket, *case))
+
+
+@given(ideals_and_exponents(), st.sampled_from((2, 3, 5, 7)), st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_test_ideal_box_scan_gives_make_ideals_generators(case, p, e_max):
+    # lambda from the drawn exponents, over the drawn ideals
+    ideal, lam = case
+    assert _as_make_ideal_gives(_outcome(ideals.test_ideal, TestIdealQuery(ideal, lam, p, e_max)))
+
+
 def test_box_scan_of_no_variables_asks_about_the_empty_monomial():
     asked = []
     assert ideals._minimal_in_box([], lambda prefix: asked.append(prefix) or 0, "x") == make_ideal(0, [()])

@@ -254,9 +254,9 @@ def test_p1cubed_hull_gets_only_slice_vertices(monkeypatch):
     monkeypatch.setattr(polytopes, "hull_of_ints", lambda pts, *args: _logged(sizes, pts) and hull_of_ints(pts, *args))
     code, _ = cli.run(["partial-okounkov", "--scenario", str(GOLDEN / "p1cubed.json"), "--kmax", "20"])
     assert code == 0
-    # the hull at k = 20 is the last before the limit body's
+    # the limit body maps the model's rows and runs no hull: the hull at k = 20 is the last
     assert len(ends) == 20
-    assert (len(ends[19]), len(sizes[-2])) == (1302, 124)
+    assert (len(ends[19]), len(sizes[-1])) == (1302, 124)
 
 
 small = st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3]))
@@ -295,6 +295,29 @@ def flag_image_cases(draw):
 def test_flag_hull_matches_fraction_image(case):
     p, nu, m0 = case
     assert repr(okounkov._flag_hull(p.vertices, nu, m0)) == repr(so.flag_image(p, nu, m0))
+
+
+@given(flag_image_cases())
+@settings(max_examples=300, deadline=None)
+def test_flag_image_matches_flag_hull(case):
+    # a full-dimensional body maps its rows; a flat one is hulled, so that its
+    # equations, too, come out as the hull's
+    p, nu, m0 = case
+    assert repr(okounkov._flag_image(p, nu, m0)) == repr(okounkov._flag_hull(p.vertices, nu, m0))
+
+
+def test_flag_is_built_once_per_cone_and_order():
+    nu = flag([(0, 1), (-1, -1)])
+    assert flag(((0, 1), (-1, -1)), [[1, 0], [0, 1]]) is nu
+    assert flag([(0, 1), (-1, -1)], [[0, 1], [1, 0]]) is not nu
+    assert nu._inverse_transpose == ((-1, 1), (-1, 0))
+    # M^-T times the transpose of M is the identity
+    m = nu.matrix
+    assert [[sum(a * x for a, x in zip(row, m[j])) for j in range(2)]
+            for row in nu._inverse_transpose] == [[1, 0], [0, 1]]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="flag cone must be smooth"):
+            flag([(1, 0), (1, 2)])
 
 
 def test_bundle_hulls_match_all_points_oracle():

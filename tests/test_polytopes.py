@@ -647,6 +647,21 @@ def test_volume_matches_oracle(p):
     assert volume(p) == vo.volume(p)
 
 
+@given(st.integers(min_value=1, max_value=4).flatmap(bodies))
+@settings(max_examples=60, deadline=None)
+def test_a_repeat_volume_runs_the_facet_formula_once(p):
+    # a fresh copy, so no cached volume of the drawn body is read
+    q, calls = Polytope(p.dim, p.vertices, p.halfspaces), []
+    real = polytopes._mixed
+    with mock.patch.object(polytopes, "_mixed", lambda groups: calls.append(groups) or real(groups)):
+        first = volume(q)
+        # the formula recurses: its first call takes the one body n times
+        assert calls and [k for _, k, _ in calls[0]] == [q.dim]
+        calls.clear()
+        assert volume(q) == mixed_volume([q] * q.dim) == first == vo.volume(p)
+        assert calls == []
+
+
 def test_from_halfspaces_round_trip():
     rng = random.Random(5)
     for _ in range(20):

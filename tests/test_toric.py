@@ -11,7 +11,8 @@ from toricbdiv import fans, polytopes, report, toric
 from toricbdiv.polytopes import canonicalize, minkowski_sum, volume
 from toricbdiv.rationals import dot, vec
 
-from conftest import minimal_line, o_p1p1, o_p2, p1cubed, p1xp1, p2, weighted_line
+from conftest import (minimal_line, o_p1p1, o_p2, p1cubed, p1xp1, p2, rand_weighted,
+                      rand_weighted3, weighted_line)
 
 
 def test_polytope_of_divisor_frozen():
@@ -305,3 +306,41 @@ def test_metric_rejects_a_slope_of_the_wrong_length(slope):
         toric.metric(o_p2(2), [((0, 0), 0), (slope, 0)])
     with pytest.raises(ValueError, match="dimension mismatch"):
         toric._in_polytope(o_p2(2), [(Fraction(0),) * 2, vec(slope)])
+
+
+def _weighted_of(seed: int, name: str) -> toric.HermitianToricLine:
+    rng = random.Random(seed)
+    return rand_weighted3(rng) if name == "P1^3" else rand_weighted(rng, _FANS[name]())
+
+
+@given(st.integers(min_value=0, max_value=2**32), st.sampled_from(sorted(_FANS)))
+@settings(max_examples=60, deadline=None)
+def test_equal_keys_hash_equal_and_as_their_field_tuples(seed, name):
+    # the same draw twice gives equal divisors and metrics that are distinct objects
+    m1, m2 = (_weighted_of(seed, name).metric for _ in range(2))
+    assert m1 is not m2 and m1.line is not m2.line
+    for d in (m1.line, m2.line):
+        assert hash(d) == hash((d.fan, d.coeffs))
+    for m in (m1, m2):
+        assert hash(m) == hash((m.line, m.pieces))
+    assert m1 == m2 and hash(m1) == hash(m2) and hash(m1.line) == hash(m2.line)
+
+
+def test_a_second_lookup_hashes_no_fraction(monkeypatch):
+    h1, h2 = (weighted_line(o_p2(3), {(1, 0): Fraction(1, 2)}) for _ in range(2))
+    calls = []
+    real = Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or real(x))
+    toric.model_polytope.cache_clear()
+    body = toric.model_polytope(h1.metric)
+    # the first lookup of each key reads its Fractions
+    assert calls
+    for h in (h1, h2):
+        calls.clear()
+        assert toric.model_polytope(h.metric) is body
+        assert bool(calls) is (h is h2)
+        # the key hashed once: a second lookup, and a set of its divisor, read the kept hashes
+        calls.clear()
+        assert toric.model_polytope(h.metric) is body
+        assert len({h1.line, h.line, h.metric}) == 2
+        assert calls == []
