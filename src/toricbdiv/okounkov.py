@@ -18,7 +18,7 @@ from .bdiv import CartierB
 from .chern import projectivize_split
 from .linalg import det, inverse_directions
 from .polytopes import Polytope
-from .rationals import IntVec, Vec, dot, idot, int_row, rat, vadd, vec, vsub
+from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec, vsub
 from .toric import ToricDivisor
 
 
@@ -52,20 +52,13 @@ class FlagValuation:
 def flag(cone_rays: Sequence[Sequence[int]], order: Sequence[Sequence[int]] | None = None) -> FlagValuation:
     rays = tuple(tuple(int(x) for x in r) for r in cone_rays)
     n = len(rays)
-    if order is None:
-        order = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    return _checked_flag(rays, tuple(tuple(int(x) for x in row) for row in order))
-
-
-@functools.lru_cache(maxsize=None)
-def _checked_flag(rays: tuple[IntVec, ...], a: tuple[IntVec, ...]) -> FlagValuation:
-    """The flag of int rays and order, checked and built once per process, so its
-    matrix and inverse are too; an invalid one raises on every call."""
-    n = len(rays)
     if any(len(r) != n for r in rays):
         raise ValueError("dimension mismatch")
     if abs(det(rays)) != 1:
         raise ValueError("flag cone must be smooth")
+    if order is None:
+        order = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    a = tuple(tuple(int(x) for x in row) for row in order)
     if len(a) != n or any(len(row) != n for row in a):
         raise ValueError("order matrix must be n x n")
     if abs(det(a)) != 1:
@@ -169,11 +162,8 @@ def nu_of_metric(h, nu: FlagValuation) -> Vec:
     """
     m = toric._as_metric(h)
     m0 = _trivialization(m.line, nu)
-    # the lex order of the values is that of the values times the lcm of the slopes' denominators
-    n = nu.dim
-    ints = int_row([x for s, _ in m.pieces for x in s])[0]
-    low = min(range(len(m.pieces)), key=lambda j: tuple(idot(ints[j * n:(j + 1) * n], v) for v in nu.base_cone))
-    return nu.coords(vsub(m.pieces[low][0], m0))
+    low = min((s for s, _ in m.pieces), key=lambda s: tuple(dot(s, v) for v in nu.base_cone))
+    return nu.coords(vsub(low, m0))
 
 
 def _slice_vertices(ends: list[IntVec]) -> list[IntVec]:
@@ -249,8 +239,8 @@ def verify_okouniden(h, nu: FlagValuation) -> OkounidenReport:
     m0 = _trivialization(m.line, nu)
     shift = nu_of_metric(m, nu)
     rhs = OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", shift)
-    # Polytope equality reads the vertices only, and a translate keeps their order
-    verdict = "equal" if tuple(vadd(v, shift) for v in lhs.body.vertices) == rhs.body.vertices else "gap"
+    translated = polytopes.translate(lhs.body, shift)
+    verdict = "equal" if translated == rhs.body else "gap"
     return OkounidenReport(lhs, shift, rhs, verdict)
 
 
