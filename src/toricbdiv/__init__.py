@@ -1,29 +1,22 @@
 """Toric b-divisors: exact convex geometry, degrees, Okounkov bodies, ideals."""
 
 from .bdiv import (CartierB, ChernWeilReport, HermBDiv, RatInterval, WeilNefB,
-                   bdiv_of_metric, cartier, chern_weil_line, incarnation,
-                   incarnation_volumes, intersect_cartier, intersect_nef, leq,
-                   numerically_equal, vol, weil)
+                   bdiv_of_metric, cartier, chern_weil_line, intersect_cartier,
+                   intersect_nef, leq, vol, weil)
 from .chern import (BundleDecl, GradedElem, SplitToricBundle, chern_from_segre,
                     chern_number, eval_segre_monomial, parse_chern_expr,
-                    projectivize_split, segre_from_chern, split_bundle,
-                    twist_segre)
-from .fans import (Fan, common_refinement, complete_fan_2d, make_fan,
-                   product_fan, projective_space_fan, refines, stellar_refine)
-from .ideals import (MonomialIdeal, TestIdealQuery, frobenius_bracket,
-                     graded_sections, make_ideal, multiplier_ideal_monomial,
-                     multiplier_ideal_snc, test_ideal, volume_of_pair)
-from .okounkov import (ContainmentCertificate, FlagValuation, OkounidenReport,
-                       OkounkovBody, flag, monotone_containment,
-                       okounkov_of_bdiv, okounkov_of_bundle, okounkov_of_class,
-                       partial_okounkov, verify_okouniden)
+                    split_bundle, twist_segre)
+from .fans import (Fan, common_refinement, make_fan, product_fan,
+                   projective_space_fan, refines, stellar_refine)
+from .ideals import (MonomialIdeal, TestIdealQuery, make_ideal,
+                     multiplier_ideal_monomial, test_ideal, volume_of_pair)
+from .okounkov import (FlagValuation, OkounidenReport, OkounkovBody, flag,
+                       okounkov_of_bdiv, okounkov_of_class, partial_okounkov,
+                       verify_okouniden)
 from .polytopes import (Polytope, canonicalize, from_halfspaces, hausdorff_linf,
-                        lattice_count, lattice_points, minkowski_sum,
-                        mixed_volume, volume)
+                        lattice_points, minkowski_sum, mixed_volume, volume)
 from .toric import (HermitianToricLine, ToricDivisor, ToricMetric, divisor,
-                    hermitian, is_big, is_nef, lelong_numbers, metric,
-                    minimal_extension, minimal_metric, model_polytope, np_mass,
-                    polytope_of_divisor, singularity_divisor, tensor,
-                    volume_profile)
+                    hermitian, is_big, is_nef, metric, model_polytope, np_mass,
+                    polytope_of_divisor, tensor, volume_profile)
 
 __version__ = "0.1.0"

@@ -69,13 +69,6 @@ def _determination(g: ToricMetric) -> CartierB:
     return cartier(fan, [Fraction(min(idot(m, r) for m in rows), s) for r in fan.rays])
 
 
-def incarnation(b, fan: Fan) -> ToricDivisor:
-    """Divisor with a_rho = -psi(v_rho) on the given complete fan."""
-    if isinstance(b, WeilNefB):
-        b = b.limit if b.limit is not None else b.approximants[-1]
-    return toric.pullback(b.incarnation, fan)
-
-
 def add(b1: CartierB, b2: CartierB) -> CartierB:
     """Sum psi_1 + psi_2, on the fan of toric.on_one_fan."""
     d = toric.divisor_sum(b1.incarnation, b2.incarnation)
@@ -91,10 +84,6 @@ def leq(b1: CartierB, b2: CartierB) -> bool:
         return True
     _, rays = dd.homogenized_rays([(r, x - y) for r, x, y in zip(fan.rays, a1, a2)], fan.dim)
     return any(r[-1] > 0 for r in rays)
-
-
-def numerically_equal(b1: CartierB, b2: CartierB) -> bool:
-    return leq(b1, b2) and leq(b2, b1)
 
 
 @dataclass(frozen=True)
@@ -177,11 +166,6 @@ def vol(b, tol=Fraction(1, 10**6)):
         return intersect_cartier([b] * n)
     n = b.approximants[0].fan.dim
     return intersect_nef([b] * n, tol)
-
-
-def incarnation_volumes(b: CartierB, chain: Sequence[Fan]) -> list[Fraction]:
-    """n!-normalized volumes of the incarnation divisors along a refinement chain."""
-    return toric.volumes_along(chain, b.psi)
 
 
 @dataclass(frozen=True)

@@ -162,11 +162,6 @@ def chern_from_segre(m: int, bundle: str = "E") -> GradedElem:
     return _universal(m, bundle, "s")
 
 
-def segre_from_chern(m: int, bundle: str = "E") -> GradedElem:
-    """s_m as the universal polynomial in c_1..c_m."""
-    return _universal(m, bundle, "c")
-
-
 def twist_segre(e: BundleDecl, line: str, a: int) -> GradedElem:
     """s_a(E tensor L) in the symbols s_j(E) and c_1(L)."""
     if a < 0:
@@ -294,14 +289,6 @@ def fiber_product_projectivization(
                 pieces.append((tuple(lifted_slope), off_c))
         lines.append(toric.hermitian(toric.metric(line, pieces), f"O(1)#{i}"))
     return fan, lines
-
-
-def projectivize_split(b: SplitToricBundle) -> tuple[Fan, HermitianToricLine]:
-    """Fan of the dual projectivization and its O(1) with the induced metric."""
-    if b.rank == 1:
-        return b.fan, b.summands[0]
-    fan, lines = fiber_product_projectivization([b])
-    return fan, lines[0]
 
 
 def eval_segre_monomial(bs: Sequence[SplitToricBundle], exps: Sequence[int]) -> Fraction:

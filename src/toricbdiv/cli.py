@@ -21,10 +21,6 @@ from .report import (CliError, bundles_of, chain_of, divisor_of,
                      fan_of, flag_of, ideal_of, int_of, load_json,
                      metric_of, metrics_of, need, need_list, rat_of, weil_of)
 
-_SUITES = ("chern-weil-line", "okouniden", "segre-comm", "dfvol",
-           "test-vs-multiplier")
-
-
 class _HelpRequested(Exception):
     """Carries the help text: run() returns it, a batch entry is refused."""
 
@@ -70,7 +66,7 @@ def _build_parser() -> _ArgParser:
     sp.add_argument("--emax", type=int, default=12)
     cmd("chern")
     sp = cmd("verify")
-    sp.add_argument("--suite", required=True, choices=_SUITES)
+    sp.add_argument("--suite", required=True, choices=tuple(_SUITE_FNS))
     sp.add_argument("--kmax", type=int)
     cmd("profile")
     cmd("export-plot", out=True)

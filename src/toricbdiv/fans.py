@@ -237,40 +237,3 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
         for c2 in f2.cones:
             cones.append(tuple(c1) + tuple(len(f1.rays) + i for i in c2))
     return make_fan(rays, cones, n1 + n2)
-
-
-def sort_rays_ccw(rays: Sequence[IntVec]) -> list[IntVec]:
-    """Counterclockwise angular order of 2-d rays, starting at the positive x-axis."""
-    def half(r: IntVec) -> int:
-        if r[1] > 0 or (r[1] == 0 and r[0] > 0):
-            return 0
-        return 1
-
-    def cmp(a: IntVec, b: IntVec) -> int:
-        ha, hb = half(a), half(b)
-        if ha != hb:
-            return -1 if ha < hb else 1
-        cr = a[0] * b[1] - a[1] * b[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return sorted(rays, key=functools.cmp_to_key(cmp))
-
-
-def complete_fan_2d(rays: Iterable[Sequence]) -> Fan:
-    """Complete 2-d fan whose maximal cones are consecutive pairs of the given rays."""
-    prim = sorted({primitive(vec(r)) for r in rays})
-    if len(prim) < 3:
-        raise ValueError("need at least three rays")
-    ordered = sort_rays_ccw(list(prim))
-    idx = {r: i for i, r in enumerate(prim)}
-    cones = []
-    for i, r in enumerate(ordered):
-        s = ordered[(i + 1) % len(ordered)]
-        if r[0] * s[1] - r[1] * s[0] <= 0:
-            raise ValueError("rays do not span the plane positively")
-        cones.append((idx[r], idx[s]))
-    return make_fan(prim, cones, 2)

@@ -119,27 +119,6 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
     return _minimal_in_box([bound] * n, floor_of, "multiplier ideal")
 
 
-def multiplier_ideal_snc(weights: Sequence[tuple[str, object]], k: int) -> dict[str, int]:
-    """I(k * sum a_i D_i) = O(-sum floor(k a_i) D_i) for simple normal crossings."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    out = {}
-    for label, a in weights:
-        av = rat(a)
-        if av < 0:
-            raise ValueError("weights must be nonnegative")
-        out[str(label)] = math.floor(k * av)
-    return out
-
-
-def graded_sections(h: HermitianToricLine, k: int) -> int:
-    """Count of the lattice points of k * P(g), for P(g) the hull of the metric's slopes.
-    These are not the sections of L^k cut by the multiplier ideal of k*h."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return polytopes.lattice_count(toric.model_polytope(h.metric), k)
-
-
 def volume_of_pair(h: HermitianToricLine, k_max: int = 20) -> tuple[Fraction, list[Fraction]]:
     """Exact vol(L,h) = vol(P(g)) plus the normalized section-count sequence."""
     if k_max < 1:
@@ -151,15 +130,6 @@ def volume_of_pair(h: HermitianToricLine, k_max: int = 20) -> tuple[Fraction, li
     ks = range(1, k_max + 1)
     seq = [Fraction(c, k**n) for k, c in zip(ks, polytopes.lattice_counts(model, ks))]
     return exact, seq
-
-
-def frobenius_bracket(i: MonomialIdeal, p: int, e: int) -> MonomialIdeal:
-    """p^e-th root ideal: generated by ceil((g+1)/p^e) - 1 over the generators."""
-    _check_prime(p)
-    if e <= 0:
-        raise ValueError("e must be positive")
-    q = p**e
-    return make_ideal(i.nvars, [tuple((x + q) // q - 1 for x in g) for g in i.gens])
 
 
 @dataclass(frozen=True)
@@ -253,7 +223,7 @@ def _affordable(i: MonomialIdeal, n_pow: int, q: int) -> bool:
 
 
 def _power_bracket(i: MonomialIdeal, n_pow: int, q: int) -> MonomialIdeal:
-    """frobenius_bracket(I^n_pow, p, e) with q = p^e, without materializing I^n_pow."""
+    """(I^N)^[1/q] for N = n_pow, without materializing I^N."""
     if n_pow == 0 or i.is_unit():
         return unit_ideal(i.nvars)
     if len(i.gens) >= 4 and not _affordable(i, n_pow, q):

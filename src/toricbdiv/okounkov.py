@@ -15,11 +15,10 @@ from typing import Sequence
 
 from . import bdiv, polytopes, toric
 from .bdiv import CartierB
-from .chern import projectivize_split
 from .linalg import det, inverse_directions
 from .polytopes import Polytope
 from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec, vsub
-from .toric import ToricDivisor
+from .toric import ToricDivisor, ToricMetric
 
 
 @dataclass(frozen=True)
@@ -198,8 +197,13 @@ def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polyto
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
     if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")
-    limit = OkounkovBody(_flag_image(model, nu, m0), "partial_Gk", nu_of_metric(m, nu))
-    return hulls, limit
+    return hulls, _limit_body(m, nu)
+
+
+def _limit_body(m: ToricMetric, nu: FlagValuation) -> OkounkovBody:
+    """Limit of the section hulls: the flag image M (P(g) - m0), with nu(h) as its shift."""
+    m0 = _trivialization(m.line, nu)
+    return OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", nu_of_metric(m, nu))
 
 
 def okounkov_of_bdiv(w, nu: FlagValuation, tol=Fraction(1, 10**6)) -> OkounkovBody:
@@ -236,45 +240,6 @@ def verify_okouniden(h, nu: FlagValuation) -> OkounidenReport:
     """Check body(bdiv) + nu(h) = body(metric limit) through both pipelines."""
     m = toric._as_metric(h)
     lhs = okounkov_of_bdiv(bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
-    m0 = _trivialization(m.line, nu)
-    shift = nu_of_metric(m, nu)
-    rhs = OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", shift)
-    translated = polytopes.translate(lhs.body, shift)
-    verdict = "equal" if translated == rhs.body else "gap"
-    return OkounidenReport(lhs, shift, rhs, verdict)
-
-
-@dataclass(frozen=True)
-class ContainmentCertificate:
-    holds: bool
-    margins: tuple[tuple[IntVec, Fraction, Fraction], ...]  # (normal, offset, slack)
-
-
-def monotone_containment(alpha: ToricDivisor, beta: ToricDivisor,
-                         nu: FlagValuation) -> ContainmentCertificate:
-    """Certificate that body(alpha) + body(beta - alpha) sits inside body(beta)."""
-    if alpha.fan != beta.fan:
-        raise ValueError("dimension/fan mismatch")
-    if not (toric.is_nef(alpha) and toric.is_nef(beta)):
-        raise ValueError("hypothesis violated")
-    diff = toric.divisor(beta.fan, [b - a for a, b in zip(alpha.coeffs, beta.coeffs)])
-    try:
-        for d in (diff, alpha, beta):
-            toric.polytope_of_divisor(d)
-    except ValueError:
-        raise ValueError("hypothesis violated")
-    body_a, body_d, body_b = _body(alpha, nu), _body(diff, nu), _body(beta, nu)
-    margins = []
-    ok = True
-    for w, c in body_b.halfspaces:
-        # support functions add under Minkowski sums: no sum is built
-        slack = min(dot(w, v) for v in body_a.vertices) + min(dot(w, v) for v in body_d.vertices) - c
-        margins.append((tuple(int(x) for x in w), c, slack))
-        ok = ok and slack >= 0
-    return ContainmentCertificate(ok, tuple(margins))
-
-
-def okounkov_of_bundle(bundle, nu: FlagValuation, k_max: int = 20):
-    """Body of O(1) on the dual projectivization; nu lives on the total space."""
-    _, o1 = projectivize_split(bundle)
-    return partial_okounkov(o1, nu, k_max)
+    rhs = _limit_body(m, nu)
+    verdict = "equal" if polytopes.translate(lhs.body, rhs.shift) == rhs.body else "gap"
+    return OkounidenReport(lhs, rhs.shift, rhs, verdict)

@@ -148,17 +148,18 @@ def _build(dim: int, vertices: Iterable[Vec], halfspaces: Iterable[Halfspace]) -
 def canonicalize(raw_vertices: Iterable[Sequence]) -> Polytope:
     """Convex hull with minimal V- and H-representations, deterministically ordered.
 
-    The points are scaled once by the lcm s of their denominators and hulled on
-    integers by `hull_of_ints`.
+    The points are scaled once by the lcm s of their denominators, then sorted,
+    deduplicated and hulled on integers by `hull_of_ints`: dividing by s > 0
+    keeps the lex order and distinctness.
     """
-    pts = sorted({vec(p) for p in raw_vertices})
+    pts = [vec(p) for p in raw_vertices]
     if not pts:
         raise ValueError("empty point set")
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("dimension mismatch")
     ints, s = int_row([x for p in pts for x in p])
-    return hull_of_ints([tuple(ints[i * n:(i + 1) * n]) for i in range(len(pts))], s)
+    return hull_of_ints(sorted({tuple(ints[i * n:(i + 1) * n]) for i in range(len(pts))}), s)
 
 
 def hull_of_ints(pts: list[IntVec], s: int, k: int = 1) -> Polytope:
@@ -301,7 +302,6 @@ def volume(p: Polytope) -> Fraction:
 @dataclass(frozen=True)
 class HausdorffDist:
     value: Fraction
-    norm: str = "linf"
 
 
 def _grown_rows(pts: list[IntVec], rows: list[tuple[IntVec, int]]) -> list[tuple[IntVec, int]]:
@@ -483,11 +483,6 @@ def lattice_points(p: Polytope, k: int = 1) -> list[IntVec]:
 def lattice_counts(p: Polytope, ks: range) -> list[int]:
     """Exact number of integer points of kP for each k of ks."""
     return [int((hi - lo + 1).sum()) for _, lo, hi in _lattice_runs(p, ks)]
-
-
-def lattice_count(p: Polytope, k: int = 1) -> int:
-    """Exact number of integer points of kP."""
-    return lattice_counts(p, range(k, k + 1))[0]
 
 
 def lattice_run_ends(p: Polytope, ks: range) -> Iterator[list[IntVec]]:

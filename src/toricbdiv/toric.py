@@ -1,4 +1,4 @@
-"""Toric divisors and PL metrics: polytopes, Lelong data, masses, minimal extensions.
+"""Toric divisors and PL metrics: polytopes, masses, volumes along refinements.
 
 Sign conventions: psi_D(v_rho) = -a_rho, P_D = {m : <m, v_rho> >= -a_rho}, and the
 Lelong number along a ray is nu_rho = g(v_rho) - psi_D(v_rho) >= 0. Metric pieces
@@ -18,7 +18,7 @@ from . import fans, polytopes
 from .fans import Fan
 from .linalg import solve
 from .polytopes import Polytope
-from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec
+from .rationals import Vec, dot, idot, int_row, rat, vec
 
 Piece = tuple[Vec, Fraction]
 
@@ -122,11 +122,6 @@ def is_big(d: ToricDivisor) -> bool:
     return polytopes.affine_rank(list(p.vertices)) == d.fan.dim
 
 
-def pullback(d: ToricDivisor, fine: Fan) -> ToricDivisor:
-    """Incarnation of the divisor on a refinement: coefficients -psi_D at new rays."""
-    return divisor(fine, [-psi_value(d, r) for r in fine.rays])
-
-
 @dataclass(frozen=True)
 class ToricMetric:
     """PL concave metric g = min_j(<m_j, v> + c_j) on the line bundle O(D)."""
@@ -159,12 +154,6 @@ def metric(line: ToricDivisor, pieces: Iterable[tuple[Sequence, object]]) -> Tor
 def model_polytope(h: ToricMetric) -> Polytope:
     """P(g): the hull of the recession slopes."""
     return polytopes.canonicalize([m for m, _ in h.pieces])
-
-
-def minimal_metric(d: ToricDivisor) -> ToricMetric:
-    """g = support function of P_D (the concavification of psi_D); zero Lelong data."""
-    p = polytope_of_divisor(d)
-    return metric(d, [(v, 0) for v in p.vertices])
 
 
 def metric_with_ray_weights(d: ToricDivisor, weights: Mapping) -> ToricMetric:
@@ -222,23 +211,6 @@ def _as_metric(h) -> ToricMetric:
     return h.metric if isinstance(h, HermitianToricLine) else h
 
 
-def lelong_numbers(h, fan: Fan) -> dict[IntVec, Fraction]:
-    """nu_rho = g(v_rho) - psi_D(v_rho) per ray of the (refined) fan."""
-    m = _as_metric(h)
-    out: dict[IntVec, Fraction] = {}
-    for r in fan.rays:
-        nu = m.g(r) - psi_value(m.line, r)
-        if nu < 0:
-            raise ValueError("negative Lelong number")
-        out[r] = nu
-    return out
-
-
-def singularity_divisor(h, fan: Fan) -> ToricDivisor:
-    nus = lelong_numbers(h, fan)
-    return divisor(fan, [nus[r] for r in fan.rays])
-
-
 def np_mass(hs: Sequence[HermitianToricLine]) -> Fraction:
     """Non-pluripolar mass: n! times the mixed volume of the model polytopes."""
     if not hs:
@@ -250,25 +222,14 @@ def np_mass(hs: Sequence[HermitianToricLine]) -> Fraction:
     return math.factorial(n) * polytopes.mixed_volume(bodies)
 
 
-def minimal_extension(h, fan: Fan) -> HermitianToricLine:
-    """Twist killing all Lelong numbers on the given fan: a'_rho = -g(v_rho)."""
-    m = _as_metric(h)
-    line = divisor(fan, [-m.g(r) for r in fan.rays])
-    return HermitianToricLine(metric(line, m.pieces), "minimal extension")
-
-
-def volumes_along(chain: Sequence[Fan], psi) -> list[Fraction]:
-    """n! vol(P_D) for a_rho = -psi(v_rho) on each fan of a refinement chain."""
+def volume_profile(h: HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
+    """n! vol(P_D) of the minimal extension's divisor, a_rho = -g(v_rho), on each fan
+    of a refinement chain."""
     for fine, coarse in zip(chain[1:], chain):
         if not fans.refines(fine, coarse):
             raise ValueError("chain not nested")
     out = []
     for f in chain:
-        d = divisor(f, [-psi(r) for r in f.rays])
+        d = divisor(f, [-h.metric.g(r) for r in f.rays])
         out.append(math.factorial(f.dim) * polytopes.volume(polytope_of_divisor(d)))
     return out
-
-
-def volume_profile(h: HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
-    """Volumes of the minimal extension's divisor, a_rho = -g(v_rho), along a refinement chain."""
-    return volumes_along(chain, h.metric.g)

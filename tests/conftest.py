@@ -1,11 +1,13 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from toricbdiv import dd, fans, ideals, toric
+from toricbdiv import dd, fans, ideals, polytopes, toric
 from toricbdiv.polytopes import Polytope, _build, canonicalize
-from toricbdiv.rationals import Vec, dot, rat, vec
+from toricbdiv.rationals import IntVec, Vec, dot, primitive, rat, vec
 
 
 def p2() -> fans.Fan:
@@ -38,12 +40,82 @@ def o_p1p1(a, b) -> toric.ToricDivisor:
     return toric.divisor(p1xp1(), {(1, 0): 0, (0, 1): 0, (-1, 0): a, (0, -1): b})
 
 
+def minimal_metric(d: toric.ToricDivisor) -> toric.ToricMetric:
+    """g = support function of P_D (the concavification of psi_D); zero Lelong data."""
+    p = toric.polytope_of_divisor(d)
+    return toric.metric(d, [(v, 0) for v in p.vertices])
+
+
 def minimal_line(d: toric.ToricDivisor, label: str = "") -> toric.HermitianToricLine:
-    return toric.hermitian(toric.minimal_metric(d), label)
+    return toric.hermitian(minimal_metric(d), label)
 
 
 def weighted_line(d: toric.ToricDivisor, weights) -> toric.HermitianToricLine:
     return toric.hermitian(toric.metric_with_ray_weights(d, weights))
+
+
+def pullback(d: toric.ToricDivisor, fine: fans.Fan) -> toric.ToricDivisor:
+    """Incarnation of the divisor on a refinement: coefficients -psi_D at new rays."""
+    return toric.divisor(fine, [-toric.psi_value(d, r) for r in fine.rays])
+
+
+def lelong_numbers(h, fan: fans.Fan) -> dict[IntVec, Fraction]:
+    """nu_rho = g(v_rho) - psi_D(v_rho) per ray of the (refined) fan."""
+    m = toric._as_metric(h)
+    out: dict[IntVec, Fraction] = {}
+    for r in fan.rays:
+        nu = m.g(r) - toric.psi_value(m.line, r)
+        if nu < 0:
+            raise ValueError("negative Lelong number")
+        out[r] = nu
+    return out
+
+
+def singularity_divisor(h, fan: fans.Fan) -> toric.ToricDivisor:
+    nus = lelong_numbers(h, fan)
+    return toric.divisor(fan, [nus[r] for r in fan.rays])
+
+
+def sort_rays_ccw(rays: Sequence[IntVec]) -> list[IntVec]:
+    """Counterclockwise angular order of 2-d rays, starting at the positive x-axis."""
+    def half(r: IntVec) -> int:
+        if r[1] > 0 or (r[1] == 0 and r[0] > 0):
+            return 0
+        return 1
+
+    def cmp(a: IntVec, b: IntVec) -> int:
+        ha, hb = half(a), half(b)
+        if ha != hb:
+            return -1 if ha < hb else 1
+        cr = a[0] * b[1] - a[1] * b[0]
+        if cr > 0:
+            return -1
+        if cr < 0:
+            return 1
+        return 0
+
+    return sorted(rays, key=functools.cmp_to_key(cmp))
+
+
+def complete_fan_2d(rays: Iterable[Sequence]) -> fans.Fan:
+    """Complete 2-d fan whose maximal cones are consecutive pairs of the given rays."""
+    prim = sorted({primitive(vec(r)) for r in rays})
+    if len(prim) < 3:
+        raise ValueError("need at least three rays")
+    ordered = sort_rays_ccw(list(prim))
+    idx = {r: i for i, r in enumerate(prim)}
+    cones = []
+    for i, r in enumerate(ordered):
+        s = ordered[(i + 1) % len(ordered)]
+        if r[0] * s[1] - r[1] * s[0] <= 0:
+            raise ValueError("rays do not span the plane positively")
+        cones.append((idx[r], idx[s]))
+    return fans.make_fan(prim, cones, 2)
+
+
+def lattice_count(p: Polytope, k: int = 1) -> int:
+    """Exact number of integer points of kP."""
+    return polytopes.lattice_counts(p, range(k, k + 1))[0]
 
 
 def rand_weighted(rng, fan: fans.Fan, max_deg: int = 4) -> toric.HermitianToricLine:

@@ -6,9 +6,9 @@ import pytest
 
 from toricbdiv import chern, fans, toric
 from toricbdiv.chern import (BundleDecl, chern_from_segre, chern_number,
-                             constant, eval_segre_monomial, one,
-                             parse_chern_expr, projectivize_split,
-                             segre_from_chern, split_bundle, symbol,
+                             constant, eval_segre_monomial,
+                             fiber_product_projectivization, one,
+                             parse_chern_expr, split_bundle, symbol,
                              twist_segre, zero)
 
 from conftest import minimal_line, o_p1p1, o_p2, p1, p2, weighted_line
@@ -61,7 +61,7 @@ def test_universal_frozen():
     assert chern_from_segre(0) == one()
     assert chern_from_segre(1) == zero() - s(1)
     assert chern_from_segre(2) == s(1) * s(1) - s(2)
-    assert segre_from_chern(2) == c(1) * c(1) - c(2)
+    assert chern._universal(2, "E", "c") == c(1) * c(1) - c(2)
     assert chern_from_segre(-1) == zero()
 
 
@@ -79,7 +79,7 @@ def test_universal_matches_series_inversion():
 
 def test_universal_round_trip():
     for m in range(1, 9):
-        assert segre_from_chern(m).to_segre() == s(m)
+        assert chern._universal(m, "E", "c").to_segre() == s(m)
 
 
 # -- twists ----------------------------------------------------------------------
@@ -122,7 +122,7 @@ def test_twist_matches_split_roots():
 
 def test_projectivize_trivial_rank_two():
     b = split_bundle([minimal_line(op1(0)), minimal_line(op1(0))])
-    fan, o1 = projectivize_split(b)
+    fan, (o1,) = fiber_product_projectivization([b])
     assert fan == fans.product_fan(p1(), p1())
     want = {(-1, 0): 0, (0, -1): 1, (0, 1): 0, (1, 0): 0}
     assert dict(zip(o1.line.fan.rays, o1.line.coeffs)) == want
@@ -130,16 +130,16 @@ def test_projectivize_trivial_rank_two():
 
 def test_projectivize_hirzebruch():
     b = split_bundle([minimal_line(op1(0)), minimal_line(op1(1))])
-    fan, o1 = projectivize_split(b)
+    fan, (o1,) = fiber_product_projectivization([b])
     assert fan.rays == ((-1, 1), (0, -1), (0, 1), (1, 0))
     assert toric.is_nef(o1.line)
 
 
 def test_projectivize_rank_one_is_identity():
     h = minimal_line(o_p2(2))
-    fan, o1 = projectivize_split(split_bundle([h]))
+    fan, (o1,) = fiber_product_projectivization([split_bundle([h])])
     assert fan == p2()
-    assert o1 is h
+    assert o1.metric == h.metric
 
 
 def test_split_bundle_errors():
@@ -149,7 +149,7 @@ def test_split_bundle_errors():
         split_bundle([minimal_line(op1(1)), minimal_line(o_p2(1))])
     frac = minimal_line(toric.divisor(p2(), {(-1, -1): Fraction(3, 2)}))
     with pytest.raises(ValueError, match="summand coefficients must be integral"):
-        projectivize_split(split_bundle([frac, minimal_line(o_p2(0))]))
+        fiber_product_projectivization([split_bundle([frac, minimal_line(o_p2(0))])])
 
 
 # -- numeric evaluation -----------------------------------------------------------

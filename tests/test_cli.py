@@ -785,7 +785,7 @@ def _mutated(draw, doc):
 def _commands(out):
     scenario = [["intersect"], ["volume"], ["mass"], ["okounkov"], ["partial-okounkov", "--kmax", "3"],
                 ["chern"], ["profile"], ["export-plot", "--out", out]]
-    scenario += [["verify", "--suite", suite, "--kmax", "3"] for suite in cli._SUITES]
+    scenario += [["verify", "--suite", suite, "--kmax", "3"] for suite in cli._SUITE_FNS]
     return {"scenario": [argv + ["--scenario"] for argv in scenario],
             "ideal": [["mideal", "--c", "7/3", "--ideal"], ["tideal", "--lam", "5/4", "--p", "3", "--ideal"]],
             "batch": [["batch"]]}

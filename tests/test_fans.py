@@ -8,12 +8,11 @@ from hypothesis import strategies as st
 import fan_oracle
 import lp_oracle as lp
 from toricbdiv import dd, fans, report, toric
-from toricbdiv.fans import (common_refinement, complete_fan_2d, make_fan,
-                            product_fan, projective_space_fan,
-                            refine_by_slopes, refines, stellar_refine)
+from toricbdiv.fans import (common_refinement, make_fan, refine_by_slopes,
+                            refines, stellar_refine)
 from toricbdiv.rationals import dot, vec
 
-from conftest import half_plane, p1, p1cubed, p1xp1, p2
+from conftest import complete_fan_2d, half_plane, p1, p1cubed, p1xp1, p2
 
 
 def test_projective_plane_fan():

@@ -13,12 +13,12 @@ from hypothesis import strategies as st
 import ideal_oracle as io
 import lp_oracle as lp
 from toricbdiv import dd, ideals, toric
-from toricbdiv.ideals import (TestIdealQuery, frobenius_bracket, make_ideal,
-                              multiplier_ideal_monomial, multiplier_ideal_snc,
-                              unit_ideal)
+from toricbdiv.ideals import (TestIdealQuery, make_ideal,
+                              multiplier_ideal_monomial, unit_ideal)
 from toricbdiv.rationals import idot
 
-from conftest import ideal_product, ideal_subset, minimal_line, o_p1p1, o_p2, weighted_line
+from conftest import (ideal_product, ideal_subset, lattice_count, minimal_line, o_p1p1, o_p2,
+                      weighted_line)
 
 TestIdealQuery.__test__ = False  # not a test class despite the name
 
@@ -378,12 +378,6 @@ def test_multiplier_subadditivity():
         assert ideal_subset(lhs, rhs)
 
 
-def test_multiplier_snc():
-    assert multiplier_ideal_snc([("D1", Fraction(3, 2))], 1) == {"D1": 1}
-    assert multiplier_ideal_snc([("D1", Fraction(3, 2))], 2) == {"D1": 3}
-    assert multiplier_ideal_snc([], 5) == {}
-
-
 # -- section counting ---------------------------------------------------------
 
 def test_volume_of_pair():
@@ -399,15 +393,11 @@ def test_volume_of_pair():
 
 
 def test_volume_of_pair_counts_graded_sections():
-    # the sequence counts on the model polytope that graded_sections looks up
+    # the sequence counts the lattice points of k times the model polytope
     for h, n in ((weighted_line(o_p2(2), {(1, 0): 1}), 2), (minimal_line(o_p1p1(1, 2)), 2)):
         _, seq = ideals.volume_of_pair(h, k_max=9)
-        assert seq == [Fraction(ideals.graded_sections(h, k), k**n) for k in range(1, 10)]
-
-
-def test_graded_sections_requires_positive_k():
-    with pytest.raises(ValueError, match="k must be positive"):
-        ideals.graded_sections(minimal_line(o_p2(1)), 0)
+        model = toric.model_polytope(h.metric)
+        assert seq == [Fraction(lattice_count(model, k), k**n) for k in range(1, 10)]
 
 
 @pytest.mark.parametrize("k_max", [0, -3])
@@ -419,9 +409,10 @@ def test_volume_of_pair_requires_positive_k(k_max):
 # -- Frobenius brackets and test ideals ---------------------------------------
 
 def test_bracket_frozen():
-    assert frobenius_bracket(make_ideal(1, [[3]]), 2, 1) == make_ideal(1, [[1]])
-    assert frobenius_bracket(unit_ideal(2), 3, 2).is_unit()
-    assert frobenius_bracket(make_ideal(2, [[2, 5]]), 3, 1) == make_ideal(2, [[0, 1]])
+    # I^[1/q] is the power bracket at N = 1
+    assert ideals._power_bracket(make_ideal(1, [[3]]), 1, 2) == make_ideal(1, [[1]])
+    assert ideals._power_bracket(unit_ideal(2), 1, 9).is_unit()
+    assert ideals._power_bracket(make_ideal(2, [[2, 5]]), 1, 3) == make_ideal(2, [[0, 1]])
 
 
 def test_bracket_against_member_oracle():
@@ -432,7 +423,7 @@ def test_bracket_against_member_oracle():
         ideal = make_ideal(n, gens)
         p = rng.choice([2, 3, 5])
         e = rng.choice([1, 2])
-        assert frobenius_bracket(ideal, p, e) == _bracket_oracle(ideal, p, e)
+        assert ideals._power_bracket(ideal, 1, p**e) == _bracket_oracle(ideal, p, e)
 
 
 def test_bracket_chain_increasing_in_e():

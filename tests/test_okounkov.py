@@ -7,18 +7,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricbdiv import bdiv, cli, fans, okounkov, polytopes, toric
-from toricbdiv.okounkov import (flag, monotone_containment, nu_of_metric,
-                                okounkov_of_bdiv, okounkov_of_bundle,
+from toricbdiv import bdiv, chern, cli, okounkov, polytopes, toric
+from toricbdiv.okounkov import (flag, nu_of_metric, okounkov_of_bdiv,
                                 okounkov_of_class, partial_okounkov,
                                 verify_okouniden)
-from toricbdiv.chern import projectivize_split, split_bundle
-from toricbdiv.rationals import dot
+from toricbdiv.chern import split_bundle
 
 import sections_oracle as so
-from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1cubed,
-                      p1xp1, p2, rand_weighted, rand_weighted3, scale,
-                      weighted_line)
+from conftest import (half_plane, lelong_numbers, minimal_line, o_p1p1, o_p2,
+                      p1, p1cubed, p1xp1, p2, rand_weighted, rand_weighted3,
+                      scale, weighted_line)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -319,9 +317,9 @@ def test_flag_keeps_its_inverse_transpose():
 def test_bundle_hulls_match_all_points_oracle():
     bundle = split_bundle([minimal_line(o_p2(1)), weighted_line(o_p2(2), {(1, 0): 1})])
     nu = flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    hulls, limit = okounkov_of_bundle(bundle, nu, k_max=6)
+    _, (o1,) = chern.fiber_product_projectivization([bundle])
+    hulls, limit = partial_okounkov(o1, nu, k_max=6)
     assert limit.body.dim == 3
-    _, o1 = projectivize_split(bundle)
     assert_same_hulls(hulls, all_points_hulls(o1, nu, 6))
 
 
@@ -439,12 +437,12 @@ def test_nu_of_metric_slope_convergence():
     ray = (-1, -1)
     limit = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
     fan = bdiv.bdiv_of_metric(limit).cartier.fan
-    nu_lim = toric.lelong_numbers(limit, fan)[ray]
+    nu_lim = lelong_numbers(limit, fan)[ray]
     prev = None
     for k in (1, 2, 4, 8, 16):
         t = 1 - Fraction(1, k)
         hk = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((t, t), 0)]))
-        nu_k = toric.lelong_numbers(hk, fan)[ray]
+        nu_k = lelong_numbers(hk, fan)[ray]
         if prev is not None:
             assert nu_k <= prev
         prev = nu_k
@@ -485,97 +483,12 @@ def test_nu_of_metric_errors_match_oracle():
                 route(line, nu)
 
 
-# -- containment certificates -------------------------------------------------------------
-
-def test_containment_line_sum(monkeypatch):
-    def no_sum(p, q):
-        raise AssertionError("minkowski_sum called")
-
-    monkeypatch.setattr(polytopes, "minkowski_sum", no_sum)
-    cert = monotone_containment(o_p2(1), o_p2(3), std_flag())
-    assert cert.holds
-    assert all(slack >= 0 for _, _, slack in cert.margins)
-    assert any(slack == 0 for _, _, slack in cert.margins)
-
-
-def test_containment_degenerate_equal():
-    cert = monotone_containment(o_p2(2), o_p2(2), std_flag())
-    assert cert.holds
-
-
-def test_containment_rulings():
-    cert = monotone_containment(o_p1p1(1, 0), o_p1p1(1, 1), std_flag())
-    assert cert.holds
-
-
-def test_containment_rejects():
-    with pytest.raises(ValueError, match="dimension/fan mismatch"):
-        monotone_containment(o_p2(1), o_p1p1(1, 1), std_flag())
-    with pytest.raises(ValueError, match="hypothesis violated"):
-        monotone_containment(toric.divisor(p2(), {(-1, -1): -1}), o_p2(1), std_flag())
-    with pytest.raises(ValueError, match="hypothesis violated"):
-        monotone_containment(o_p2(2), o_p2(1), std_flag())
-
-
-def blown_up_p2():
-    """P2 blown up at a torus-fixed point: the exceptional curve D_(1,1) is
-    effective but not nef."""
-    return fans.make_fan([(1, 0), (1, 1), (0, 1), (-1, -1)], [[0, 1], [1, 2], [2, 3], [3, 0]])
-
-
-# rays r whose divisors D_r generate the nef cone of each fan
-_NEF_RAYS = {p2: [(-1, -1)], p1xp1: [(-1, 0), (0, -1)],
-             p1cubed: [(-1, 0, 0), (0, -1, 0), (0, 0, -1)], blown_up_p2: [(-1, -1), (1, 0)]}
-
-
-@st.composite
-def divisor_pairs(draw):
-    """(alpha, beta, flag): alpha and beta - alpha nonnegative sums of the nef
-    generators moved by principal divisors, beta - alpha on the blown-up plane
-    also with a multiple of the exceptional curve, and a flag at a drawn cone
-    in a drawn order."""
-    make = draw(st.sampled_from(list(_NEF_RAYS)))
-    fan = make()
-    degree = st.builds(Fraction, st.integers(min_value=0, max_value=6), st.sampled_from([1, 2, 3]))
-    shift = st.tuples(*[st.builds(Fraction, st.integers(min_value=-3, max_value=3),
-                                  st.sampled_from([1, 2]))] * fan.dim)
-
-    def draw_class(extra):
-        coeffs = {r: draw(degree) for r in _NEF_RAYS[make]} | extra
-        m = draw(shift)
-        return [coeffs.get(r, 0) + dot(r, m) for r in fan.rays]
-
-    alpha = draw_class({})
-    diff = draw_class({(1, 1): draw(st.integers(min_value=0, max_value=2))} if make is blown_up_p2 else {})
-    beta = [a + d for a, d in zip(alpha, diff)]
-    cone = draw(st.sampled_from(sorted(fan.halfspaces)))
-    rays = draw(st.permutations([fan.rays[i] for i in cone]))
-    return (toric.divisor(fan, alpha), toric.divisor(fan, beta),
-            flag(rays, draw(st.sampled_from(_ORDERS[fan.dim]))))
-
-
-@given(divisor_pairs())
-@settings(max_examples=100, deadline=None)
-def test_containment_margins_match_minkowski_sum(case):
-    alpha, beta, nu = case
-    try:
-        cert = monotone_containment(alpha, beta, nu)
-    except ValueError as exc:
-        assert str(exc) == "hypothesis violated"
-        assume(False)
-    diff = toric.divisor(beta.fan, [b - a for a, b in zip(alpha.coeffs, beta.coeffs)])
-    total = polytopes.minkowski_sum(okounkov._body(alpha, nu), okounkov._body(diff, nu))
-    want = tuple((w, c, min(dot(w, v) for v in total.vertices) - c)
-                 for w, c in okounkov._body(beta, nu).halfspaces)
-    assert cert.margins == want
-    assert cert.holds == all(slack >= 0 for _, _, slack in want)
-
-
 # -- bundle bodies ------------------------------------------------------------------------
 
 def test_okounkov_of_bundle_hirzebruch():
     bundle = split_bundle([minimal_line(op1(0)), minimal_line(op1(1))])
-    hulls, limit = okounkov_of_bundle(bundle, std_flag(), k_max=5)
+    _, (o1,) = chern.fiber_product_projectivization([bundle])
+    hulls, limit = partial_okounkov(o1, std_flag(), k_max=5)
     assert limit.body == hull([(0, 0), (0, 1), (1, 1)])
     assert limit.volume() == Fraction(1, 2)
     assert hulls[-1] == limit.body

@@ -6,9 +6,10 @@ inclusion-exclusion over scaled Minkowski sums of the distinct bodies. The
 differential tests in `test_polytopes.py` and `test_bdiv.py`, and
 criterion-2 in `test_acceptance.py`, compare the library against these.
 
-`volume_profile` and `incarnation_volumes` are the two chain-volume loops the
-library ran before `toric.volumes_along`: one through the minimal extension's
-metric on each fan, one through the b-divisor's incarnation.
+`volume_profile` and `incarnation_volumes` are two routes to the chain
+volumes of `toric.volume_profile`: one through the minimal extension's metric
+on each fan, one through the incarnation of the metric's b-divisor, whose psi
+equals g everywhere.
 Not collected by pytest (no `test_` prefix).
 """
 from __future__ import annotations
@@ -19,14 +20,14 @@ from itertools import product
 from typing import Sequence
 
 from toricbdiv import fans, polytopes, toric
-from toricbdiv.bdiv import CartierB, incarnation
+from toricbdiv.bdiv import CartierB, WeilNefB
 from toricbdiv.fans import Fan
 from toricbdiv.linalg import det
 from toricbdiv.polytopes import (Polytope, _chain2d, affine_rank, canonicalize,
                                  minkowski_sum)
 from toricbdiv.rationals import IntVec, Vec, dot, vsub
 
-from conftest import scale
+from conftest import pullback, scale
 
 
 def _facet_vertices(p: Polytope, w: IntVec, c: Fraction) -> list[Vec]:
@@ -126,6 +127,20 @@ def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
     return total / math.factorial(n)
 
 
+def minimal_extension(h, fan: Fan) -> toric.HermitianToricLine:
+    """Twist killing all Lelong numbers on the given fan: a'_rho = -g(v_rho)."""
+    m = toric._as_metric(h)
+    line = toric.divisor(fan, [-m.g(r) for r in fan.rays])
+    return toric.HermitianToricLine(toric.metric(line, m.pieces), "minimal extension")
+
+
+def incarnation(b, fan: Fan) -> toric.ToricDivisor:
+    """Divisor with a_rho = -psi(v_rho) on the given complete fan."""
+    if isinstance(b, WeilNefB):
+        b = b.limit if b.limit is not None else b.approximants[-1]
+    return pullback(b.incarnation, fan)
+
+
 def volume_profile(h: toric.HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
     """n!-normalized volumes of the minimal extension's divisor along a refinement chain."""
     for fine, coarse in zip(chain[1:], chain):
@@ -134,7 +149,7 @@ def volume_profile(h: toric.HermitianToricLine, chain: Sequence[Fan]) -> list[Fr
     n = h.line.fan.dim
     out = []
     for f in chain:
-        d = toric.minimal_extension(h.metric, f).line
+        d = minimal_extension(h.metric, f).line
         out.append(math.factorial(n) * polytopes.volume(toric.polytope_of_divisor(d)))
     return out
 
