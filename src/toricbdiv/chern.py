@@ -2,8 +2,10 @@
 
 Symbols s_i(B) and c_i(B) with exact rational coefficients; s_0 = c_0 = 1 and
 s_i = 0 for i < 0 are baked into normalization. Numeric Segre monomials are
-integrals of O(1) powers on fiber products of projectivizations, with sign
-(-1)^(sum of indices).
+the non-pluripolar masses of the O(1) lines on the fiber product of the
+projectivizations, with sign (-1)^(sum of indices): by the Chern-Weil formula
+these equal the b-divisor intersection numbers of the same lines, as the
+b-divisor of g = min_j <m_j, .> has the hull of the slopes as its polytope.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Mapping, Sequence
 
-from . import bdiv, fans, toric
+from . import fans, toric
 from .fans import Fan
 from .rationals import Rat, rat
 from .toric import HermitianToricLine
@@ -292,7 +294,8 @@ def fiber_product_projectivization(
 
 
 def eval_segre_monomial(bs: Sequence[SplitToricBundle], exps: Sequence[int]) -> Fraction:
-    """Integral of s_{a_1}(E_1)...s_{a_m}(E_m) against the fundamental class."""
+    """Integral of s_{a_1}(E_1)...s_{a_m}(E_m) against the fundamental class: the
+    mass of the O(1) line of each E_i taken a_i + r_i - 1 times, r_i its rank."""
     if len(bs) != len(exps):
         raise ValueError("exponent-sum mismatch")
     if not bs:
@@ -305,12 +308,8 @@ def eval_segre_monomial(bs: Sequence[SplitToricBundle], exps: Sequence[int]) -> 
     if sum(exps) != n:
         raise ValueError("exponent-sum mismatch")
     _, lines = fiber_product_projectivization(bs)
-    factors: list[bdiv.CartierB] = []
-    for line, b, a in zip(lines, bs, exps):
-        d = bdiv.bdiv_of_metric(line).cartier
-        factors.extend([d] * (a + b.rank - 1))
-    sign = Fraction(-1) ** sum(exps)
-    return sign * bdiv.intersect_cartier(factors)
+    factors = [line for line, b, a in zip(lines, bs, exps) for _ in range(a + b.rank - 1)]
+    return Fraction(-1) ** sum(exps) * toric.np_mass(factors)
 
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*+-])")

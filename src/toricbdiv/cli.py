@@ -34,7 +34,8 @@ class _ArgParser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
-def _build_parser() -> _ArgParser:
+def _build_parser() -> tuple[_ArgParser, dict[str, _ArgParser]]:
+    """The top-level parser and each subcommand's own parser, by name."""
     p = _ArgParser(prog="toricbdiv", add_help=True)
     sub = p.add_subparsers(dest="command")
 
@@ -72,7 +73,7 @@ def _build_parser() -> _ArgParser:
     cmd("export-plot", out=True)
     sp = cmd("batch", scenario=False)
     sp.add_argument("manifest")
-    return p
+    return p, sub.choices
 
 
 def _tol_of(args, scn: dict) -> Fraction:
@@ -375,13 +376,25 @@ def _error_text(command: str, err: CliError) -> str:
     return _render({"command": command, "error": {"code": err.code, "message": err.message}})
 
 
-_PARSER = _build_parser()
+_PARSER, _SUBPARSERS = _build_parser()
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """The named subcommand's own parser reads the rest of argv, as _PARSER would
+    hand it on; anything else (no words, help, an unknown word) takes _PARSER,
+    which owns the top-level help and the invalid-choice error."""
+    sub = _SUBPARSERS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
 
 
 def _dispatch(argv: Sequence[str]) -> tuple[int, str]:
     """run() without help: a request for it raises _HelpRequested."""
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(argv)
     except CliError as exc:
         return exc.code, _error_text(argv[0] if argv else "", exc)
     if args.command is None:

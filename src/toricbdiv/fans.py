@@ -168,9 +168,9 @@ def refines(fine: Fan, coarse: Fan) -> bool:
     return True
 
 
-def _linear_on_cones(fan: Fan, pts: Sequence[Vec]) -> bool:
+def _linear_on_cones(fan: Fan, ms: Sequence[IntVec]) -> bool:
     """Every maximal cone is simplicial and one slope m attains g = min_k <slope_k, .>
-    at each of its rays, tested on integers after one lcm over the slopes.
+    at each of its rays, tested on the slopes scaled by one lcm.
 
     g is concave and positively homogeneous, so superadditive: for x = sum l_rho v_rho
     in the cone, g(x) >= sum l_rho g(v_rho) = <m, x> >= g(x). So g = <m, .> on the
@@ -179,8 +179,6 @@ def _linear_on_cones(fan: Fan, pts: Sequence[Vec]) -> bool:
     n = fan.dim
     if any(len(c) != n for c in fan.cones):
         return False
-    ints = int_row([x for m in pts for x in m])[0]
-    ms = [ints[i:i + n] for i in range(0, len(ints), n)]
     least = []
     for r in fan.rays:
         vals = [idot(m, r) for m in ms]
@@ -202,15 +200,18 @@ def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
     When g is already linear on every maximal cone, the fan is its own
     refinement and is returned as it is, with its cached halfspaces.
     """
-    pts = list(dict.fromkeys(slopes))
     n = fan.dim
-    if not pts:
+    if not slopes:
         raise ValueError("no slopes")
-    if any(len(m) != n for m in pts):
+    if any(len(m) != n for m in slopes):
         raise ValueError("dimension mismatch")
-    if len(pts) == 1 or _linear_on_cones(fan, pts):
+    # the slopes scaled by one lcm q: equal slopes give equal integer rows, in
+    # the order they first come, and (q m, -q) lifts m as (m, -1) does
+    ints, q = int_row([x for m in slopes for x in m])
+    ms = list(dict.fromkeys(tuple(ints[i:i + n]) for i in range(0, len(ints), n)))
+    if len(ms) == 1 or _linear_on_cones(fan, ms):
         return fan
-    lifted = [primitive(tuple(m) + (-1,)) for m in pts]
+    lifted = [primitive(m + (-q,)) for m in ms]
     cells = []
     for rows in fan.halfspaces.values():
         _, rays = dd.extreme_rays([a + (0,) for a in rows] + lifted, n + 1)

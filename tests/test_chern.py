@@ -1,17 +1,22 @@
 """Segre/Chern universal polynomials, twists, projectivizations, evaluation."""
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricbdiv import chern, fans, toric
+import chern_oracle
+from toricbdiv import bdiv, chern, fans, toric
 from toricbdiv.chern import (BundleDecl, chern_from_segre, chern_number,
                              constant, eval_segre_monomial,
                              fiber_product_projectivization, one,
                              parse_chern_expr, split_bundle, symbol,
                              twist_segre, zero)
 
-from conftest import minimal_line, o_p1p1, o_p2, p1, p2, weighted_line
+from conftest import (minimal_line, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
+                      weighted_line)
 
 
 def s(i, b="E"):
@@ -198,6 +203,77 @@ def test_eval_singular_summand_full_mass():
     # (-1)^n s_n of a line is c_1^n, the non-pluripolar mass
     assert eval_segre_monomial([l], [2]) == 4
     assert toric.np_mass([h, h]) == 4
+
+
+BASES = {"P2": p2(), "P1xP1": p1xp1(), "P1^3": p1cubed()}
+
+
+@st.composite
+def _summand(draw, base):
+    """A nef line: degree 0 to 2 at each ray of negative sum, shifted by 1/2 at
+    all of them when drawn so, with a weight along a positive ray of degree >= 1."""
+    neg = [r for r in base.rays if sum(r) < 0]
+    half = draw(st.sampled_from([0, 0, 0, Fraction(1, 2)]))
+    degs = {r: draw(st.integers(0, 2)) for r in neg}
+    d = toric.divisor(base, {r: degs[r] + half if r in degs else 0 for r in base.rays})
+    # the positive unit ray e_i meets the negative rays with a -1 at i
+    pos = [r for r in base.rays if sum(r) > 0
+           and any(degs[q] >= 1 for q in neg if any(x * y < 0 for x, y in zip(q, r)))]
+    if pos and draw(st.booleans()):
+        w = draw(st.builds(Fraction, st.integers(1, 2), st.sampled_from([2, 3, 4])))
+        return weighted_line(d, {draw(st.sampled_from(pos)): w})
+    return minimal_line(d)
+
+
+def _compositions_of(n, parts):
+    """Every tuple of `parts` integers >= 0 summing to n."""
+    if parts == 1:
+        yield (n,)
+        return
+    for a in range(n + 1):
+        for rest in _compositions_of(n - a, parts - 1):
+            yield (a,) + rest
+
+
+@st.composite
+def _split_bundles(draw):
+    """One or two split bundles of rank 1 to 3 over P2, P1xP1 or (P1)^3."""
+    base = BASES[draw(st.sampled_from(sorted(BASES)))]
+    return [chern.split_bundle(draw(st.lists(_summand(base), min_size=1, max_size=3)))
+            for _ in range(draw(st.integers(1, 2)))]
+
+
+def _value_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(_split_bundles())
+@settings(max_examples=40, deadline=None)
+def test_segre_masses_match_the_bdiv_oracle(bs):
+    # summands whose 1/2 shifts differ give fractional coefficient differences,
+    # which both routes refuse with the same message
+    n = bs[0].fan.dim
+    for exps in [*_compositions_of(n, len(bs)), (-1,) + (n + 1,) * (len(bs) - 1)]:
+        got = _value_or_error(eval_segre_monomial, bs, exps)
+        want = _value_or_error(chern_oracle.eval_segre_monomial, bs, exps)
+        assert got == want, exps
+
+
+@given(_split_bundles())
+@settings(max_examples=10, deadline=None)
+def test_chern_number_refines_no_fan(bs):
+    # with no determination cached, the b-divisor route would refine each O(1) fan
+    bdiv._determination.cache_clear()
+    n = bs[0].fan.dim
+    table = {f"E{i}": b for i, b in enumerate(bs)}
+    # each bundle once per monomial: a power of one bundle's classes multiplies
+    # the dimension of the fiber product
+    expr = f"s{n}(E0)" if len(bs) == 1 else f"s{n}(E1) - 2*s1(E0)*s{n - 1}(E1)"
+    with mock.patch.object(fans, "refine_by_slopes", side_effect=AssertionError("fan refined")):
+        _value_or_error(chern_number, table, expr)
 
 
 def test_chern_number_frozen():

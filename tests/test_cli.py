@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import toricbdiv
 from toricbdiv import cli, fans
 from toricbdiv.cli import run
+from toricbdiv.report import CliError
 
 P2_FAN = {"rays": [[1, 0], [0, 1], [-1, -1]], "cones": [[0, 1], [1, 2], [0, 2]]}
 GOLDEN = Path(__file__).parent / "golden"
@@ -691,6 +692,31 @@ def test_parser_is_built_once(tmp_path, monkeypatch):
     ideal = mk(tmp_path, "x.json", {"nvars": 1, "gens": [[1]]})
     manifest = mk(tmp_path, "runs.json", [["mideal", "--ideal", ideal, "--c", "1/2"]])
     assert run(["batch", manifest])[0] == 0
+
+
+def _parsed(parse, argv):
+    """vars() of the parse, or the CliError or help text it raised."""
+    try:
+        return vars(parse(argv))
+    except CliError as exc:
+        return ("error", exc.code, exc.message)
+    except cli._HelpRequested as exc:
+        return ("help", exc.args[0])
+
+
+GOLDEN_ARGVS = ([case["argv"] for case in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))]
+                + json.loads((GOLDEN / "batch.json").read_text(encoding="utf-8"))["runs"])
+
+
+@pytest.mark.parametrize("argv", GOLDEN_ARGVS + [
+    ["mass", "--frob"], ["volume"], ["tideal", "-h"], ["verify", "--suite", "nope"],
+    ["verify", "--sc", "p2.json", "--suite", "dfvol"], ["chern", "--scenario=p2.json", "--tim"],
+    ["mass", "--", "--scenario", "p2.json"], ["help"], ["--help", "mass"],
+], ids=" ".join)
+def test_a_subcommand_parser_reads_argv_as_the_top_parser_does(argv, monkeypatch):
+    # argparse wraps help text to the terminal width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _parsed(cli._parse, argv) == _parsed(cli._PARSER.parse_args, argv)
 
 
 def test_a_repeated_run_builds_no_fan_again(tmp_path, monkeypatch):
