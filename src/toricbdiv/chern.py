@@ -1,11 +1,15 @@
 """Segre/Chern calculus: formal graded ring plus numeric evaluation on split bundles.
 
 Symbols s_i(B) and c_i(B) with exact rational coefficients; s_0 = c_0 = 1 and
-s_i = 0 for i < 0 are baked into normalization. Numeric Segre monomials are
-the non-pluripolar masses of the O(1) lines on the fiber product of the
-projectivizations, with sign (-1)^(sum of indices): by the Chern-Weil formula
-these equal the b-divisor intersection numbers of the same lines, as the
-b-divisor of g = min_j <m_j, .> has the hull of the slopes as its polytope.
+s_i = 0 for i < 0 are baked into normalization. Expanding an expression is
+charged against a work budget before it runs. Numeric Segre monomials are
+computed on the base fan: for a split bundle with summand classes x_j,
+c(E) = prod (1 + x_j), so s_a(E) = (-1)^a h_a(x), and a degree-n monomial in
+the x_j is the non-pluripolar mass of those summands (the Cayley trick: the
+model polytope of the O(1) line on the projectivization is the Cayley
+polytope of the summands' models). By the Chern-Weil formula these equal the
+b-divisor intersection numbers of the O(1) lines on the fiber product of the
+projectivizations, which tests/chern_oracle.py keeps as the oracle.
 """
 from __future__ import annotations
 
@@ -13,12 +17,12 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Mapping, Sequence
 
-from . import fans, toric
+from . import toric
 from .fans import Fan
-from .rationals import Rat, rat
+from .rationals import rat
 from .toric import HermitianToricLine
 
 Sym = tuple[str, str, int]  # (kind "s"|"c", bundle name, index i >= 1)
@@ -58,6 +62,7 @@ class GradedElem:
         return self + other.scale(-1)
 
     def __mul__(self, other: "GradedElem") -> "GradedElem":
+        _charge(_mul_work(self, other))
         acc: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -68,8 +73,10 @@ class GradedElem:
     def __pow__(self, k: int) -> "GradedElem":
         if k < 0:
             raise ValueError("negative power")
-        out = one()
+        out, work = one(), k
         for _ in range(k):
+            work += _mul_work(out, self)
+            _charge(work)
             out = out * self
         return out
 
@@ -79,19 +86,42 @@ class GradedElem:
 
     def substitute(self, fn) -> "GradedElem":
         """Replace each symbol by fn(sym) (a GradedElem), None keeping it."""
-        out = zero()
+        reps: dict[Sym, GradedElem] = {}
+        acc: dict[Mono, Fraction] = {}
+        work = 0
         for mono, c in self.terms:
             term = constant(c)
             for sym in mono:
-                rep = fn(sym)
-                term = term * (rep if rep is not None else graded({(sym,): Fraction(1)}))
-            out = out + term
-        return out
+                if sym not in reps:
+                    rep = fn(sym)
+                    reps[sym] = rep if rep is not None else graded({(sym,): Fraction(1)})
+                work += _mul_work(term, reps[sym])
+                _charge(work)
+                term = term * reps[sym]
+            for m, x in term.terms:
+                acc[m] = acc.get(m, Fraction(0)) + x
+        return graded(acc)
 
     def to_segre(self) -> "GradedElem":
         """Rewrite every c_i(B) through the universal polynomial."""
         return self.substitute(
             lambda s: chern_from_segre(s[2], s[1]) if s[0] == "c" else None)
+
+
+# Symbols one expansion may write: c_m in the other kind writes its 2^(m-1)
+# compositions of m, a product every pair of terms, a power each of its products.
+_EXPAND_BUDGET = 1 << 18
+
+
+def _charge(work: int) -> None:
+    if work > _EXPAND_BUDGET:
+        raise ValueError("chern expression budget exceeded")
+
+
+def _mul_work(a: GradedElem, b: GradedElem) -> int:
+    """Symbols a * b writes: each pair of terms writes both monomials."""
+    return (len(b.terms) * sum(len(m) for m, _ in a.terms)
+            + len(a.terms) * sum(len(m) for m, _ in b.terms))
 
 
 def graded(acc: Mapping[Mono, Fraction] | dict) -> GradedElem:
@@ -151,6 +181,7 @@ def _universal(m: int, bundle: str, kind: str) -> GradedElem:
         return zero()
     if m == 0:
         return one()
+    _charge(m << (m - 1))
     acc: dict[Mono, Fraction] = {}
     for t in range(1, m + 1):
         for alpha in _compositions(m, t):
@@ -198,104 +229,18 @@ def split_bundle(summands: Sequence[HermitianToricLine]) -> SplitToricBundle:
     return SplitToricBundle(fan, tuple(summands))
 
 
-def _embed(v: Sequence, total: int, offset: int) -> tuple:
-    out = [Fraction(0)] * total
-    for i, x in enumerate(v):
-        out[offset + i] = rat(x)
-    return tuple(out)
-
-
 def _as_int(x: Fraction) -> int:
     if x.denominator != 1:
         raise ValueError("summand coefficients must be integral")
     return int(x)
 
 
-def fiber_product_projectivization(
-        bs: Sequence[SplitToricBundle]) -> tuple[Fan, list[HermitianToricLine]]:
-    """Fan of the fiber product of the dual projectivizations and the O(1) lines.
-
-    Coordinates are (base, fiber block 1, ..., fiber block m); block i has one
-    coordinate per non-reference summand of bundle i (summand 0 is the chart
-    anchor). Base rays lift by the coefficient differences a_j - a_0, fiber
-    rays are the block unit vectors plus their negated sum.
-    """
-    if not bs:
-        raise ValueError("wrong count of bodies")
-    base = bs[0].fan
-    if any(b.fan != base for b in bs):
-        raise ValueError("dimension/fan mismatch")
-    n = base.dim
-    sizes = [b.rank - 1 for b in bs]
-    offsets = []
-    pos = n
-    for r in sizes:
-        offsets.append(pos)
-        pos += r
-    total = pos
-
-    rays: list[tuple] = []
-    for ridx, v in enumerate(base.rays):
-        lift = [int(x) for x in v]
-        for b, off in zip(bs, offsets):
-            a0 = b.summands[0].line.coeffs[ridx]
-            for j in range(1, b.rank):
-                lift.append(_as_int(b.summands[j].line.coeffs[ridx] - a0))
-        rays.append(tuple(lift))
-    n_base_rays = len(rays)
-
-    # fiber rays per block: index 0 is -sum(e_j), index j >= 1 is e_{off+j-1}
-    fiber_ray_ids: list[list[int]] = []
-    for b, off in zip(bs, offsets):
-        ids = []
-        if b.rank > 1:
-            neg = [0] * total
-            for j in range(b.rank - 1):
-                neg[off + j] = -1
-            ids.append(len(rays))
-            rays.append(tuple(neg))
-            for j in range(b.rank - 1):
-                e = [0] * total
-                e[off + j] = 1
-                ids.append(len(rays))
-                rays.append(tuple(e))
-        fiber_ray_ids.append(ids)
-
-    cones: list[tuple[int, ...]] = []
-    charts = [range(b.rank) for b in bs]
-    for cone in base.cones:
-        lifted = [i for i in cone]
-        for pick in product(*charts):
-            cids = list(lifted)
-            for i, k in enumerate(pick):
-                ids = fiber_ray_ids[i]
-                if ids:
-                    cids.extend(ids[j] for j in range(len(ids)) if j != k)
-            cones.append(tuple(cids))
-    fan = fans.make_fan(rays, cones, total)
-
-    lines: list[HermitianToricLine] = []
-    for i, (b, off) in enumerate(zip(bs, offsets)):
-        coeffs: dict[tuple, Rat] = {}
-        for ridx in range(n_base_rays):
-            coeffs[rays[ridx]] = b.summands[0].line.coeffs[ridx]
-        for k, rid in enumerate(fiber_ray_ids[i]):
-            coeffs[rays[rid]] = Fraction(1) if k == 0 else Fraction(0)
-        line = toric.divisor(fan, coeffs)
-        pieces = []
-        for j in range(b.rank):
-            for slope, off_c in b.summands[j].metric.pieces:
-                lifted_slope = list(_embed(slope, total, 0))
-                if j > 0:
-                    lifted_slope[off + j - 1] = Fraction(1)
-                pieces.append((tuple(lifted_slope), off_c))
-        lines.append(toric.hermitian(toric.metric(line, pieces), f"O(1)#{i}"))
-    return fan, lines
-
-
 def eval_segre_monomial(bs: Sequence[SplitToricBundle], exps: Sequence[int]) -> Fraction:
-    """Integral of s_{a_1}(E_1)...s_{a_m}(E_m) against the fundamental class: the
-    mass of the O(1) line of each E_i taken a_i + r_i - 1 times, r_i its rank."""
+    """Integral of s_{a_1}(E_1)...s_{a_m}(E_m) against the fundamental class.
+
+    s_a(E) = (-1)^a h_a(x) in the classes x_j of E's summands, and a degree-n
+    monomial in the x_j is the mass of those summands on the base (the Cayley
+    trick), so this sums np_mass over one multiset of a_i summands per E_i."""
     if len(bs) != len(exps):
         raise ValueError("exponent-sum mismatch")
     if not bs:
@@ -307,9 +252,19 @@ def eval_segre_monomial(bs: Sequence[SplitToricBundle], exps: Sequence[int]) -> 
         return Fraction(0)
     if sum(exps) != n:
         raise ValueError("exponent-sum mismatch")
-    _, lines = fiber_product_projectivization(bs)
-    factors = [line for line, b, a in zip(lines, bs, exps) for _ in range(a + b.rank - 1)]
-    return Fraction(-1) ** sum(exps) * toric.np_mass(factors)
+    # the projectivization's rays lift by these differences; the number is
+    # defined only where they are integral, though the sum below never reads them
+    for b in bs:
+        for h in b.summands[1:]:
+            for x, x0 in zip(h.line.coeffs, b.summands[0].line.coeffs):
+                _as_int(x - x0)
+    picks = product(*(combinations_with_replacement(b.summands, a) for b, a in zip(bs, exps)))
+    total = sum(toric.np_mass([h for part in pick for h in part]) for pick in picks)
+    return Fraction(-1) ** n * total
+
+
+class ParseError(ValueError):
+    """A Chern expression that is not well formed, as against one too large to expand."""
 
 
 _TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*+-])")
@@ -323,7 +278,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            raise ValueError(f"parse error at position {pos}")
+            raise ParseError(f"parse error at position {pos}")
         out.append((m.lastgroup, m.group(), pos))
         pos = _SPACE.match(text, m.end()).end()
     out.append(("end", "", len(text)))
@@ -347,23 +302,30 @@ class _Parser:
     def take(self, kind=None, value=None):
         tok = self.toks[self.i]
         if (kind and tok[0] != kind) or (value and tok[1] != value):
-            raise ValueError(f"parse error at position {tok[2]}")
+            raise ParseError(f"parse error at position {tok[2]}")
         self.i += 1
         return tok
 
     def expr(self) -> GradedElem:
-        out = self.term()
-        while self.peek()[:2] in (("op", "+"), ("op", "-")):
-            op = self.take()[1]
-            rhs = self.term()
-            out = out + rhs if op == "+" else out - rhs
-        return out
+        # one accumulation, as a sum normalized after each term is quadratic
+        acc: dict[Mono, Fraction] = {}
+        sign = 1
+        while True:
+            for m, c in self.term().terms:
+                acc[m] = acc.get(m, Fraction(0)) + sign * c
+            if self.peek()[:2] not in (("op", "+"), ("op", "-")):
+                return graded(acc)
+            sign = 1 if self.take()[1] == "+" else -1
 
     def term(self) -> GradedElem:
-        out = self.factor()
+        # a chain of products is charged as a whole, as a power is
+        out, work = self.factor(), 0
         while self.peek()[:2] == ("op", "*"):
             self.take()
-            out = out * self.factor()
+            rhs = self.factor()
+            work += _mul_work(out, rhs)
+            _charge(work)
+            out = out * rhs
         return out
 
     def factor(self) -> GradedElem:
@@ -372,7 +334,7 @@ class _Parser:
             self.take()
             tok = self.take("num")
             if "/" in tok[1]:
-                raise ValueError(f"parse error at position {tok[2]}")
+                raise ParseError(f"parse error at position {tok[2]}")
             out = out ** int(tok[1])
         return out
 
@@ -386,7 +348,7 @@ class _Parser:
             try:
                 return constant(Fraction(value))
             except ZeroDivisionError:
-                raise ValueError(f"parse error at position {pos}")
+                raise ParseError(f"parse error at position {pos}")
         if kind == "op" and value == "(":
             self.take()
             out = self.expr()
@@ -395,13 +357,13 @@ class _Parser:
         if kind == "name":
             m = _SYM_NAME.match(value)
             if not m:
-                raise ValueError(f"parse error at position {pos}")
+                raise ParseError(f"parse error at position {pos}")
             self.take()
             self.take("op", "(")
             bundle = self.take("name")[1]
             self.take("op", ")")
             return symbol(m.group(1), bundle, int(m.group(2)))
-        raise ValueError(f"parse error at position {pos}")
+        raise ParseError(f"parse error at position {pos}")
 
 
 def parse_chern_expr(text: str) -> GradedElem:

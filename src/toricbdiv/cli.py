@@ -221,7 +221,7 @@ def _cmd_chern(args):
         raise CliError(2, f"expression must be a string in {args.scenario}")
     try:
         parsed = chern.parse_chern_expr(expr)
-    except ValueError as exc:
+    except chern.ParseError as exc:
         raise CliError(2, str(exc))
     value = chern.chern_number(table, parsed)
     return inputs, {"expression": expr, "value": fmt(value)}, None

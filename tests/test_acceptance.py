@@ -13,6 +13,7 @@ from toricbdiv.chern import split_bundle
 from toricbdiv.ideals import TestIdealQuery, make_ideal, multiplier_ideal_monomial
 from toricbdiv.okounkov import flag, partial_okounkov, verify_okouniden
 
+import chern_oracle
 import volume_oracle
 from conftest import (ideal_subset, minimal_line, o_p2, p1, p1xp1, p2,
                       rand_weighted, rand_weighted3, weighted_line)
@@ -259,9 +260,10 @@ def test_06_segre_via_projectivization():
     cases.append(([e, f], [1, 1]))
     cases.append(([f, e], [0, 2]))
     for bundles, exps in cases:
-        up = chern.eval_segre_monomial(bundles, exps)
+        base = chern.eval_segre_monomial(bundles, exps)
+        up = chern_oracle.mass_segre_monomial(bundles, exps)
         down = downstairs(bundles, exps)
-        assert up == down, (exps, up, down)
+        assert base == up == down, (exps, base, up, down)
     elapsed = time.monotonic() - t0
     _report("criterion-6", elapsed < 20.0, f"{len(cases)} cases, {elapsed:.2f}s of 20s")
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chern_oracle
+import volume_oracle
 from toricbdiv import bdiv, chern, fans, toric
 from toricbdiv.chern import (BundleDecl, chern_from_segre, chern_number,
-                             constant, eval_segre_monomial,
-                             fiber_product_projectivization, one,
+                             constant, eval_segre_monomial, one,
                              parse_chern_expr, split_bundle, symbol,
                              twist_segre, zero)
+from chern_oracle import fiber_product_projectivization
 
 from conftest import (minimal_line, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
                       weighted_line)
@@ -152,9 +153,10 @@ def test_split_bundle_errors():
         split_bundle([])
     with pytest.raises(ValueError, match="dimension/fan mismatch"):
         split_bundle([minimal_line(op1(1)), minimal_line(o_p2(1))])
+    # the base route never reads the differences, but keeps refusing them
     frac = minimal_line(toric.divisor(p2(), {(-1, -1): Fraction(3, 2)}))
     with pytest.raises(ValueError, match="summand coefficients must be integral"):
-        fiber_product_projectivization([split_bundle([frac, minimal_line(o_p2(0))])])
+        eval_segre_monomial([split_bundle([frac, minimal_line(o_p2(0))])], [2])
 
 
 # -- numeric evaluation -----------------------------------------------------------
@@ -254,26 +256,50 @@ def _value_or_error(fn, *args):
 @settings(max_examples=40, deadline=None)
 def test_segre_masses_match_the_bdiv_oracle(bs):
     # summands whose 1/2 shifts differ give fractional coefficient differences,
-    # which both routes refuse with the same message
+    # which every route refuses with the same message; the fiber product's
+    # mass and its b-divisor number check the base route and each other
     n = bs[0].fan.dim
     for exps in [*_compositions_of(n, len(bs)), (-1,) + (n + 1,) * (len(bs) - 1)]:
         got = _value_or_error(eval_segre_monomial, bs, exps)
-        want = _value_or_error(chern_oracle.eval_segre_monomial, bs, exps)
-        assert got == want, exps
+        assert got == _value_or_error(chern_oracle.mass_segre_monomial, bs, exps), exps
+        assert got == _value_or_error(chern_oracle.eval_segre_monomial, bs, exps), exps
 
 
 @given(_split_bundles())
 @settings(max_examples=10, deadline=None)
 def test_chern_number_refines_no_fan(bs):
-    # with no determination cached, the b-divisor route would refine each O(1) fan
+    # with no determination cached, the b-divisor route would refine each O(1)
+    # fan, and a fiber product would build its own fan first
     bdiv._determination.cache_clear()
     n = bs[0].fan.dim
     table = {f"E{i}": b for i, b in enumerate(bs)}
-    # each bundle once per monomial: a power of one bundle's classes multiplies
-    # the dimension of the fiber product
-    expr = f"s{n}(E0)" if len(bs) == 1 else f"s{n}(E1) - 2*s1(E0)*s{n - 1}(E1)"
-    with mock.patch.object(fans, "refine_by_slopes", side_effect=AssertionError("fan refined")):
+    expr = f"s{n}(E0) - c1(E0)^{n}"
+    if len(bs) == 2:
+        expr += f" + s{n}(E1) - 2*s1(E0)*s{n - 1}(E1) + c1(E1)^{n - 1}*c1(E0)"
+    with mock.patch.object(fans, "refine_by_slopes", side_effect=AssertionError("fan refined")), \
+            mock.patch.object(fans, "make_fan", side_effect=AssertionError("fan built")):
         _value_or_error(chern_number, table, expr)
+
+
+def test_chern_number_of_a_power_matches_the_root_expansion():
+    # c1(E0)^3 - c3(E1) on rank-3 bundles over (P1)^3: c_k is e_k of the
+    # summands' classes, and a degree-3 root monomial is 3! V of their models
+    base = p1cubed()
+
+    def o(a, b, c):
+        return toric.divisor(base, {(-1, 0, 0): a, (0, -1, 0): b, (0, 0, -1): c,
+                                    (1, 0, 0): 0, (0, 1, 0): 0, (0, 0, 1): 0})
+
+    e0 = [minimal_line(o(1, 0, 1)), weighted_line(o(2, 1, 1), {(1, 0, 0): Fraction(1, 2)}),
+          minimal_line(o(0, 2, 1))]
+    e1 = [minimal_line(o(1, 1, 1)), minimal_line(o(1, 2, 0)),
+          weighted_line(o(1, 1, 2), {(0, 0, 1): 1})]
+    table = {"E0": split_bundle(e0), "E1": split_bundle(e1)}
+    p, q = [[toric.model_polytope(h.metric) for h in e] for e in (e0, e1)]
+    cube = sum(volume_oracle.mixed_volume([p[i], p[j], p[k]])
+               for i in range(3) for j in range(3) for k in range(3))
+    want = 6 * (cube - volume_oracle.mixed_volume(q))
+    assert chern_number(table, "c1(E0)^3 - c3(E1)") == want
 
 
 def test_chern_number_frozen():

@@ -524,6 +524,30 @@ def test_malformed_golden_scenarios_exit_without_traceback(tmp_path, golden, arg
     assert "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("expr, code, answer", [
+    pytest.param("c22(E)", 3, "chern expression budget exceeded", id="c22"),
+    pytest.param("c1(E)^20000", 3, "chern expression budget exceeded", id="c1-power"),
+    pytest.param("c40(E) - c40(E) + c2(E)", 0, "1", id="cancels-at-parse"),
+    pytest.param("*".join(["c1(E)"] * 4000), 3, "chern expression budget exceeded",
+                 id="product-chain"),
+    pytest.param(" + ".join(f"c1(A{i})" for i in range(2000)) + " + c2(E) - "
+                 + " - ".join(f"c1(A{i})" for i in range(2000)), 0, "1", id="long-sum"),
+])
+def test_chern_expansion_budget(tmp_path, expr, code, answer):
+    # c_m in the s's spells 2^(m-1) compositions and a power or a chain of
+    # products sorts ever longer monomials, so each charges the budget before it
+    # expands (without it they took 26 s, over 40 s and 2.8 s); a symbol that
+    # cancels at parse is never expanded, and a long sum is added up once
+    scn = json.loads((GOLDEN / "p2.json").read_text(encoding="utf-8"))
+    scn["expression"] = expr
+    t0 = time.monotonic()
+    got, text = run(["chern", "--scenario", mk(tmp_path, "p2.json", scn)])
+    assert time.monotonic() - t0 < 5.0
+    assert got == code
+    rep = report_of(text)
+    assert (rep["error"]["message"] if code else rep["outputs"]["value"]) == answer
+
+
 def test_ray_in_no_cone_is_input_error(tmp_path):
     # (1, 1) is listed as a ray, but no cone names it
     fan = {"rays": P2_FAN["rays"] + [[1, 1]], "cones": P2_FAN["cones"]}

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from toricbdiv import bdiv, chern, cli, okounkov, polytopes, toric
+from toricbdiv import bdiv, cli, okounkov, polytopes, toric
 from toricbdiv.okounkov import (flag, nu_of_metric, okounkov_of_bdiv,
                                 okounkov_of_class, partial_okounkov,
                                 verify_okouniden)
 from toricbdiv.chern import split_bundle
 
 import sections_oracle as so
+from chern_oracle import fiber_product_projectivization
 from conftest import (half_plane, lelong_numbers, minimal_line, o_p1p1, o_p2,
                       p1, p1cubed, p1xp1, p2, rand_weighted, rand_weighted3,
                       scale, weighted_line)
@@ -317,7 +318,7 @@ def test_flag_keeps_its_inverse_transpose():
 def test_bundle_hulls_match_all_points_oracle():
     bundle = split_bundle([minimal_line(o_p2(1)), weighted_line(o_p2(2), {(1, 0): 1})])
     nu = flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-    _, (o1,) = chern.fiber_product_projectivization([bundle])
+    _, (o1,) = fiber_product_projectivization([bundle])
     hulls, limit = partial_okounkov(o1, nu, k_max=6)
     assert limit.body.dim == 3
     assert_same_hulls(hulls, all_points_hulls(o1, nu, 6))
@@ -487,7 +488,7 @@ def test_nu_of_metric_errors_match_oracle():
 
 def test_okounkov_of_bundle_hirzebruch():
     bundle = split_bundle([minimal_line(op1(0)), minimal_line(op1(1))])
-    _, (o1,) = chern.fiber_product_projectivization([bundle])
+    _, (o1,) = fiber_product_projectivization([bundle])
     hulls, limit = partial_okounkov(o1, std_flag(), k_max=5)
     assert limit.body == hull([(0, 0), (0, 1), (1, 1)])
     assert limit.volume() == Fraction(1, 2)
