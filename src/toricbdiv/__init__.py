@@ -15,8 +15,8 @@ from .okounkov import (FlagValuation, OkounidenReport, OkounkovBody, flag,
                        verify_okouniden)
 from .polytopes import (Polytope, canonicalize, from_halfspaces, hausdorff_linf,
                         lattice_points, minkowski_sum, mixed_volume, volume)
-from .toric import (HermitianToricLine, ToricDivisor, ToricMetric, divisor,
-                    hermitian, is_big, is_nef, metric, model_polytope, np_mass,
-                    polytope_of_divisor, tensor, volume_profile)
+from .toric import (ToricDivisor, ToricMetric, divisor, is_big, is_nef, metric,
+                    model_polytope, np_mass, polytope_of_divisor, tensor,
+                    volume_profile)
 
 __version__ = "0.1.0"

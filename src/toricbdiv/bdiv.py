@@ -16,7 +16,7 @@ from . import dd, fans, polytopes, toric
 from .fans import Fan
 from .polytopes import Polytope
 from .rationals import fmt, idot, int_row, rat
-from .toric import HermitianToricLine, ToricDivisor, ToricMetric
+from .toric import ToricDivisor, ToricMetric
 
 
 @dataclass(frozen=True)
@@ -54,13 +54,13 @@ class HermBDiv:
     cartier: CartierB
 
 
-def bdiv_of_metric(h: HermitianToricLine) -> HermBDiv:
-    return HermBDiv(_determination(h.metric))
+def bdiv_of_metric(h: ToricMetric) -> HermBDiv:
+    return HermBDiv(_determination(h))
 
 
 @functools.lru_cache(maxsize=None)
 def _determination(g: ToricMetric) -> CartierB:
-    """psi = g on the fan refined by g's slopes, built once per metric, whatever its label."""
+    """psi = g on the fan refined by g's slopes, built once per metric."""
     slopes = [m for m, _ in g.pieces]
     fan = fans.refine_by_slopes(g.line.fan, slopes)
     # psi = g = min_j <m_j, .> at each ray, on the slopes scaled by their lcm s
@@ -182,16 +182,16 @@ class ChernWeilReport:
         return out
 
 
-def chern_weil_line(hs: Sequence[HermitianToricLine]) -> ChernWeilReport:
+def chern_weil_line(hs: Sequence[ToricMetric]) -> ChernWeilReport:
     """Mass of the b-divisor intersection vs the non-pluripolar mass: a gap is a verdict."""
     if not hs:
         raise ValueError("wrong count of bodies")
     n = hs[0].line.fan.dim
-    built = {m: bdiv_of_metric(line).cartier for m, line in {h.metric: h for h in hs}.items()}
-    lhs = intersect_cartier([built[h.metric] for h in hs])
+    built = {h: bdiv_of_metric(h).cartier for h in set(hs)}
+    lhs = intersect_cartier([built[h] for h in hs])
     rhs = toric.np_mass(hs)
     mid: Fraction | None = None
-    if all(h.metric == hs[0].metric for h in hs):
-        mid = math.factorial(n) * polytopes.volume(toric.model_polytope(hs[0].metric))
+    if len(built) == 1:
+        mid = math.factorial(n) * polytopes.volume(toric.model_polytope(hs[0]))
     ok = lhs == rhs and (mid is None or mid == lhs)
     return ChernWeilReport(lhs, rhs, mid, "equal" if ok else "gap")

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 from . import toric
 from .fans import Fan
 from .rationals import rat
-from .toric import HermitianToricLine
+from .toric import ToricMetric
 
 Sym = tuple[str, str, int]  # (kind "s"|"c", bundle name, index i >= 1)
 Mono = tuple[Sym, ...]
@@ -213,14 +213,14 @@ def twist_segre(e: BundleDecl, line: str, a: int) -> GradedElem:
 class SplitToricBundle:
     """Direct sum of Hermitian toric lines over a common base fan."""
     fan: Fan
-    summands: tuple[HermitianToricLine, ...]
+    summands: tuple[ToricMetric, ...]
 
     @property
     def rank(self) -> int:
         return len(self.summands)
 
 
-def split_bundle(summands: Sequence[HermitianToricLine]) -> SplitToricBundle:
+def split_bundle(summands: Sequence[ToricMetric]) -> SplitToricBundle:
     if not summands:
         raise ValueError("bundle needs at least one summand")
     fan = summands[0].line.fan
@@ -286,6 +286,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 _SYM_NAME = re.compile(r"^([sc])(\d+)$")
+_MAX_DEPTH = 200  # nested parentheses, as in CPython's own parser
 
 
 class _Parser:
@@ -295,6 +296,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -339,31 +341,34 @@ class _Parser:
         return out
 
     def atom(self) -> GradedElem:
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "-":
+        # a run of unary minuses is one sign, and each '(' costs four frames
+        # (atom, expr, term, factor), so nesting stops before the recursion limit
+        sign = 1
+        while self.peek()[:2] == ("op", "-"):
             self.take()
-            return self.atom().scale(-1)
+            sign = -sign
+        kind, value, pos = self.peek()
         if kind == "num":
             self.take()
             try:
-                return constant(Fraction(value))
+                out = constant(Fraction(value))
             except ZeroDivisionError:
                 raise ParseError(f"parse error at position {pos}")
-        if kind == "op" and value == "(":
+        elif kind == "op" and value == "(" and self.depth < _MAX_DEPTH:
             self.take()
+            self.depth += 1
             out = self.expr()
+            self.depth -= 1
             self.take("op", ")")
-            return out
-        if kind == "name":
-            m = _SYM_NAME.match(value)
-            if not m:
-                raise ParseError(f"parse error at position {pos}")
+        elif kind == "name" and (m := _SYM_NAME.match(value)):
             self.take()
             self.take("op", "(")
             bundle = self.take("name")[1]
             self.take("op", ")")
-            return symbol(m.group(1), bundle, int(m.group(2)))
-        raise ParseError(f"parse error at position {pos}")
+            out = symbol(m.group(1), bundle, int(m.group(2)))
+        else:
+            raise ParseError(f"parse error at position {pos}")
+        return out if sign == 1 else out.scale(-1)
 
 
 def parse_chern_expr(text: str) -> GradedElem:

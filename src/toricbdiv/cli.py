@@ -103,8 +103,8 @@ def _body_json(body: okounkov.OkounkovBody) -> dict:
     return out
 
 
-def _metric_of_scn(fan, scn, where) -> toric.HermitianToricLine:
-    return toric.hermitian(metric_of(fan, need(scn, "metric", where), where))
+def _metric_of_scn(fan, scn, where) -> toric.ToricMetric:
+    return metric_of(fan, need(scn, "metric", where), where)
 
 
 # -- subcommand handlers: return (inputs, outputs, verdict) ------------------

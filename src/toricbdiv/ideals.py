@@ -12,7 +12,7 @@ import numpy as np
 
 from . import dd, polytopes, toric
 from .rationals import idot, rat
-from .toric import HermitianToricLine
+from .toric import ToricMetric
 
 _POWER_BUDGET = 30_000_000
 _BOX_BUDGET = 100_000
@@ -119,11 +119,11 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
     return _minimal_in_box([bound] * n, floor_of, "multiplier ideal")
 
 
-def volume_of_pair(h: HermitianToricLine, k_max: int = 20) -> tuple[Fraction, list[Fraction]]:
+def volume_of_pair(h: ToricMetric, k_max: int = 20) -> tuple[Fraction, list[Fraction]]:
     """Exact vol(L,h) = vol(P(g)) plus the normalized section-count sequence."""
     if k_max < 1:
         raise ValueError("k must be positive")
-    model = toric.model_polytope(h.metric)
+    model = toric.model_polytope(h)
     polytopes.check_lattice_budget(model, k_max)
     exact = polytopes.volume(model)
     n = h.line.fan.dim

@@ -152,14 +152,13 @@ def okounkov_of_class(d: ToricDivisor, nu: FlagValuation) -> OkounkovBody:
     return OkounkovBody(_body(d, nu), "class")
 
 
-def nu_of_metric(h, nu: FlagValuation) -> Vec:
+def nu_of_metric(m: ToricMetric, nu: FlagValuation) -> Vec:
     """Valuation vector of the metric: flag coordinates of the singularity data.
 
     The b-divisor has psi = g = min_j <m_j, .>, and the flag rays form a basis,
     so its functional at v_1 + eps*v_2 + ... is the slope whose values
     (<m_j, v_1>, ..., <m_j, v_n>) are least in the lex order.
     """
-    m = toric._as_metric(h)
     m0 = _trivialization(m.line, nu)
     low = min((s for s, _ in m.pieces), key=lambda s: tuple(dot(s, v) for v in nu.base_cone))
     return nu.coords(vsub(low, m0))
@@ -179,9 +178,9 @@ def _slice_vertices(ends: list[IntVec]) -> list[IntVec]:
     return out
 
 
-def partial_okounkov(h, nu: FlagValuation, k_max: int = 20) -> tuple[list[Polytope | None], OkounkovBody]:
+def partial_okounkov(m: ToricMetric, nu: FlagValuation,
+                     k_max: int = 20) -> tuple[list[Polytope | None], OkounkovBody]:
     """Section hulls Delta_k for k <= k_max and their limit body."""
-    m = toric._as_metric(h)
     if k_max < 1:
         raise ValueError("k must be positive")
     model = toric.model_polytope(m)
@@ -236,10 +235,9 @@ class OkounidenReport:
                 "rhs": self.rhs.to_json(), "verdict": self.verdict}
 
 
-def verify_okouniden(h, nu: FlagValuation) -> OkounidenReport:
-    """Check body(bdiv) + nu(h) = body(metric limit) through both pipelines."""
-    m = toric._as_metric(h)
-    lhs = okounkov_of_bdiv(bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
+def verify_okouniden(m: ToricMetric, nu: FlagValuation) -> OkounidenReport:
+    """Check body(bdiv) + nu(m) = body(metric limit) through both pipelines."""
+    lhs = okounkov_of_bdiv(bdiv.bdiv_of_metric(m).cartier, nu)
     rhs = _limit_body(m, nu)
     verdict = "equal" if polytopes.translate(lhs.body, rhs.shift) == rhs.body else "gap"
     return OkounidenReport(lhs, rhs.shift, rhs, verdict)

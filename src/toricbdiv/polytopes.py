@@ -113,6 +113,9 @@ def _hull(pts: list[IntVec], s: int) -> tuple[list[IntVec], list[tuple[IntVec, i
             e = tuple(int(i == j) for j in range(n))
             rows += [(e, x), (tuple(-y for y in e), -x)]
         return pts, rows
+    if n == 1:
+        # a segment's hull is its two ends
+        return [pts[0], pts[-1]], [((1,), pts[0][0]), ((-1,), -pts[-1][0])]
     hull = _chain2d(pts) if n == 2 else []
     if len(hull) >= 3:
         # three chain vertices span the plane

@@ -117,22 +117,18 @@ def metric_of(fan: Fan, data: dict, where: str) -> toric.ToricMetric:
     return toric.metric(line, parsed)
 
 
-def metrics_of(fan: Fan, scn: dict, where: str) -> list[toric.HermitianToricLine]:
-    out = []
-    for i, data in enumerate(need_list(scn, "metrics", where)):
-        out.append(toric.hermitian(metric_of(fan, data, f"{where} metrics[{i}]")))
-    return out
+def metrics_of(fan: Fan, scn: dict, where: str) -> list[toric.ToricMetric]:
+    return [metric_of(fan, data, f"{where} metrics[{i}]")
+            for i, data in enumerate(need_list(scn, "metrics", where))]
 
 
 def weil_of(fan: Fan, data: dict, where: str) -> bdiv.WeilNefB:
     approx = []
     for i, m in enumerate(need_list(data, "approximants", where)):
-        h = toric.hermitian(metric_of(fan, m, f"{where} approximants[{i}]"))
-        approx.append(bdiv.bdiv_of_metric(h).cartier)
+        approx.append(bdiv.bdiv_of_metric(metric_of(fan, m, f"{where} approximants[{i}]")).cartier)
     limit = None
     if data.get("limit") is not None:
-        h = toric.hermitian(metric_of(fan, data["limit"], f"{where} limit"))
-        limit = bdiv.bdiv_of_metric(h).cartier
+        limit = bdiv.bdiv_of_metric(metric_of(fan, data["limit"], f"{where} limit")).cartier
     return bdiv.weil(approx, limit)
 
 
@@ -169,7 +165,7 @@ def bundles_of(fan: Fan, scn: dict, where: str) -> dict[str, chern.SplitToricBun
         if not isinstance(summands, list):
             raise CliError(2, f"summands must be a list in {where} bundle {name}")
         table[name] = chern.split_bundle(
-            [toric.hermitian(metric_of(fan, m, f"{where} bundle {name}")) for m in summands])
+            [metric_of(fan, m, f"{where} bundle {name}") for m in summands])
     return table
 
 

@@ -124,7 +124,8 @@ def is_big(d: ToricDivisor) -> bool:
 
 @dataclass(frozen=True)
 class ToricMetric:
-    """PL concave metric g = min_j(<m_j, v> + c_j) on the line bundle O(D)."""
+    """PL concave metric g = min_j(<m_j, v> + c_j) on the line bundle O(D): the
+    Hermitian toric line (O(D), g) that the masses, b-divisors and bodies take."""
     line: ToricDivisor
     pieces: tuple[Piece, ...]
 
@@ -193,36 +194,24 @@ def tensor(h1: ToricMetric, h2: ToricMetric) -> ToricMetric:
     return metric(divisor_sum(h1.line, h2.line), pieces)
 
 
-@dataclass(frozen=True)
-class HermitianToricLine:
-    metric: ToricMetric
-    label: str = ""
-
-    @property
-    def line(self) -> ToricDivisor:
-        return self.metric.line
+def hermitian(metric_: ToricMetric) -> ToricMetric:
+    """The metric itself, as a Hermitian toric line is its PL metric; kept because
+    perfbench/workloads.py builds its lines through it."""
+    return metric_
 
 
-def hermitian(metric_: ToricMetric, label: str = "") -> HermitianToricLine:
-    return HermitianToricLine(metric_, label)
-
-
-def _as_metric(h) -> ToricMetric:
-    return h.metric if isinstance(h, HermitianToricLine) else h
-
-
-def np_mass(hs: Sequence[HermitianToricLine]) -> Fraction:
+def np_mass(hs: Sequence[ToricMetric]) -> Fraction:
     """Non-pluripolar mass: n! times the mixed volume of the model polytopes."""
     if not hs:
         raise ValueError("wrong count of bodies")
     n = hs[0].line.fan.dim
     if any(h.line.fan.dim != n for h in hs):
         raise ValueError("dimension/fan mismatch")
-    bodies = [model_polytope(h.metric) for h in hs]
+    bodies = [model_polytope(h) for h in hs]
     return math.factorial(n) * polytopes.mixed_volume(bodies)
 
 
-def volume_profile(h: HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
+def volume_profile(h: ToricMetric, chain: Sequence[Fan]) -> list[Fraction]:
     """n! vol(P_D) of the minimal extension's divisor, a_rho = -g(v_rho), on each fan
     of a refinement chain."""
     for fine, coarse in zip(chain[1:], chain):
@@ -230,6 +219,6 @@ def volume_profile(h: HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction
             raise ValueError("chain not nested")
     out = []
     for f in chain:
-        d = divisor(f, [-h.metric.g(r) for r in f.rays])
+        d = divisor(f, [-h.g(r) for r in f.rays])
         out.append(math.factorial(f.dim) * polytopes.volume(polytope_of_divisor(d)))
     return out

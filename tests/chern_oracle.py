@@ -22,7 +22,7 @@ from toricbdiv import bdiv, fans, toric
 from toricbdiv.chern import SplitToricBundle, _as_int
 from toricbdiv.fans import Fan
 from toricbdiv.rationals import Rat, rat
-from toricbdiv.toric import HermitianToricLine
+from toricbdiv.toric import ToricMetric
 
 
 def _embed(v: Sequence, total: int, offset: int) -> tuple:
@@ -33,7 +33,7 @@ def _embed(v: Sequence, total: int, offset: int) -> tuple:
 
 
 def fiber_product_projectivization(
-        bs: Sequence[SplitToricBundle]) -> tuple[Fan, list[HermitianToricLine]]:
+        bs: Sequence[SplitToricBundle]) -> tuple[Fan, list[ToricMetric]]:
     """Fan of the fiber product of the dual projectivizations and the O(1) lines.
 
     Coordinates are (base, fiber block 1, ..., fiber block m); block i has one
@@ -95,7 +95,7 @@ def fiber_product_projectivization(
             cones.append(tuple(cids))
     fan = fans.make_fan(rays, cones, total)
 
-    lines: list[HermitianToricLine] = []
+    lines: list[ToricMetric] = []
     for i, (b, off) in enumerate(zip(bs, offsets)):
         coeffs: dict[tuple, Rat] = {}
         for ridx in range(n_base_rays):
@@ -105,12 +105,12 @@ def fiber_product_projectivization(
         line = toric.divisor(fan, coeffs)
         pieces = []
         for j in range(b.rank):
-            for slope, off_c in b.summands[j].metric.pieces:
+            for slope, off_c in b.summands[j].pieces:
                 lifted_slope = list(_embed(slope, total, 0))
                 if j > 0:
                     lifted_slope[off + j - 1] = Fraction(1)
                 pieces.append((tuple(lifted_slope), off_c))
-        lines.append(toric.hermitian(toric.metric(line, pieces), f"O(1)#{i}"))
+        lines.append(toric.metric(line, pieces))
     return fan, lines
 
 

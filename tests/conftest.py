@@ -46,22 +46,13 @@ def minimal_metric(d: toric.ToricDivisor) -> toric.ToricMetric:
     return toric.metric(d, [(v, 0) for v in p.vertices])
 
 
-def minimal_line(d: toric.ToricDivisor, label: str = "") -> toric.HermitianToricLine:
-    return toric.hermitian(minimal_metric(d), label)
-
-
-def weighted_line(d: toric.ToricDivisor, weights) -> toric.HermitianToricLine:
-    return toric.hermitian(toric.metric_with_ray_weights(d, weights))
-
-
 def pullback(d: toric.ToricDivisor, fine: fans.Fan) -> toric.ToricDivisor:
     """Incarnation of the divisor on a refinement: coefficients -psi_D at new rays."""
     return toric.divisor(fine, [-toric.psi_value(d, r) for r in fine.rays])
 
 
-def lelong_numbers(h, fan: fans.Fan) -> dict[IntVec, Fraction]:
+def lelong_numbers(m: toric.ToricMetric, fan: fans.Fan) -> dict[IntVec, Fraction]:
     """nu_rho = g(v_rho) - psi_D(v_rho) per ray of the (refined) fan."""
-    m = toric._as_metric(h)
     out: dict[IntVec, Fraction] = {}
     for r in fan.rays:
         nu = m.g(r) - toric.psi_value(m.line, r)
@@ -118,7 +109,7 @@ def lattice_count(p: Polytope, k: int = 1) -> int:
     return polytopes.lattice_counts(p, range(k, k + 1))[0]
 
 
-def rand_weighted(rng, fan: fans.Fan, max_deg: int = 4) -> toric.HermitianToricLine:
+def rand_weighted(rng, fan: fans.Fan, max_deg: int = 4) -> toric.ToricMetric:
     """Random nef+big line with small rational weights along one or two rays."""
     if fan.dim != 2:
         raise ValueError("2d helper")
@@ -139,7 +130,7 @@ def rand_weighted(rng, fan: fans.Fan, max_deg: int = 4) -> toric.HermitianToricL
             w = min(Fraction(num, den), margin / 2 - Fraction(1, 8))
             if w > 0:
                 weights[ray] = w
-    return weighted_line(d, weights) if weights else minimal_line(d)
+    return toric.metric_with_ray_weights(d, weights) if weights else minimal_metric(d)
 
 
 def rand_weighted3(rng):
@@ -156,8 +147,8 @@ def rand_weighted3(rng):
         if w < (a, b, c)[axis]:
             weights[ray] = w
     if weights:
-        return weighted_line(d, weights)
-    return minimal_line(d)
+        return toric.metric_with_ray_weights(d, weights)
+    return minimal_metric(d)
 
 
 def _extent(d: toric.ToricDivisor, ray) -> Fraction:

@@ -192,10 +192,10 @@ def _lattice_runs_per_k(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np
     return prefixes[keep], lo[keep], hi[keep]
 
 
-def partial_hulls_by_run_ends(h, nu: okounkov.FlagValuation, k_max: int) -> list[Polytope | None]:
+def partial_hulls_by_run_ends(m: toric.ToricMetric, nu: okounkov.FlagValuation,
+                              k_max: int) -> list[Polytope | None]:
     """The section hulls Delta_k of `okounkov.partial_okounkov`, from the flag
     hull of every lattice run end of kP."""
-    m = toric._as_metric(h)
     model = toric.model_polytope(m)
     m0 = okounkov._trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
@@ -248,9 +248,8 @@ def lattice_run_ends(p: Polytope) -> list[IntVec]:
     return [tuple(row) for row in rows[starts | ends].tolist()]
 
 
-def partial_hulls(h, nu: okounkov.FlagValuation, k_max: int) -> list[Polytope | None]:
+def partial_hulls(m: toric.ToricMetric, nu: okounkov.FlagValuation, k_max: int) -> list[Polytope | None]:
     """The section hulls Delta_k of `okounkov.partial_okounkov`, on `Fraction`s."""
-    m = toric._as_metric(h)
     model = toric.model_polytope(m)
     m0 = okounkov._trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
@@ -284,10 +283,9 @@ def flag_image(p: Polytope, nu: okounkov.FlagValuation, m0: Sequence) -> Polytop
     return linear_image(shifted, nu.matrix)
 
 
-def nu_of_metric(h, nu: okounkov.FlagValuation) -> Vec:
+def nu_of_metric(m: toric.ToricMetric, nu: okounkov.FlagValuation) -> Vec:
     """Valuation vector of the metric: flag coordinates of the singularity data."""
-    m = toric._as_metric(h)
-    return _nu_of(m, bdiv.bdiv_of_metric(toric.hermitian(m)).cartier, nu)
+    return _nu_of(m, bdiv.bdiv_of_metric(m).cartier, nu)
 
 
 def _nu_of(m: toric.ToricMetric, b: CartierB, nu: okounkov.FlagValuation) -> Vec:

@@ -15,8 +15,8 @@ from toricbdiv.okounkov import flag, partial_okounkov, verify_okouniden
 
 import chern_oracle
 import volume_oracle
-from conftest import (ideal_subset, minimal_line, o_p2, p1, p1xp1, p2,
-                      rand_weighted, rand_weighted3, weighted_line)
+from conftest import (ideal_subset, minimal_metric, o_p2, p1, p1xp1, p2, rand_weighted,
+                      rand_weighted3)
 
 TestIdealQuery.__test__ = False  # imported dataclass, not a test case
 
@@ -52,7 +52,7 @@ def test_01_chern_weil_volume_vs_counting():
             exact, seq = ideals.volume_of_pair(h, k_max=60)
             assert mass == 2 * exact
             # Ehrhart boundary bound at k = 60 with the instance constant
-            c_inst = 2 * (perim_l1(toric.model_polytope(h.metric)) / 2 + 1)
+            c_inst = 2 * (perim_l1(toric.model_polytope(h)) / 2 + 1)
             assert abs(2 * seq[59] - mass) <= c_inst / 60
             checked += 1
     elapsed = time.monotonic() - t0
@@ -78,7 +78,7 @@ def test_02_mixed_mass_two_pipelines():
         mass = toric.np_mass(hs)
         # both sides below run the library's facet formula; the inclusion-exclusion
         # oracle on the model polytopes is the independent second route
-        models = [toric.model_polytope(h.metric) for h in hs]
+        models = [toric.model_polytope(h) for h in hs]
         assert mass == math.factorial(n) * volume_oracle.mixed_volume(models), mass
         bs = [b_of_metric(h) for h in hs]
         polar = Fraction(0)
@@ -138,13 +138,13 @@ def test_04_okounkov_volume_identity():
             assert all(c <= 0 for _, c in body.body.halfspaces)
 
     def seq_of(base_deg):
-        approx, limit = [], minimal_line(o_p2(base_deg))
+        approx, limit = [], minimal_metric(o_p2(base_deg))
         for k in range(14):
             d = base_deg + Fraction(1, 4**k)
             pieces = [((0, 0), 0), ((d, 0), 0), ((0, d), 0)]
             approx.append(b_of_metric(
-                toric.hermitian(toric.metric(toric.divisor(
-                    p2(), {(1, 0): 0, (0, 1): 0, (-1, -1): d}), pieces))))
+                toric.metric(toric.divisor(
+                    p2(), {(1, 0): 0, (0, 1): 0, (-1, -1): d}), pieces)))
         return bdiv.weil(approx, b_of_metric(limit))
 
     tol = Fraction(1, 10**6)
@@ -201,7 +201,7 @@ def test_05_segre_chern_calculus():
                     .substitute(lambda sym: chern.constant(table[sym]))
                 assert got.coeff(()) == st[a]
 
-    e11 = split_bundle([minimal_line(o_p2(1))] * 2)
+    e11 = split_bundle([minimal_metric(o_p2(1))] * 2)
     assert chern.eval_segre_monomial([e11], [2]) == 3
 
     def op1(d):
@@ -209,13 +209,13 @@ def test_05_segre_chern_calculus():
 
     for a in range(6):
         for b in range(6):
-            e = split_bundle([minimal_line(op1(a)), minimal_line(op1(b))])
+            e = split_bundle([minimal_metric(op1(a)), minimal_metric(op1(b))])
             assert chern.eval_segre_monomial([e], [1]) == -(a + b)
 
     rng = random.Random(506)
     for _ in range(5):
-        e = split_bundle([minimal_line(o_p2(rng.randint(0, 2))) for _ in range(2)])
-        f = split_bundle([minimal_line(o_p2(rng.randint(0, 2))) for _ in range(2)])
+        e = split_bundle([minimal_metric(o_p2(rng.randint(0, 2))) for _ in range(2)])
+        f = split_bundle([minimal_metric(o_p2(rng.randint(0, 2))) for _ in range(2)])
         for exps in ((1, 1), (2, 0), (0, 2)):
             fwd = chern.eval_segre_monomial([e, f], list(exps))
             rev = chern.eval_segre_monomial([f, e], list(exps[::-1]))
@@ -251,11 +251,11 @@ def test_06_segre_via_projectivization():
 
     cases = []
     for a_w in (Fraction(1, 2), 1):
-        sing = weighted_line(op1(2), {(1,): a_w})
-        cases.append(([split_bundle([minimal_line(op1(1)), sing])], [1]))
-    sing2 = weighted_line(o_p2(2), {(1, 0): 1})
-    e = split_bundle([minimal_line(o_p2(1)), sing2])
-    f = split_bundle([minimal_line(o_p2(1)), minimal_line(o_p2(2))])
+        sing = toric.metric_with_ray_weights(op1(2), {(1,): a_w})
+        cases.append(([split_bundle([minimal_metric(op1(1)), sing])], [1]))
+    sing2 = toric.metric_with_ray_weights(o_p2(2), {(1, 0): 1})
+    e = split_bundle([minimal_metric(o_p2(1)), sing2])
+    f = split_bundle([minimal_metric(o_p2(1)), minimal_metric(o_p2(2))])
     cases.append(([e], [2]))
     cases.append(([e, f], [1, 1]))
     cases.append(([f, e], [0, 2]))
@@ -335,7 +335,7 @@ def test_08_decreasing_structure():
         assert all(v >= limit_val for v in vals)
         assert vals[-1] - limit_val <= tol
 
-    h = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
+    h = toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)])
     base = p2()
     f1 = fans.stellar_refine(base, (1, -1))
     f2 = fans.stellar_refine(f1, (-1, 1))
@@ -356,10 +356,10 @@ def test_09_tensor_igoodness():
     for i in range(10):
         fan = p2() if i % 2 else p1xp1()
         h1, h2 = rand_weighted(rng, fan), rand_weighted(rng, fan)
-        h12 = toric.hermitian(toric.tensor(h1.metric, h2.metric))
-        p1m = toric.model_polytope(h1.metric)
-        p2m = toric.model_polytope(h2.metric)
-        assert toric.model_polytope(h12.metric) == polytopes.minkowski_sum(p1m, p2m)
+        h12 = toric.tensor(h1, h2)
+        p1m = toric.model_polytope(h1)
+        p2m = toric.model_polytope(h2)
+        assert toric.model_polytope(h12) == polytopes.minkowski_sum(p1m, p2m)
         for h in (h1, h2, h12):
             rep = bdiv.chern_weil_line([h, h])
             assert rep.verdict == "equal"

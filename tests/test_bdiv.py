@@ -16,9 +16,8 @@ from toricbdiv import bdiv, dd, fans, polytopes, report, toric
 from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
                             intersect_cartier, intersect_nef, leq, vol, weil)
 
-from conftest import (half_plane, minimal_line, o_p1p1, o_p2, p1, p1cubed,
-                      p1xp1, p2, pullback, rand_weighted, rand_weighted3,
-                      singularity_divisor, weighted_line)
+from conftest import (half_plane, minimal_metric, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
+                      pullback, rand_weighted, rand_weighted3, singularity_divisor)
 
 
 def b_of(d: toric.ToricDivisor) -> bdiv.CartierB:
@@ -35,7 +34,7 @@ def coeffs(d: toric.ToricDivisor) -> dict:
 
 
 def o3_weighted():
-    return bdiv_of_metric(weighted_line(o_p2(3), {(1, 0): 1}))
+    return bdiv_of_metric(toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1}))
 
 
 def shrinking_weil(limit_deg=2, steps=12):
@@ -56,13 +55,13 @@ def test_cartier_basics():
 
 
 def test_bdiv_of_metric_refines_and_is_nef():
-    h = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
+    h = toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)])
     b = bdiv_of_metric(h).cartier
     assert b.nef
     assert (1, -1) in b.fan.rays and (-1, 1) in b.fan.rays
     # psi at every determination ray is the metric's own slope function
     for r in b.fan.rays:
-        assert b.psi(r) == h.metric.g(r)
+        assert b.psi(r) == h.g(r)
 
 
 def test_determination_psi_is_g_on_rational_slopes():
@@ -71,11 +70,11 @@ def test_determination_psi_is_g_on_rational_slopes():
     for h in [rand_weighted(rng, fan()) for fan in (p2, p1xp1) for _ in range(8)] \
             + [rand_weighted3(rng) for _ in range(6)]:
         b = bdiv_of_metric(h).cartier
-        assert [b.psi(r) for r in b.fan.rays] == [h.metric.g(r) for r in b.fan.rays]
+        assert [b.psi(r) for r in b.fan.rays] == [h.g(r) for r in b.fan.rays]
 
 
 def test_incarnation_pushforward_compatible():
-    h = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
+    h = toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)])
     b = bdiv_of_metric(h).cartier
     assert len(b.fan.rays) == 5
     d_fine = vo.incarnation(b, b.fan)
@@ -89,7 +88,7 @@ def test_incarnation_pushforward_compatible():
 
 def test_minimal_metric_bdiv_recovers_line():
     for d in (o_p2(3), o_p1p1(1, 2)):
-        b = bdiv_of_metric(minimal_line(d)).cartier
+        b = bdiv_of_metric(minimal_metric(d)).cartier
         assert coeffs(vo.incarnation(b, d.fan)) == coeffs(d)
 
 
@@ -117,7 +116,7 @@ def test_leq_reflexive_and_strict():
 
 def test_leq_weighted_below_minimal():
     bw = o3_weighted().cartier
-    bm = bdiv_of_metric(minimal_line(o_p2(3))).cartier
+    bm = bdiv_of_metric(minimal_metric(o_p2(3))).cartier
     assert leq(bw, bm)
     assert not leq(bm, bw)
     assert not (leq(bw, bm) and leq(bm, bw))
@@ -326,7 +325,7 @@ def test_weighted_metric_intersection_runs_no_dd_past_its_hull(name, monkeypatch
     real = dd.extreme_rays
     for _ in range(6):
         h = _weighted(rng, name)
-        fan, slopes = h.line.fan, [m for m, _ in h.metric.pieces]
+        fan, slopes = h.line.fan, [m for m, _ in h.pieces]
         assert fan.halfspaces
         bdiv._determination.cache_clear()
         toric.polytope_of_divisor.cache_clear()
@@ -496,7 +495,7 @@ def test_vol_equals_model_polytope_volume():
     for _ in range(8):
         h = rand_weighted(rng, p2())
         b = bdiv_of_metric(h).cartier
-        assert vol(b) == 2 * polytopes.volume(toric.model_polytope(h.metric))
+        assert vol(b) == 2 * polytopes.volume(toric.model_polytope(h))
 
 
 def test_vol_tensor_bilinearity():
@@ -504,14 +503,14 @@ def test_vol_tensor_bilinearity():
     for _ in range(5):
         h1, h2 = rand_weighted(rng, p2()), rand_weighted(rng, p2())
         b1, b2 = bdiv_of_metric(h1).cartier, bdiv_of_metric(h2).cartier
-        b12 = bdiv_of_metric(toric.hermitian(toric.tensor(h1.metric, h2.metric))).cartier
+        b12 = bdiv_of_metric(toric.tensor(h1, h2)).cartier
         assert vol(b12) == vol(b1) + 2 * intersect_cartier([b1, b2]) + vol(b2)
 
 
 # -- mass comparison ---------------------------------------------------------------
 
 def test_chern_weil_line_frozen():
-    h = weighted_line(o_p2(3), {(1, 0): 1})
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     rep = bdiv.chern_weil_line([h, h])
     assert (rep.lhs, rep.rhs, rep.mid, rep.verdict) == (4, 4, 4, "equal")
     assert rep.to_json() == {"lhs": "4", "mid": "4", "rhs": "4", "verdict": "equal"}
@@ -541,7 +540,7 @@ def test_chern_weil_line_builds_one_bdiv_per_metric(monkeypatch, draw):
     assert len(calls) == 1
     twice = toric.divisor(h.line.fan, [2 * a for a in h.line.coeffs])
     calls.clear()
-    bdiv.chern_weil_line([h, minimal_line(twice)] + [h] * (n - 2))
+    bdiv.chern_weil_line([h, minimal_metric(twice)] + [h] * (n - 2))
     assert len(calls) == 2
 
 
@@ -555,15 +554,15 @@ def test_determination_is_built_once_per_metric(monkeypatch):
             "pieces": [{"slope": ["0", "0"]}, {"slope": ["1/2", "0"]}, {"slope": ["0", "3"]}]}
     g1, g2 = (report.metric_of(p2(), data, "scenario") for _ in range(2))
     assert g1 == g2 and g1 is not g2
-    b1 = bdiv_of_metric(toric.hermitian(g1, "first")).cartier
-    b2 = bdiv_of_metric(toric.hermitian(g2, "second")).cartier
+    b1 = bdiv_of_metric(g1).cartier
+    b2 = bdiv_of_metric(g2).cartier
     assert len(calls) == 1 and b2 is b1
     fresh = bdiv._determination.__wrapped__(g2)
     assert fresh is not b1 and fresh == b1
 
 
 def test_chern_weil_line_minimal_is_classical():
-    rep = bdiv.chern_weil_line([minimal_line(o_p1p1(1, 0)), minimal_line(o_p1p1(0, 1))])
+    rep = bdiv.chern_weil_line([minimal_metric(o_p1p1(1, 0)), minimal_metric(o_p1p1(0, 1))])
     assert rep.verdict == "equal"
     assert rep.lhs == 1
     assert rep.mid is None

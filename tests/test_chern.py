@@ -16,8 +16,7 @@ from toricbdiv.chern import (BundleDecl, chern_from_segre, chern_number,
                              twist_segre, zero)
 from chern_oracle import fiber_product_projectivization
 
-from conftest import (minimal_line, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
-                      weighted_line)
+from conftest import (minimal_metric, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2)
 
 
 def s(i, b="E"):
@@ -54,7 +53,7 @@ def elementary(roots, deg):
 
 
 def line(coeff_map, fan=None):
-    return minimal_line(toric.divisor(fan or p2(), coeff_map))
+    return minimal_metric(toric.divisor(fan or p2(), coeff_map))
 
 
 def op1(d):
@@ -127,7 +126,7 @@ def test_twist_matches_split_roots():
 # -- projectivizations -----------------------------------------------------------
 
 def test_projectivize_trivial_rank_two():
-    b = split_bundle([minimal_line(op1(0)), minimal_line(op1(0))])
+    b = split_bundle([minimal_metric(op1(0)), minimal_metric(op1(0))])
     fan, (o1,) = fiber_product_projectivization([b])
     assert fan == fans.product_fan(p1(), p1())
     want = {(-1, 0): 0, (0, -1): 1, (0, 1): 0, (1, 0): 0}
@@ -135,36 +134,36 @@ def test_projectivize_trivial_rank_two():
 
 
 def test_projectivize_hirzebruch():
-    b = split_bundle([minimal_line(op1(0)), minimal_line(op1(1))])
+    b = split_bundle([minimal_metric(op1(0)), minimal_metric(op1(1))])
     fan, (o1,) = fiber_product_projectivization([b])
     assert fan.rays == ((-1, 1), (0, -1), (0, 1), (1, 0))
     assert toric.is_nef(o1.line)
 
 
 def test_projectivize_rank_one_is_identity():
-    h = minimal_line(o_p2(2))
+    h = minimal_metric(o_p2(2))
     fan, (o1,) = fiber_product_projectivization([split_bundle([h])])
     assert fan == p2()
-    assert o1.metric == h.metric
+    assert o1 == h
 
 
 def test_split_bundle_errors():
     with pytest.raises(ValueError, match="bundle needs at least one summand"):
         split_bundle([])
     with pytest.raises(ValueError, match="dimension/fan mismatch"):
-        split_bundle([minimal_line(op1(1)), minimal_line(o_p2(1))])
+        split_bundle([minimal_metric(op1(1)), minimal_metric(o_p2(1))])
     # the base route never reads the differences, but keeps refusing them
-    frac = minimal_line(toric.divisor(p2(), {(-1, -1): Fraction(3, 2)}))
+    frac = minimal_metric(toric.divisor(p2(), {(-1, -1): Fraction(3, 2)}))
     with pytest.raises(ValueError, match="summand coefficients must be integral"):
-        eval_segre_monomial([split_bundle([frac, minimal_line(o_p2(0))])], [2])
+        eval_segre_monomial([split_bundle([frac, minimal_metric(o_p2(0))])], [2])
 
 
 # -- numeric evaluation -----------------------------------------------------------
 
 def test_eval_frozen_surface():
-    e = split_bundle([minimal_line(o_p2(1)), minimal_line(o_p2(1))])
+    e = split_bundle([minimal_metric(o_p2(1)), minimal_metric(o_p2(1))])
     assert eval_segre_monomial([e], [2]) == 3
-    o1 = split_bundle([minimal_line(o_p2(1))])
+    o1 = split_bundle([minimal_metric(o_p2(1))])
     assert eval_segre_monomial([o1], [2]) == 1
     assert eval_segre_monomial([o1, e], [0, 2]) == 3
 
@@ -172,12 +171,12 @@ def test_eval_frozen_surface():
 def test_eval_curve_s1():
     for a in range(3):
         for b in range(3):
-            e = split_bundle([minimal_line(op1(a)), minimal_line(op1(b))])
+            e = split_bundle([minimal_metric(op1(a)), minimal_metric(op1(b))])
             assert eval_segre_monomial([e], [1]) == -(a + b)
 
 
 def test_eval_negative_and_errors():
-    e = split_bundle([minimal_line(o_p2(1))])
+    e = split_bundle([minimal_metric(o_p2(1))])
     assert eval_segre_monomial([e, e], [-1, 3]) == 0
     with pytest.raises(ValueError, match="exponent-sum mismatch"):
         eval_segre_monomial([e], [1])
@@ -185,22 +184,22 @@ def test_eval_negative_and_errors():
         eval_segre_monomial([e], [2, 0])
     with pytest.raises(ValueError, match="wrong count of bodies"):
         eval_segre_monomial([], [])
-    f = split_bundle([minimal_line(op1(1))])
+    f = split_bundle([minimal_metric(op1(1))])
     with pytest.raises(ValueError, match="dimension/fan mismatch"):
         eval_segre_monomial([e, f], [1, 1])
 
 
 def test_eval_commutes():
-    e = split_bundle([minimal_line(o_p2(1)), minimal_line(o_p2(2))])
-    f = split_bundle([minimal_line(o_p2(1))])
+    e = split_bundle([minimal_metric(o_p2(1)), minimal_metric(o_p2(2))])
+    f = split_bundle([minimal_metric(o_p2(1))])
     assert eval_segre_monomial([e, f], [1, 1]) == eval_segre_monomial([f, e], [1, 1])
-    g = split_bundle([minimal_line(op1(1)), minimal_line(op1(2))])
-    h = split_bundle([minimal_line(op1(0)), minimal_line(op1(3))])
+    g = split_bundle([minimal_metric(op1(1)), minimal_metric(op1(2))])
+    h = split_bundle([minimal_metric(op1(0)), minimal_metric(op1(3))])
     assert eval_segre_monomial([g, h], [1, 0]) == eval_segre_monomial([h, g], [0, 1])
 
 
 def test_eval_singular_summand_full_mass():
-    h = weighted_line(o_p2(3), {(1, 0): 1})
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     l = split_bundle([h])
     # (-1)^n s_n of a line is c_1^n, the non-pluripolar mass
     assert eval_segre_monomial([l], [2]) == 4
@@ -223,8 +222,8 @@ def _summand(draw, base):
            and any(degs[q] >= 1 for q in neg if any(x * y < 0 for x, y in zip(q, r)))]
     if pos and draw(st.booleans()):
         w = draw(st.builds(Fraction, st.integers(1, 2), st.sampled_from([2, 3, 4])))
-        return weighted_line(d, {draw(st.sampled_from(pos)): w})
-    return minimal_line(d)
+        return toric.metric_with_ray_weights(d, {draw(st.sampled_from(pos)): w})
+    return minimal_metric(d)
 
 
 def _compositions_of(n, parts):
@@ -290,12 +289,12 @@ def test_chern_number_of_a_power_matches_the_root_expansion():
         return toric.divisor(base, {(-1, 0, 0): a, (0, -1, 0): b, (0, 0, -1): c,
                                     (1, 0, 0): 0, (0, 1, 0): 0, (0, 0, 1): 0})
 
-    e0 = [minimal_line(o(1, 0, 1)), weighted_line(o(2, 1, 1), {(1, 0, 0): Fraction(1, 2)}),
-          minimal_line(o(0, 2, 1))]
-    e1 = [minimal_line(o(1, 1, 1)), minimal_line(o(1, 2, 0)),
-          weighted_line(o(1, 1, 2), {(0, 0, 1): 1})]
+    e0 = [minimal_metric(o(1, 0, 1)), toric.metric_with_ray_weights(o(2, 1, 1), {(1, 0, 0): Fraction(1, 2)}),
+          minimal_metric(o(0, 2, 1))]
+    e1 = [minimal_metric(o(1, 1, 1)), minimal_metric(o(1, 2, 0)),
+          toric.metric_with_ray_weights(o(1, 1, 2), {(0, 0, 1): 1})]
     table = {"E0": split_bundle(e0), "E1": split_bundle(e1)}
-    p, q = [[toric.model_polytope(h.metric) for h in e] for e in (e0, e1)]
+    p, q = [[toric.model_polytope(h) for h in e] for e in (e0, e1)]
     cube = sum(volume_oracle.mixed_volume([p[i], p[j], p[k]])
                for i in range(3) for j in range(3) for k in range(3))
     want = 6 * (cube - volume_oracle.mixed_volume(q))
@@ -303,8 +302,8 @@ def test_chern_number_of_a_power_matches_the_root_expansion():
 
 
 def test_chern_number_frozen():
-    table = {"E": split_bundle([minimal_line(o_p2(1)), minimal_line(o_p2(1))]),
-             "L": split_bundle([minimal_line(o_p2(2))])}
+    table = {"E": split_bundle([minimal_metric(o_p2(1)), minimal_metric(o_p2(1))]),
+             "L": split_bundle([minimal_metric(o_p2(2))])}
     assert chern_number(table, "c2(E)") == 1
     assert chern_number(table, "c1(E)^2") == 4
     assert chern_number(table, "c1(L)*c1(L)") == 4

@@ -548,6 +548,35 @@ def test_chern_expansion_budget(tmp_path, expr, code, answer):
     assert (rep["error"]["message"] if code else rep["outputs"]["value"]) == answer
 
 
+@pytest.mark.parametrize("expr, code, answer", [
+    pytest.param("(" * 200 + "c2(E)" + ")" * 200, 0, "1", id="200-levels"),
+    pytest.param("(" * 201 + "c2(E)" + ")" * 201, 2, "parse error at position 200", id="201-levels"),
+    pytest.param("(" * 1200 + "c2(E)" + ")" * 1200, 2, "parse error at position 200",
+                 id="1200-levels"),
+    pytest.param("-" * 1200 + "c2(E)", 0, "1", id="1200-minuses"),
+    pytest.param("-" * 1201 + "c2(E)", 0, "-1", id="1201-minuses"),
+])
+def test_chern_deep_expressions(tmp_path, capsys, expr, code, answer):
+    # nesting stops at 200 levels as an input error, not at the recursion
+    # limit as an internal one, and a run of minuses is one sign at any length
+    scn = json.loads((GOLDEN / "p2.json").read_text(encoding="utf-8"))
+    scn["expression"] = "c2(E)"
+    plain = mk(tmp_path, "plain.json", scn)
+    scn["expression"] = expr
+    deep = mk(tmp_path, "deep.json", scn)
+    assert report_of(run(["chern", "--scenario", plain])[1])["outputs"]["value"] == "1"
+    got, text = run(["chern", "--scenario", deep])
+    assert got == code
+    rep = report_of(text)
+    assert (rep["error"]["message"] if code else rep["outputs"]["value"]) == answer
+    # inside a batch the entry answers the same
+    got, text = run(["batch", mk(tmp_path, "runs.json", {"runs": [["chern", "--scenario", deep]]})])
+    entry = report_of(text)["outputs"]["runs"][0]
+    assert (got, entry["exit"]) == (code, code)
+    assert entry["report"] == rep
+    assert capsys.readouterr().err == ""
+
+
 def test_ray_in_no_cone_is_input_error(tmp_path):
     # (1, 1) is listed as a ray, but no cone names it
     fan = {"rays": P2_FAN["rays"] + [[1, 1]], "cones": P2_FAN["cones"]}

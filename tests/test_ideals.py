@@ -17,8 +17,8 @@ from toricbdiv.ideals import (TestIdealQuery, make_ideal,
                               multiplier_ideal_monomial, unit_ideal)
 from toricbdiv.rationals import idot
 
-from conftest import (ideal_product, ideal_subset, lattice_count, minimal_line, o_p1p1, o_p2,
-                      weighted_line)
+from conftest import (ideal_product, ideal_subset, lattice_count, minimal_metric,
+                      o_p1p1, o_p2)
 
 TestIdealQuery.__test__ = False  # not a test class despite the name
 
@@ -381,10 +381,10 @@ def test_multiplier_subadditivity():
 # -- section counting ---------------------------------------------------------
 
 def test_volume_of_pair():
-    exact, seq = ideals.volume_of_pair(minimal_line(o_p2(2)), k_max=12)
+    exact, seq = ideals.volume_of_pair(minimal_metric(o_p2(2)), k_max=12)
     assert exact == 2
     assert seq[0] == 6  # h^0(O(2)) = 6 lattice points of 2*simplex
-    hw = weighted_line(o_p2(2), {(1, 0): 1})
+    hw = toric.metric_with_ray_weights(o_p2(2), {(1, 0): 1})
     exact_w, seq_w = ideals.volume_of_pair(hw, k_max=12)
     assert exact_w == Fraction(1, 2)
     # Ehrhart boundary bound: |seq_k - exact| <= C/k with a perimeter constant
@@ -394,16 +394,16 @@ def test_volume_of_pair():
 
 def test_volume_of_pair_counts_graded_sections():
     # the sequence counts the lattice points of k times the model polytope
-    for h, n in ((weighted_line(o_p2(2), {(1, 0): 1}), 2), (minimal_line(o_p1p1(1, 2)), 2)):
+    for h, n in ((toric.metric_with_ray_weights(o_p2(2), {(1, 0): 1}), 2), (minimal_metric(o_p1p1(1, 2)), 2)):
         _, seq = ideals.volume_of_pair(h, k_max=9)
-        model = toric.model_polytope(h.metric)
+        model = toric.model_polytope(h)
         assert seq == [Fraction(lattice_count(model, k), k**n) for k in range(1, 10)]
 
 
 @pytest.mark.parametrize("k_max", [0, -3])
 def test_volume_of_pair_requires_positive_k(k_max):
     with pytest.raises(ValueError, match="k must be positive"):
-        ideals.volume_of_pair(minimal_line(o_p2(1)), k_max)
+        ideals.volume_of_pair(minimal_metric(o_p2(1)), k_max)
 
 
 # -- Frobenius brackets and test ideals ---------------------------------------

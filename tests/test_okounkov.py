@@ -15,9 +15,8 @@ from toricbdiv.chern import split_bundle
 
 import sections_oracle as so
 from chern_oracle import fiber_product_projectivization
-from conftest import (half_plane, lelong_numbers, minimal_line, o_p1p1, o_p2,
-                      p1, p1cubed, p1xp1, p2, rand_weighted, rand_weighted3,
-                      scale, weighted_line)
+from conftest import (half_plane, lelong_numbers, minimal_metric, o_p1p1, o_p2, p1,
+                      p1cubed, p1xp1, p2, rand_weighted, rand_weighted3, scale)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,7 +93,7 @@ def test_class_body_rejects():
 # -- partial bodies ----------------------------------------------------------------
 
 def test_partial_minimal_recovers_class():
-    hulls, limit = partial_okounkov(minimal_line(o_p2(3)), std_flag(), k_max=6)
+    hulls, limit = partial_okounkov(minimal_metric(o_p2(3)), std_flag(), k_max=6)
     want = hull([(0, 0), (3, 0), (0, 3)])
     assert all(h == want for h in hulls)
     assert limit.body == want
@@ -103,7 +102,7 @@ def test_partial_minimal_recovers_class():
 
 
 def test_partial_weighted():
-    h = weighted_line(o_p2(3), {(1, 0): 1})
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     hulls, limit = partial_okounkov(h, std_flag(), k_max=8)
     model = hull([(1, 0), (3, 0), (1, 2)])
     assert limit.body == model
@@ -115,9 +114,8 @@ def test_partial_weighted():
     assert 2 * limit.volume() == bdiv.vol(bdiv.bdiv_of_metric(h).cartier)
 
 
-def all_points_hulls(h, nu, k_max):
+def all_points_hulls(m, nu, k_max):
     """Oracle: hull of every lattice point of kP through the flag map, over k."""
-    m = toric._as_metric(h)
     model = toric.model_polytope(m)
     m0 = okounkov._trivialization(m.line, nu)
     out = []
@@ -183,7 +181,7 @@ def section_cases(draw, k_max_by_dim=(6, 3)):
                     for i in range(fan.dim))
               for lams in draw(st.lists(weights, min_size=fan.dim + 1, max_size=5))]
     assume(polytopes.affine_rank(slopes) == fan.dim)
-    h = toric.hermitian(toric.metric(d, [(m, 0) for m in slopes]))
+    h = toric.metric(d, [(m, 0) for m in slopes])
     cone = draw(st.sampled_from(sorted(fan.halfspaces)))
     rays = draw(st.permutations([fan.rays[i] for i in cone]))
     nu = flag(rays, draw(st.sampled_from(_ORDERS[fan.dim])))
@@ -221,7 +219,7 @@ def test_flat_3d_hulls_match_run_ends_oracle():
     # at k = 1, a flat triangle, and the point (0, 0, 1) from k = 2 on
     d = toric.divisor(p1cubed(), {r: (1 if min(r) < 0 else 0) for r in p1cubed().rays})
     slopes = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, Fraction(1, 2))]
-    h = toric.hermitian(toric.metric(d, [(m, 0) for m in slopes]))
+    h = toric.metric(d, [(m, 0) for m in slopes])
     for nu in (flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), flag([(0, 0, 1), (1, 0, 0), (0, 1, 0)], _ORDERS[3][3])):
         hulls = partial_okounkov(h, nu, k_max=5)[0]
         assert polytopes.affine_rank(hulls[0].vertices) == 2
@@ -316,7 +314,7 @@ def test_flag_keeps_its_inverse_transpose():
 
 
 def test_bundle_hulls_match_all_points_oracle():
-    bundle = split_bundle([minimal_line(o_p2(1)), weighted_line(o_p2(2), {(1, 0): 1})])
+    bundle = split_bundle([minimal_metric(o_p2(1)), toric.metric_with_ray_weights(o_p2(2), {(1, 0): 1})])
     nu = flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     _, (o1,) = fiber_product_projectivization([bundle])
     hulls, limit = partial_okounkov(o1, nu, k_max=6)
@@ -326,7 +324,7 @@ def test_bundle_hulls_match_all_points_oracle():
 
 def test_partial_k_validation():
     with pytest.raises(ValueError, match="k must be positive"):
-        partial_okounkov(minimal_line(o_p2(1)), std_flag(), k_max=0)
+        partial_okounkov(minimal_metric(o_p2(1)), std_flag(), k_max=0)
 
 
 def test_partial_empty_sections():
@@ -334,7 +332,7 @@ def test_partial_empty_sections():
     pieces = [(t0, 0),
               ((t0[0] + Fraction(1, 9), t0[1]), 0),
               ((t0[0], t0[1] + Fraction(1, 9)), 0)]
-    h = toric.hermitian(toric.metric(o_p2(1), pieces))
+    h = toric.metric(o_p2(1), pieces)
     with pytest.raises(ValueError, match="empty section space at all k <= k_max"):
         partial_okounkov(h, std_flag(), k_max=3)
 
@@ -385,14 +383,14 @@ def test_bdiv_body_contains_origin():
 # -- translation identity ---------------------------------------------------------------
 
 def test_okouniden_minimal():
-    rep = verify_okouniden(minimal_line(o_p2(2)), std_flag())
+    rep = verify_okouniden(minimal_metric(o_p2(2)), std_flag())
     assert rep.verdict == "equal"
     assert rep.shift == (0, 0)
     assert rep.lhs.body == rep.rhs.body
 
 
 def test_okouniden_weighted():
-    rep = verify_okouniden(weighted_line(o_p2(3), {(1, 0): 1}), std_flag())
+    rep = verify_okouniden(toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1}), std_flag())
     assert rep.verdict == "equal"
     assert rep.shift == (1, 0)
     assert rep.lhs.body == hull([(0, 0), (2, 0), (0, 2)])
@@ -400,7 +398,7 @@ def test_okouniden_weighted():
 
 
 def test_okouniden_two_ray_weights():
-    h = weighted_line(o_p2(4), {(1, 0): 1, (0, 1): 2})
+    h = toric.metric_with_ray_weights(o_p2(4), {(1, 0): 1, (0, 1): 2})
     rep = verify_okouniden(h, std_flag())
     assert rep.verdict == "equal"
     assert rep.shift == (1, 2)
@@ -408,7 +406,7 @@ def test_okouniden_two_ray_weights():
 
 def test_okouniden_bent_pieces():
     pieces = [((1, 0), 0), ((0, 2), 0), ((2, 2), 0), ((3, 0), 0)]
-    h = toric.hermitian(toric.metric(o_p2(5), pieces))
+    h = toric.metric(o_p2(5), pieces)
     rep = verify_okouniden(h, std_flag())
     assert rep.verdict == "equal"
     assert polytopes.translate(rep.lhs.body, rep.shift) == rep.rhs.body
@@ -423,7 +421,7 @@ def test_okouniden_random():
 
 
 def test_okouniden_builds_the_bdiv_once(monkeypatch):
-    h = weighted_line(o_p2(3), {(1, 0): 1})
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     calls = []
     real = bdiv.bdiv_of_metric
     monkeypatch.setattr(bdiv, "bdiv_of_metric", lambda h: calls.append(h) or real(h))
@@ -436,13 +434,13 @@ def test_okouniden_builds_the_bdiv_once(monkeypatch):
 def test_nu_of_metric_slope_convergence():
     # decreasing metrics: per-ray singularities converge to the limit metric's
     ray = (-1, -1)
-    limit = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
+    limit = toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)])
     fan = bdiv.bdiv_of_metric(limit).cartier.fan
     nu_lim = lelong_numbers(limit, fan)[ray]
     prev = None
     for k in (1, 2, 4, 8, 16):
         t = 1 - Fraction(1, k)
-        hk = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((t, t), 0)]))
+        hk = toric.metric(o_p2(2), [((0, 0), 0), ((t, t), 0)])
         nu_k = lelong_numbers(hk, fan)[ray]
         if prev is not None:
             assert nu_k <= prev
@@ -473,9 +471,9 @@ def test_nu_of_metric_matches_determination_fan_oracle(case):
 
 
 def test_nu_of_metric_errors_match_oracle():
-    h = weighted_line(o_p2(3), {(1, 0): 1})
-    upper = toric.hermitian(toric.metric(toric.divisor(half_plane(), [0, 0, 0]),
-                                         [((0, 0), 0), ((0, 1), 0)]))
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
+    upper = toric.metric(toric.divisor(half_plane(), [0, 0, 0]),
+                                         [((0, 0), 0), ((0, 1), 0)])
     cases = [(h, flag([(1, 0, 0), (0, 1, 0), (0, 0, 1)]), "dimension mismatch"),
              (upper, flag([(0, -1), (1, 0)]), "ray not in support")]
     for line, nu, message in cases:
@@ -487,7 +485,7 @@ def test_nu_of_metric_errors_match_oracle():
 # -- bundle bodies ------------------------------------------------------------------------
 
 def test_okounkov_of_bundle_hirzebruch():
-    bundle = split_bundle([minimal_line(op1(0)), minimal_line(op1(1))])
+    bundle = split_bundle([minimal_metric(op1(0)), minimal_metric(op1(1))])
     _, (o1,) = fiber_product_projectivization([bundle])
     hulls, limit = partial_okounkov(o1, std_flag(), k_max=5)
     assert limit.body == hull([(0, 0), (0, 1), (1, 1)])

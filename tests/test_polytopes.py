@@ -126,7 +126,11 @@ def test_tail_sum_normals_match_oracle(sets):
     [(-2, 5), (4, 1)],
     [(x, 2 * x - 1) for x in range(-3, 6)],
     [(0, 0), (1, 3), (4, 1)],
-], ids=["point", "two points", "collinear", "triangle"])
+    [(-4,)],
+    [(-4,), (5,)],
+    [(x,) for x in range(-3, 6, 2)],
+], ids=["point", "two points", "collinear", "triangle", "1-d point", "1-d segment",
+        "1-d run"])
 def test_planar_hull_cases_match_fraction_oracle(pts, monkeypatch):
     want = ho.canonicalize([tuple(Fraction(x, 3) for x in v) for v in pts])
     runs = []
@@ -134,9 +138,10 @@ def test_planar_hull_cases_match_fraction_oracle(pts, monkeypatch):
     monkeypatch.setattr(dd, "extreme_rays", lambda *args: runs.append(args) or extreme_rays(*args))
     got = polytopes.hull_of_ints(sorted(pts), 3)
     assert (got.vertices, got.halfspaces) == (want.vertices, want.halfspaces)
-    # Andrew's chain answers a hull with three vertices; a flat one of two or
-    # more points goes on to the double description
-    assert len(runs) == (len(pts) > 1 and polytopes.affine_rank(pts) < 2)
+    # Andrew's chain answers a hull with three vertices and a segment's ends
+    # answer a 1-d hull; a flat planar one of two or more points goes on to
+    # the double description
+    assert len(runs) == (len(pts) > 1 and len(pts[0]) == 2 and polytopes.affine_rank(pts) < 2)
 
 
 def test_minkowski_squares():

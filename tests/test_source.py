@@ -181,11 +181,19 @@ def _is_dataclass(cls: ast.ClassDef) -> bool:
     return False
 
 
+def _loaded_attributes(tree: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
 def _unread_fields(modules: dict[str, ast.Module], others: list[ast.Module]) -> list[str]:
     """Public fields of public module-level dataclasses that no `.name` reads,
-    in the modules or in the other trees."""
-    read = {n.attr for t in [*modules.values(), *others] for n in ast.walk(t)
-            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    in the modules or in the other trees. A read in the other trees counts only
+    for a name that no class there declares as its own field, as it may read
+    that field instead."""
+    own = {node.target.id for t in others for cls in ast.walk(t) if isinstance(cls, ast.ClassDef)
+           for node in cls.body if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+    read = set().union(*map(_loaded_attributes, modules.values()),
+                       *(_loaded_attributes(t) - own for t in others))
     out = []
     for module, tree in modules.items():
         for cls in tree.body:
@@ -211,6 +219,11 @@ def test_unread_fields_are_caught():
     test = ast.parse("from toricbdiv.geo import Body\nassert Body(2, 'x').label == ''\n")
     # a store is not a read, and only public dataclasses count
     assert _unread_fields(modules, [test]) == ["geo.Body.source", "geo.Pair.left"]
+    # a read of a name that a bench class declares may read the bench's own field
+    bench = ast.parse("from dataclasses import dataclass\n@dataclass\nclass Query:\n    label: str\n"
+                      "def show(q):\n    return q.label, q.dim\n")
+    assert _unread_fields(modules, [bench]) == ["geo.Body.source", "geo.Body.label", "geo.Pair.left"]
+    assert _unread_fields(modules, [test, bench]) == ["geo.Body.source", "geo.Body.label", "geo.Pair.left"]
 
 
 def test_every_public_dataclass_field_is_read():

@@ -12,10 +12,9 @@ from toricbdiv import fans, polytopes, report, toric
 from toricbdiv.polytopes import canonicalize, minkowski_sum, volume
 from toricbdiv.rationals import dot, vec
 
-from conftest import (complete_fan_2d, lattice_count, lelong_numbers, minimal_line,
-                      minimal_metric, o_p1p1, o_p2, p1cubed, p1xp1, p2, pullback,
-                      rand_weighted, rand_weighted3, singularity_divisor,
-                      weighted_line)
+from conftest import (complete_fan_2d, lattice_count, lelong_numbers, minimal_metric,
+                      o_p1p1, o_p2, p1cubed, p1xp1, p2, pullback, rand_weighted,
+                      rand_weighted3, singularity_divisor)
 
 
 def test_polytope_of_divisor_frozen():
@@ -94,18 +93,18 @@ def test_minimal_metric_has_zero_lelong():
 
 
 def test_weighted_metric_lelong():
-    h = weighted_line(o_p2(3), {(1, 0): 1})
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     nus = lelong_numbers(h, p2())
     assert nus[(1, 0)] == 1
     assert nus[(0, 1)] == 0 and nus[(-1, -1)] == 0
-    assert toric.model_polytope(h.metric) == canonicalize([(1, 0), (3, 0), (1, 2)])
+    assert toric.model_polytope(h) == canonicalize([(1, 0), (3, 0), (1, 2)])
 
 
 def test_lelong_after_refinement():
-    h = weighted_line(o_p2(3), {(1, 0): 1})
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     fine = fans.stellar_refine(p2(), (1, 1))
     nus = lelong_numbers(h, fine)
-    expected = h.metric.g((1, 1)) - toric.psi_value(h.metric.line, (1, 1))
+    expected = h.g((1, 1)) - toric.psi_value(h.line, (1, 1))
     assert nus[(1, 1)] == expected
     sing = singularity_divisor(h, fine)
     assert sing.coeffs[fine.ray_index((1, 1))] == expected
@@ -119,59 +118,59 @@ def test_negative_lelong_rejected_at_construction():
 
 def test_np_mass_frozen():
     for d in (1, 2, 3):
-        assert toric.np_mass([minimal_line(o_p2(d))] * 2) == d * d
+        assert toric.np_mass([minimal_metric(o_p2(d))] * 2) == d * d
     for d, a in ((3, 1), (4, 2)):
-        h = weighted_line(o_p2(d), {(1, 0): a})
+        h = toric.metric_with_ray_weights(o_p2(d), {(1, 0): a})
         assert toric.np_mass([h, h]) == (d - a) ** 2
-    point = minimal_line(toric.divisor(p2(), [0, 0, 0]))
-    assert toric.np_mass([minimal_line(o_p2(2)), point]) == 0
+    point = minimal_metric(toric.divisor(p2(), [0, 0, 0]))
+    assert toric.np_mass([minimal_metric(o_p2(2)), point]) == 0
 
 
 def test_np_mass_refinement_invariance():
-    h = weighted_line(o_p2(3), {(1, 0): 1})
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     fine = fans.stellar_refine(p2(), (1, 1))
-    pb = pullback(h.metric.line, fine)
-    h_fine = toric.hermitian(toric.metric(pb, h.metric.pieces))
+    pb = pullback(h.line, fine)
+    h_fine = toric.metric(pb, h.pieces)
     assert toric.np_mass([h_fine, h_fine]) == toric.np_mass([h, h])
-    assert toric.model_polytope(h_fine.metric) == toric.model_polytope(h.metric)
+    assert toric.model_polytope(h_fine) == toric.model_polytope(h)
 
 
 def test_minimal_extension():
-    h = minimal_line(o_p2(2))
+    h = minimal_metric(o_p2(2))
     ext = vo.minimal_extension(h, p2())
-    assert ext.metric.line == h.metric.line  # already minimal: unchanged
-    hw = weighted_line(o_p2(3), {(1, 0): 1})
+    assert ext.line == h.line  # already minimal: unchanged
+    hw = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     ext = vo.minimal_extension(hw, p2())
     i = p2().ray_index((1, 0))
-    assert ext.metric.line.coeffs[i] == hw.metric.line.coeffs[i] - 1
+    assert ext.line.coeffs[i] == hw.line.coeffs[i] - 1
     assert all(v == 0 for v in lelong_numbers(ext, p2()).values())
-    assert toric.model_polytope(ext.metric) == toric.model_polytope(hw.metric)
+    assert toric.model_polytope(ext) == toric.model_polytope(hw)
 
 
 def test_minimal_extension_after_refinement():
-    h = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
+    h = toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)])
     fine = fans.stellar_refine(p2(), (1, -1))
     base_ext = vo.minimal_extension(h, p2())
     fine_ext = vo.minimal_extension(h, fine)
     # on the finer fan the extension differs exactly by the new ray's Lelong number
-    pb = pullback(base_ext.metric.line, fine)
+    pb = pullback(base_ext.line, fine)
     nu_new = lelong_numbers(h, fine)[(1, -1)]
     j = fine.ray_index((1, -1))
-    assert pb.coeffs[j] - fine_ext.metric.line.coeffs[j] == nu_new
+    assert pb.coeffs[j] - fine_ext.line.coeffs[j] == nu_new
 
 
 def test_volume_profile():
-    h = minimal_line(o_p2(2))
+    h = minimal_metric(o_p2(2))
     chain = [p2(), p2(), p2()]
     assert toric.volume_profile(h, chain) == [4, 4, 4]
 
     # g is a support function on the base fan: profile constant immediately
-    hw = weighted_line(o_p2(3), {(1, 0): 1})
+    hw = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     fine = fans.stellar_refine(p2(), (1, 1))
     assert toric.volume_profile(hw, [p2(), fine]) == [4, 4]
 
     # strictly finer singularities: strictly decreasing first step
-    hs = toric.hermitian(toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)]))
+    hs = toric.metric(o_p2(2), [((0, 0), 0), ((1, 1), 0)])
     fine = fans.stellar_refine(p2(), (1, -1))
     prof = toric.volume_profile(hs, [p2(), fine])
     assert prof == [4, 2]
@@ -179,7 +178,7 @@ def test_volume_profile():
 
 def test_volume_profile_chain_not_nested():
     with pytest.raises(ValueError, match="chain not nested"):
-        toric.volume_profile(minimal_line(o_p2(1)),
+        toric.volume_profile(minimal_metric(o_p2(1)),
                              [fans.stellar_refine(p2(), (1, 1)), p2()])
 
 
@@ -187,31 +186,31 @@ def test_tensor_adds():
     rng = random.Random(31)
     for _ in range(8):
         d1, d2 = rng.randint(1, 3), rng.randint(1, 3)
-        h1 = weighted_line(o_p2(d1), {(1, 0): Fraction(1, 2)})
-        h2 = minimal_line(o_p2(d2))
-        t = toric.tensor(h1.metric, h2.metric)
+        h1 = toric.metric_with_ray_weights(o_p2(d1), {(1, 0): Fraction(1, 2)})
+        h2 = minimal_metric(o_p2(d2))
+        t = toric.tensor(h1, h2)
         assert toric.model_polytope(t) == minkowski_sum(
-            toric.model_polytope(h1.metric), toric.model_polytope(h2.metric))
+            toric.model_polytope(h1), toric.model_polytope(h2))
         v = (rng.randint(-3, 3), rng.randint(-3, 3))
-        assert t.g(v) == h1.metric.g(v) + h2.metric.g(v)
+        assert t.g(v) == h1.g(v) + h2.g(v)
 
 
 def test_metric_json_round_trip():
-    h = weighted_line(o_p2(3), {(1, 0): Fraction(1, 2)})
-    line = h.metric.line
+    h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): Fraction(1, 2)})
+    line = h.line
     data = {"divisor": {"coeffs": {",".join(map(str, r)): str(a)
                                    for r, a in zip(line.fan.rays, line.coeffs)}},
             "pieces": [{"slope": [str(x) for x in m], "offset": str(c)}
-                       for m, c in h.metric.pieces]}
+                       for m, c in h.pieces]}
     back = report.metric_of(p2(), data, "scenario")
-    assert toric.model_polytope(back) == toric.model_polytope(h.metric)
+    assert toric.model_polytope(back) == toric.model_polytope(h)
 
 
 def test_graded_sections_frozen():
-    h = minimal_line(o_p2(2))
-    assert lattice_count(toric.model_polytope(h.metric), 3) == 28
-    hw = weighted_line(o_p2(2), {(1, 0): 1})
-    assert lattice_count(toric.model_polytope(hw.metric), 3) == 10
+    h = minimal_metric(o_p2(2))
+    assert lattice_count(toric.model_polytope(h), 3) == 28
+    hw = toric.metric_with_ray_weights(o_p2(2), {(1, 0): 1})
+    assert lattice_count(toric.model_polytope(hw), 3) == 10
 
 
 _FANS = {"P2": p2, "P1xP1": p1xp1, "P1^3": p1cubed}
@@ -310,7 +309,7 @@ def test_metric_rejects_a_slope_of_the_wrong_length(slope):
         toric._in_polytope(o_p2(2), [(Fraction(0),) * 2, vec(slope)])
 
 
-def _weighted_of(seed: int, name: str) -> toric.HermitianToricLine:
+def _weighted_of(seed: int, name: str) -> toric.ToricMetric:
     rng = random.Random(seed)
     return rand_weighted3(rng) if name == "P1^3" else rand_weighted(rng, _FANS[name]())
 
@@ -319,7 +318,7 @@ def _weighted_of(seed: int, name: str) -> toric.HermitianToricLine:
 @settings(max_examples=60, deadline=None)
 def test_equal_keys_hash_equal_and_as_their_field_tuples(seed, name):
     # the same draw twice gives equal divisors and metrics that are distinct objects
-    m1, m2 = (_weighted_of(seed, name).metric for _ in range(2))
+    m1, m2 = (_weighted_of(seed, name) for _ in range(2))
     assert m1 is not m2 and m1.line is not m2.line
     for d in (m1.line, m2.line):
         assert hash(d) == hash((d.fan, d.coeffs))
@@ -329,20 +328,20 @@ def test_equal_keys_hash_equal_and_as_their_field_tuples(seed, name):
 
 
 def test_a_second_lookup_hashes_no_fraction(monkeypatch):
-    h1, h2 = (weighted_line(o_p2(3), {(1, 0): Fraction(1, 2)}) for _ in range(2))
+    h1, h2 = (toric.metric_with_ray_weights(o_p2(3), {(1, 0): Fraction(1, 2)}) for _ in range(2))
     calls = []
     real = Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or real(x))
     toric.model_polytope.cache_clear()
-    body = toric.model_polytope(h1.metric)
+    body = toric.model_polytope(h1)
     # the first lookup of each key reads its Fractions
     assert calls
     for h in (h1, h2):
         calls.clear()
-        assert toric.model_polytope(h.metric) is body
+        assert toric.model_polytope(h) is body
         assert bool(calls) is (h is h2)
         # the key hashed once: a second lookup, and a set of its divisor, read the kept hashes
         calls.clear()
-        assert toric.model_polytope(h.metric) is body
-        assert len({h1.line, h.line, h.metric}) == 2
+        assert toric.model_polytope(h) is body
+        assert len({h1.line, h.line, h}) == 2
         assert calls == []

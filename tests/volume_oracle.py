@@ -127,11 +127,10 @@ def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
     return total / math.factorial(n)
 
 
-def minimal_extension(h, fan: Fan) -> toric.HermitianToricLine:
+def minimal_extension(m: toric.ToricMetric, fan: Fan) -> toric.ToricMetric:
     """Twist killing all Lelong numbers on the given fan: a'_rho = -g(v_rho)."""
-    m = toric._as_metric(h)
     line = toric.divisor(fan, [-m.g(r) for r in fan.rays])
-    return toric.HermitianToricLine(toric.metric(line, m.pieces), "minimal extension")
+    return toric.metric(line, m.pieces)
 
 
 def incarnation(b, fan: Fan) -> toric.ToricDivisor:
@@ -141,7 +140,7 @@ def incarnation(b, fan: Fan) -> toric.ToricDivisor:
     return pullback(b.incarnation, fan)
 
 
-def volume_profile(h: toric.HermitianToricLine, chain: Sequence[Fan]) -> list[Fraction]:
+def volume_profile(h: toric.ToricMetric, chain: Sequence[Fan]) -> list[Fraction]:
     """n!-normalized volumes of the minimal extension's divisor along a refinement chain."""
     for fine, coarse in zip(chain[1:], chain):
         if not fans.refines(fine, coarse):
@@ -149,7 +148,7 @@ def volume_profile(h: toric.HermitianToricLine, chain: Sequence[Fan]) -> list[Fr
     n = h.line.fan.dim
     out = []
     for f in chain:
-        d = minimal_extension(h.metric, f).line
+        d = minimal_extension(h, f).line
         out.append(math.factorial(n) * polytopes.volume(toric.polytope_of_divisor(d)))
     return out
 
