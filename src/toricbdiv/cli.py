@@ -205,6 +205,8 @@ def _cmd_tideal(args):
     data, digest = load_json(args.ideal)
     ideal = ideal_of(data, args.ideal)
     lam = rat_of(args.lam, "--lam")
+    if args.emax < 1:
+        raise CliError(2, "--emax must be at least 1")
     query = ideals.TestIdealQuery(ideal, lam, args.p, args.emax)
     out = ideals.test_ideal(query)
     inputs = {"ideal": digest, "lam": fmt(lam),
@@ -311,6 +313,8 @@ def _suite_test_vs_multiplier(args, scn):
     lams = [rat_of(x, args.scenario) for x in need_list(scn, "lams", args.scenario)]
     ps = [int_of(x, args.scenario) for x in need_list(scn, "ps", args.scenario)]
     e_max = int_of(scn.get("emax", 12), args.scenario)
+    if e_max < 1:
+        raise CliError(2, f"emax must be at least 1 in {args.scenario}")
     grid, verdict = [], "equal"
     for lam in lams:
         mult = ideals.multiplier_ideal_monomial(ideal, lam)

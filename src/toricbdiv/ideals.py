@@ -4,11 +4,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import dd, polytopes, toric
 from .rationals import idot, rat
@@ -44,10 +43,18 @@ def _antichain(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...
     return tuple(sorted(keep, reverse=True))
 
 
+def _index(x) -> int:
+    """x if it is an int (operator.index), never a bool, a float such as 1.5 or a string."""
+    if isinstance(x, bool):
+        raise TypeError("an ideal's nvars and exponents are integers, not bool")
+    return operator.index(x)
+
+
 def make_ideal(nvars: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
+    nvars = _index(nvars)
     norm = []
     for g in gens:
-        t = tuple(int(x) for x in g)
+        t = tuple(_index(x) for x in g)
         if len(t) != nvars or any(x < 0 for x in t):
             raise ValueError("invalid exponent vector")
         norm.append(t)
@@ -115,8 +122,10 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
             return None
         return max([0] + [-(-r // w_n) for r, w_n in cuts if w_n])
 
-    bound = math.ceil(c * max(max(g) for g in a.gens)) + n + 2
-    return _minimal_in_box([bound] * n, floor_of, "multiplier ideal")
+    # a minimal generator m has m_i <= floor(c max_g g_i) (Howald): past it, m + 1 - e_i still
+    # dominates c z for the same z in conv(gens), so m - e_i is in the ideal too
+    bounds = [c.numerator * max(col) // c.denominator for col in zip(*a.gens)]
+    return _minimal_in_box(bounds, floor_of, "multiplier ideal")
 
 
 def volume_of_pair(h: ToricMetric, k_max: int = 20) -> tuple[Fraction, list[Fraction]]:
@@ -141,6 +150,8 @@ class TestIdealQuery:
 
     def __post_init__(self):
         _check_prime(self.p)
+        if self.e_max < 1:
+            raise ValueError("e_max must be at least 1")
         if self.lam < 0:
             raise ValueError("exponent must be nonnegative")
 
@@ -158,6 +169,8 @@ def _power_count(k: int, n_pow: int) -> int:
 def _power_rows(gens: tuple[tuple[int, ...], ...], n_pow: int):
     """One row per count vector c of the first k - 2 generators with |c| <= N: left = N - |c| and
     base = sum c_i g_i + left g_k per coordinate; no N-fold sum passes top_j = N max_i g_ij."""
+    import numpy as np
+
     top = [n_pow * max(col) for col in zip(*gens)]
     if _power_count(len(gens), n_pow) > _POWER_BUDGET or 3 * max(top) >= 2**63:
         raise ValueError("test ideal budget exceeded")
@@ -191,6 +204,8 @@ def _power_floor(gens: Sequence[tuple[int, ...]], n_pow: int, q: int) -> Callabl
                     return None
             return None if lo > hi else (b_n + a_n * (lo if a_n > 0 else hi)) // q
         return floor_of
+    import numpy as np
+
     top, left, base, slope = _power_rows(tuple(gens), n_pow)
 
     def floor_of(prefix: tuple[int, ...]) -> int | None:

@@ -13,8 +13,6 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 from typing import Iterable, Iterator, Sequence
 
-import numpy as np
-
 from . import dd
 from .linalg import rank
 from .rationals import IntVec, Vec, dot, idot, int_row, primitive, vadd, vec, vsub
@@ -54,13 +52,15 @@ class Polytope:
         return _mixed_volume([self] * self.dim) if self.dim else Fraction(0)
 
     @functools.cached_property
-    def _ints(self) -> tuple[int, list[tuple[int, int]], np.ndarray | None, list[int], tuple[int, int], int]:
+    def _ints(self) -> tuple:
         """The body times the lcm s of the denominators of its vertices and
         offsets: s, the (min, max) of each axis over the vertices, the facet
         normals as an int64 matrix (None past int64) and their offsets, sorted
         with w_n > 0 first and w_n = 0 last and by w_n within each, how many
         facets have w_n > 0 and w_n != 0, and the largest |w_1| + ... +
         |w_{n-1}|."""
+        import numpy as np
+
         n, m = self.dim, len(self.vertices) * self.dim
         rows = sorted(self.halfspaces, key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0, r[0][-1]))
         ints, s = int_row([x for v in self.vertices for x in v] + [c for _, c in rows])
@@ -384,7 +384,7 @@ def check_lattice_budget(p: Polytope, k: int = 1) -> None:
     _box(p, k)
 
 
-def _lattice_runs(p: Polytope, ks: range) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _lattice_runs(p: Polytope, ks: range) -> Iterator[tuple]:
     """For each k of ks in order, the nonempty runs of integer points of kP along
     the last axis, in lex order: int64 prefixes (the first n-1 coordinates) and
     each run's first and last value.
@@ -415,7 +415,7 @@ def _lattice_runs(p: Polytope, ks: range) -> Iterator[tuple[np.ndarray, np.ndarr
     yield from _stacked_runs(p, group)
 
 
-def _stacked_runs(p: Polytope, group: list) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _stacked_runs(p: Polytope, group: list) -> Iterator[tuple]:
     """The runs of `_lattice_runs` for a group of k's, given as (box, offsets
     ceil(k c), rows): one pass over the rows of all of them, or, for a single
     k of more than _RUN_BLOCK cells, one per block of its rows.
@@ -431,6 +431,8 @@ def _stacked_runs(p: Polytope, group: list) -> Iterator[tuple[np.ndarray, np.nda
     faster than by a broadcast column, so each run of facets with equal w_n is
     divided at once by its w_n.
     """
+    import numpy as np
+
     n, (_, _, w, _, (a, b), _) = p.dim, p._ints
     ends = list(accumulate((rows for _, _, rows in group), initial=0))
     if not ends[-1]:
@@ -475,6 +477,8 @@ def _stacked_runs(p: Polytope, group: list) -> Iterator[tuple[np.ndarray, np.nda
 
 def lattice_points(p: Polytope, k: int = 1) -> list[IntVec]:
     """Integer points of kP in lex order."""
+    import numpy as np
+
     prefixes, lo, hi = next(_lattice_runs(p, range(k, k + 1)))
     lengths = hi - lo + 1
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)

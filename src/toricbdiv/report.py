@@ -57,14 +57,22 @@ def rat_of(value, where: str) -> Fraction:
         raise CliError(2, f"bad rational '{value}' in {where}")
 
 
-def int_of(value, where: str) -> int:
-    """An integer given as a JSON int or a string of one."""
+def _int(value) -> int:
+    """int_of without its where: ValueError for anything else."""
     if isinstance(value, (int, str)) and not isinstance(value, bool):
         try:
             return int(value)
         except ValueError:
             pass
-    raise CliError(2, f"bad integer '{value}' in {where}")
+    raise ValueError(f"bad integer '{value}'")
+
+
+def int_of(value, where: str) -> int:
+    """An integer given as a JSON int or a string of one."""
+    try:
+        return _int(value)
+    except ValueError as exc:
+        raise CliError(2, f"{exc} in {where}")
 
 
 def ray_of(key: str, where: str) -> tuple[int, ...]:
@@ -150,7 +158,8 @@ def flag_of(fan: Fan, scn: dict, where: str) -> okounkov.FlagValuation:
 
 def ideal_of(data: dict, where: str) -> ideals.MonomialIdeal:
     try:
-        return ideals.make_ideal(int(data["nvars"]), data["gens"])
+        nvars = _int(data["nvars"])
+        return ideals.make_ideal(nvars, [[_int(x) for x in g] for g in data["gens"]])
     except (ValueError, TypeError, KeyError) as exc:
         raise CliError(2, f"bad ideal in {where}: {exc}")
 

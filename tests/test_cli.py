@@ -333,6 +333,62 @@ def test_zero_variable_ideal_is_the_unit_ideal(tmp_path, argv):
     assert report_of(text)["outputs"] == {"nvars": 0, "gens": [[]]}
 
 
+_IDEAL_COMMANDS = {
+    "mideal": lambda path: ["mideal", "--ideal", path, "--c", "1"],
+    "tideal": lambda path: ["tideal", "--ideal", path, "--lam", "1", "--p", "2"],
+    "tvm": lambda path: ["verify", "--suite", "test-vs-multiplier", "--scenario", path],
+}
+
+
+def _ideal_file(tmp_path, kind, ideal):
+    """The file `kind` reads the ideal from: the ideal itself, or a test-vs-multiplier scenario."""
+    return mk(tmp_path, "ideal.json", {**TVM, "ideal": ideal} if kind == "tvm" else ideal)
+
+
+@pytest.mark.parametrize("kind", sorted(_IDEAL_COMMANDS))
+@pytest.mark.parametrize("ideal", [
+    {"nvars": 1, "gens": [[1.5]]},
+    {"nvars": 1, "gens": [[1.0]]},
+    {"nvars": 1, "gens": [[True]]},
+    {"nvars": 2.7, "gens": [[1, 0]]},
+    {"nvars": True, "gens": [[1]]},
+    {"nvars": 1, "gens": [["x"]]},
+], ids=["float-exponent", "integral-float-exponent", "bool-exponent", "float-nvars",
+        "bool-nvars", "word-exponent"])
+def test_non_integer_ideal_entries_are_input_errors(tmp_path, kind, ideal):
+    # these were truncated by int(): 1.5 and true answered for x, 2.7 for two variables
+    path = _ideal_file(tmp_path, kind, ideal)
+    code, text = run(_IDEAL_COMMANDS[kind](path))
+    assert code == 2, text
+    assert report_of(text)["error"]["message"].startswith(f"bad ideal in {path}: bad integer")
+
+
+@pytest.mark.parametrize("kind", sorted(_IDEAL_COMMANDS))
+def test_ideal_entries_may_be_strings_of_integers(tmp_path, kind):
+    # int_of's rule: a JSON integer or a string of one
+    answers = []
+    for ideal in ({"nvars": 2, "gens": [[2, 1]]}, {"nvars": "2", "gens": [["2", "1"]]}):
+        code, text = run(_IDEAL_COMMANDS[kind](_ideal_file(tmp_path, kind, ideal)))
+        assert code == 0, text
+        answers.append(report_of(text)["outputs"])
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("emax", ["0", "-3"])
+def test_emax_below_one_is_an_input_error(tmp_path, emax):
+    # no exponent is tried, so "no stabilization by e_max" would be no verdict at all
+    ideal = str(GOLDEN / "ideal2.json")
+    code, text = run(["tideal", "--ideal", ideal, "--lam", "5/4", "--p", "3", "--emax", emax])
+    assert code == 2
+    assert report_of(text)["error"] == {"code": 2, "message": "--emax must be at least 1"}
+    scn = mk(tmp_path, "tvm.json", {**TVM, "emax": int(emax)})
+    code, text = run(["verify", "--suite", "test-vs-multiplier", "--scenario", scn])
+    assert code == 2
+    assert report_of(text)["error"] == {"code": 2, "message": f"emax must be at least 1 in {scn}"}
+    code, text = run(["tideal", "--ideal", ideal, "--lam", "5/4", "--p", "3", "--emax", "1"])
+    assert code in (0, 3) and "at least 1" not in text
+
+
 def test_verify_gap_exit(tmp_path, monkeypatch):
     scn = scn_weighted_o3(tmp_path)
     monkeypatch.setitem(cli._SUITE_FNS, "okouniden",

@@ -178,10 +178,36 @@ def ideals_and_exponents(draw):
 @example((make_ideal(3, [[1, 2, 0], [0, 0, 1]]), Fraction(81, 2)))
 @settings(max_examples=60, deadline=None)
 def test_multiplier_matches_graded_scan_oracle(case):
-    # over-budget boxes raise the same error on both routes
+    # over-budget boxes raise the same error on both routes, but for a box that only the
+    # oracle's wider one exceeds
     ideal, c = case
-    assert _outcome(multiplier_ideal_monomial, ideal, c) == \
-        _outcome(io.multiplier_ideal_monomial, ideal, c)
+    _check_multiplier(_outcome(multiplier_ideal_monomial, ideal, c),
+                      _outcome(io.multiplier_ideal_monomial, ideal, c), ideal, c)
+
+
+_MULTIPLIER_BUDGET = repr(ValueError("multiplier ideal budget exceeded"))
+
+
+def _check_multiplier(got, want, ideal, c):
+    """got is want, or want is the budget error of the oracles' box [ceil(c max g) + n + 2]^n,
+    wider than the library's, and each generator g of got is in I(a^c) and no g - e_i is."""
+    if want != _MULTIPLIER_BUDGET or isinstance(got, str):
+        assert got == want
+        return
+    member = io.howald_member(ideal, c)
+    for g in got.gens:
+        assert member(g), g
+        assert not any(member(g[:i] + (x - 1,) + g[i + 1:]) for i, x in enumerate(g) if x), g
+
+
+def test_multiplier_box_reaches_past_the_oracle_budget():
+    # the per-axis box [floor(c max_g g_i)]_i = [320, 40] holds every minimal generator
+    # (Howald); the oracles' box [ceil(c max g) + n + 2]^n = [324, 324] exceeds the budget
+    ideal, c = make_ideal(2, [[8, 0], [0, 1]]), Fraction(40)
+    want = _outcome(io.multiplier_ideal_monomial, ideal, c)
+    assert want == _outcome(io.walk_multiplier_ideal, ideal, c) == _MULTIPLIER_BUDGET
+    got = multiplier_ideal_monomial(ideal, c)
+    _check_multiplier(got, want, ideal, c)
 
 
 def _recording(scan, calls):
@@ -266,7 +292,7 @@ def test_multiplier_column_floors_match_the_walk(case):
     floors = []
     with mock.patch.object(ideals, "_minimal_in_box", _recording(ideals._minimal_in_box, floors)):
         got = _outcome(multiplier_ideal_monomial, ideal, c)
-    assert got == _outcome(io.walk_multiplier_ideal, ideal, c)
+    _check_multiplier(got, _outcome(io.walk_multiplier_ideal, ideal, c), ideal, c)
     _check_floors(floors, io.howald_member(ideal, c), 10**9)
 
 
@@ -552,3 +578,16 @@ def test_query_validation():
         make_ideal(2, [[1, -1]])
     with pytest.raises(ValueError, match="at least one generator"):
         make_ideal(2, [])
+    for e_max in (0, -3):
+        with pytest.raises(ValueError, match="e_max must be at least 1"):
+            TestIdealQuery(make_ideal(1, [[1]]), 1, 2, e_max)
+
+
+@pytest.mark.parametrize("nvars, gens", [
+    (1, [[1.5]]), (1, [[1.0]]), (1, [[True]]), (1, [[Fraction(1)]]), (2.7, [[1, 0]]),
+    (True, [[1]]), (1, [["1"]]),
+], ids=["float", "integral-float", "bool", "fraction", "float-nvars", "bool-nvars", "string"])
+def test_make_ideal_takes_integers_only(nvars, gens):
+    # operator.index takes ints and int-like types only; bool is an int it refuses
+    with pytest.raises(TypeError):
+        make_ideal(nvars, gens)

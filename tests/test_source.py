@@ -1,7 +1,11 @@
 """Static checks of the library source."""
 import ast
+import functools
+import importlib
+import inspect
 import json
 import re
+import typing
 from collections import Counter
 from pathlib import Path
 
@@ -300,3 +304,23 @@ def test_no_float_in_src():
     uses = [(path.name, func, line) for path in sorted(SRC.glob("*.py"))
             for func, line in _float_uses(ast.parse(path.read_text(encoding="utf-8")))]
     assert [use for use in uses if use[:2] not in allowed] == []
+
+
+def test_every_src_annotation_resolves():
+    # annotations are strings (from __future__ import annotations), so a name that left a
+    # module's globals, such as np once numpy is imported only inside functions, goes unseen
+    # until typing.get_type_hints evaluates it
+    unresolved = []
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"toricbdiv.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for f in [obj, *members, *(m.func for m in members if isinstance(m, functools.cached_property))]:
+                if inspect.isfunction(f) or inspect.isclass(f):
+                    try:
+                        typing.get_type_hints(f)
+                    except (NameError, AttributeError) as exc:
+                        unresolved.append(f"{module.__name__}.{f.__qualname__}: {exc}")
+    assert unresolved == []
