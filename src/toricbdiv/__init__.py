@@ -14,7 +14,7 @@ from .okounkov import (FlagValuation, OkounidenReport, OkounkovBody, flag,
                        okounkov_of_bdiv, okounkov_of_class, partial_okounkov,
                        verify_okouniden)
 from .polytopes import (Polytope, canonicalize, from_halfspaces, hausdorff_linf,
-                        lattice_points, minkowski_sum, mixed_volume, volume)
+                        minkowski_sum, mixed_volume, volume)
 from .toric import (ToricDivisor, ToricMetric, divisor, is_big, is_nef, metric,
                     model_polytope, np_mass, polytope_of_divisor, tensor,
                     volume_profile)

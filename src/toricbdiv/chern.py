@@ -378,10 +378,10 @@ def parse_chern_expr(text: str) -> GradedElem:
     return out
 
 
-def chern_number(bundles: Mapping[str, SplitToricBundle], expr) -> Fraction:
-    """Evaluate a degree-n Chern/Segre expression against the bundle table."""
-    elem = parse_chern_expr(expr) if isinstance(expr, str) else expr
-    elem = elem.to_segre()
+def chern_number(bundles: Mapping[str, SplitToricBundle], expr: str) -> Fraction:
+    """Evaluate the text of a degree-n Chern/Segre expression against the bundle
+    table; a syntax error raises `ParseError`."""
+    elem = parse_chern_expr(expr).to_segre()
     total = Fraction(0)
     for mono, coeff in elem.terms:
         names = []

@@ -222,10 +222,9 @@ def _cmd_chern(args):
     if not isinstance(expr, str):
         raise CliError(2, f"expression must be a string in {args.scenario}")
     try:
-        parsed = chern.parse_chern_expr(expr)
+        value = chern.chern_number(table, expr)
     except chern.ParseError as exc:
         raise CliError(2, str(exc))
-    value = chern.chern_number(table, parsed)
     return inputs, {"expression": expr, "value": fmt(value)}, None
 
 
@@ -249,8 +248,7 @@ def _cmd_export_plot(args):
     if "divisor" in scn:
         body = okounkov.okounkov_of_class(divisor_of(fan, scn["divisor"], "divisor"), nu)
     else:
-        h = _metric_of_scn(fan, scn, args.scenario)
-        _, body = okounkov.partial_okounkov(h, nu, int_of(scn.get("kmax", 1), args.scenario))
+        body = okounkov.limit_body(_metric_of_scn(fan, scn, args.scenario), nu)
     payload = {"approximate": True,
                "vertices": [[float(x) for x in v] for v in body.body.vertices]}
     _write_json(args.out, payload)

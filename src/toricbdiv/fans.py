@@ -45,14 +45,14 @@ class Fan:
         return out
 
 
-def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]], dim: int | None = None) -> Fan:
+def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]]) -> Fan:
     """Normalize rays to primitive vectors, dedupe, sort, and remap cone indices; each
     index names a ray and each ray generates a cone, so a divisor's a_rho is -psi(v_rho).
     Each cone must be pointed (strongly convex: Cox, Little & Schenck, Def. 3.1.2)."""
     prim = [primitive(vec(r)) for r in rays]
     if not prim:
         raise ValueError("empty fan")
-    n = dim if dim is not None else len(prim[0])
+    n = len(prim[0])
     if any(len(r) != n for r in prim):
         raise ValueError("dimension mismatch")
     cones = [list(c) for c in cones]
@@ -129,7 +129,7 @@ def stellar_refine(fan: Fan, w: Sequence) -> Fan:
             new_cones.append(facet + (wp,))
     all_rays = list(fan.rays) + [wp]
     idx = {r: i for i, r in enumerate(all_rays)}
-    return make_fan(all_rays, [tuple(idx[r] for r in c) for c in new_cones], fan.dim)
+    return make_fan(all_rays, [tuple(idx[r] for r in c) for c in new_cones])
 
 
 def _fan_of_cones(cones_rays: Sequence[Sequence[IntVec]], dim: int, complete: bool) -> Fan:
@@ -226,7 +226,7 @@ def projective_space_fan(n: int) -> Fan:
     rays = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     rays.append(tuple(-1 for _ in range(n)))
     cones = [tuple(sorted(set(range(n + 1)) - {i})) for i in range(n + 1)]
-    return make_fan(rays, cones, n)
+    return make_fan(rays, cones)
 
 
 def product_fan(f1: Fan, f2: Fan) -> Fan:
@@ -237,4 +237,4 @@ def product_fan(f1: Fan, f2: Fan) -> Fan:
     for c1 in f1.cones:
         for c2 in f2.cones:
             cones.append(tuple(c1) + tuple(len(f1.rays) + i for i in c2))
-    return make_fan(rays, cones, n1 + n2)
+    return make_fan(rays, cones)

@@ -133,7 +133,6 @@ def volume_of_pair(h: ToricMetric, k_max: int = 20) -> tuple[Fraction, list[Frac
     if k_max < 1:
         raise ValueError("k must be positive")
     model = toric.model_polytope(h)
-    polytopes.check_lattice_budget(model, k_max)
     exact = polytopes.volume(model)
     n = h.line.fan.dim
     ks = range(1, k_max + 1)

@@ -186,7 +186,6 @@ def partial_okounkov(m: ToricMetric, nu: FlagValuation,
     model = toric.model_polytope(m)
     if polytopes.affine_rank(model.vertices) != m.line.fan.dim:
         raise ValueError("not nef or not big")
-    polytopes.check_lattice_budget(model, k_max)
     m0 = _trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
     ks = range(1, k_max + 1)
@@ -196,10 +195,10 @@ def partial_okounkov(m: ToricMetric, nu: FlagValuation,
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
     if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")
-    return hulls, _limit_body(m, nu)
+    return hulls, limit_body(m, nu)
 
 
-def _limit_body(m: ToricMetric, nu: FlagValuation) -> OkounkovBody:
+def limit_body(m: ToricMetric, nu: FlagValuation) -> OkounkovBody:
     """Limit of the section hulls: the flag image M (P(g) - m0), with nu(h) as its shift."""
     m0 = _trivialization(m.line, nu)
     return OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", nu_of_metric(m, nu))
@@ -238,6 +237,6 @@ class OkounidenReport:
 def verify_okouniden(m: ToricMetric, nu: FlagValuation) -> OkounidenReport:
     """Check body(bdiv) + nu(m) = body(metric limit) through both pipelines."""
     lhs = okounkov_of_bdiv(bdiv.bdiv_of_metric(m).cartier, nu)
-    rhs = _limit_body(m, nu)
+    rhs = limit_body(m, nu)
     verdict = "equal" if polytopes.translate(lhs.body, rhs.shift) == rhs.body else "gap"
     return OkounidenReport(lhs, rhs.shift, rhs, verdict)

@@ -52,23 +52,28 @@ class Polytope:
         return _mixed_volume([self] * self.dim) if self.dim else Fraction(0)
 
     @functools.cached_property
-    def _ints(self) -> tuple:
+    def _scaled(self) -> tuple:
         """The body times the lcm s of the denominators of its vertices and
-        offsets: s, the (min, max) of each axis over the vertices, the facet
-        normals as an int64 matrix (None past int64) and their offsets, sorted
-        with w_n > 0 first and w_n = 0 last and by w_n within each, how many
-        facets have w_n > 0 and w_n != 0, and the largest |w_1| + ... +
-        |w_{n-1}|."""
-        import numpy as np
-
+        offsets: s, the (min, max) of each axis over the vertices, and the facet
+        normals and their offsets, sorted with w_n > 0 first and w_n = 0 last
+        and by w_n within each."""
         n, m = self.dim, len(self.vertices) * self.dim
         rows = sorted(self.halfspaces, key=lambda r: (r[0][-1] <= 0, r[0][-1] == 0, r[0][-1]))
         ints, s = int_row([x for v in self.vertices for x in v] + [c for _, c in rows])
         ends = [(min(ints[i:m:n]), max(ints[i:m:n])) for i in range(n)]
-        normals = [w for w, _ in rows]
+        return s, ends, [w for w, _ in rows], ints[m:]
+
+    @functools.cached_property
+    def _facets(self) -> tuple:
+        """The sorted normals of `_scaled` as an int64 matrix (None past int64),
+        how many have w_n > 0 and w_n != 0, and the largest |w_1| + ... +
+        |w_{n-1}|."""
+        import numpy as np
+
+        normals = self._scaled[2]
         w = np.array(normals, dtype=np.int64) if max(abs(x) for v in normals for x in v) < 2**63 else None
         split = (sum(v[-1] > 0 for v in normals), sum(v[-1] != 0 for v in normals))
-        return s, ends, w, ints[m:], split, max(sum(map(abs, v[:-1])) for v in normals)
+        return w, split, max(sum(map(abs, v[:-1])) for v in normals)
 
 
 def affine_rank(points: Sequence[Vec]) -> int:
@@ -366,7 +371,7 @@ def _ceil_div(a: int, b: int) -> int:
 def _box(p: Polytope, k: int) -> list[tuple[int, int]] | None:
     """Integer bounds (lo, hi) of each axis of the bounding box of kP, or None
     when an axis holds no integer; raises when the box has too many cells."""
-    s, ends = p._ints[:2]
+    s, ends = p._scaled[:2]
     box, cells = [], 1
     for a, b in ends:
         lo, hi = _ceil_div(k * a, s), k * b // s
@@ -377,11 +382,6 @@ def _box(p: Polytope, k: int) -> list[tuple[int, int]] | None:
     if cells > _LATTICE_BUDGET:
         raise ValueError("lattice enumeration budget exceeded")
     return box
-
-
-def check_lattice_budget(p: Polytope, k: int = 1) -> None:
-    """Raise now the budget error that enumerating the integer points of kP would raise."""
-    _box(p, k)
 
 
 def _lattice_runs(p: Polytope, ks: range) -> Iterator[tuple]:
@@ -395,7 +395,7 @@ def _lattice_runs(p: Polytope, ks: range) -> Iterator[tuple]:
     group runs, so a range raises what its first failing k raises, after the
     runs of the k's before it.
     """
-    s, _, w, offsets, _, wide = p._ints
+    (s, _, _, offsets), (w, _, wide) = p._scaled, p._facets
     group, cells = [], 0
     for k in ks:
         # an empty box has no rows, so its table entries are never read
@@ -433,7 +433,7 @@ def _stacked_runs(p: Polytope, group: list) -> Iterator[tuple]:
     """
     import numpy as np
 
-    n, (_, _, w, _, (a, b), _) = p.dim, p._ints
+    n, (w, (a, b), _) = p.dim, p._facets
     ends = list(accumulate((rows for _, _, rows in group), initial=0))
     if not ends[-1]:
         # no k has a prefix, and w may be None
@@ -475,20 +475,11 @@ def _stacked_runs(p: Polytope, group: list) -> Iterator[tuple]:
         yield tuple(x[cut[t]:cut[t + 1]] for x in runs)
 
 
-def lattice_points(p: Polytope, k: int = 1) -> list[IntVec]:
-    """Integer points of kP in lex order."""
-    import numpy as np
-
-    prefixes, lo, hi = next(_lattice_runs(p, range(k, k + 1)))
-    lengths = hi - lo + 1
-    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    last = np.repeat(lo, lengths) + np.arange(len(first)) - first
-    rows = np.column_stack([np.repeat(prefixes, lengths, axis=0), last])
-    return [tuple(row) for row in rows.tolist()]
-
-
 def lattice_counts(p: Polytope, ks: range) -> list[int]:
-    """Exact number of integer points of kP for each k of ks."""
+    """Exact number of integer points of kP for each k of ks; raises before the
+    first pass when the box of the last k has too many cells."""
+    if ks:
+        _box(p, ks[-1])
     return [int((hi - lo + 1).sum()) for _, lo, hi in _lattice_runs(p, ks)]
 
 
@@ -498,7 +489,10 @@ def lattice_run_ends(p: Polytope, ks: range) -> Iterator[list[IntVec]]:
 
     The integer points of a convex body on one axis-parallel line form an
     unbroken run, so these points have the same convex hull as all of them.
+    Raises before the first pass when the box of the last k has too many cells.
     """
+    if ks:
+        _box(p, ks[-1])
     for prefixes, lo, hi in _lattice_runs(p, ks):
         ends = []
         for x, a, b in zip(prefixes.tolist(), lo.tolist(), hi.tolist()):

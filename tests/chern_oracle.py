@@ -93,7 +93,7 @@ def fiber_product_projectivization(
                 if ids:
                     cids.extend(ids[j] for j in range(len(ids)) if j != k)
             cones.append(tuple(cids))
-    fan = fans.make_fan(rays, cones, total)
+    fan = fans.make_fan(rays, cones)
 
     lines: list[ToricMetric] = []
     for i, (b, off) in enumerate(zip(bs, offsets)):

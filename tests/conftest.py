@@ -101,12 +101,24 @@ def complete_fan_2d(rays: Iterable[Sequence]) -> fans.Fan:
         if r[0] * s[1] - r[1] * s[0] <= 0:
             raise ValueError("rays do not span the plane positively")
         cones.append((idx[r], idx[s]))
-    return fans.make_fan(prim, cones, 2)
+    return fans.make_fan(prim, cones)
 
 
 def lattice_count(p: Polytope, k: int = 1) -> int:
     """Exact number of integer points of kP."""
     return polytopes.lattice_counts(p, range(k, k + 1))[0]
+
+
+def lattice_points(p: Polytope, k: int = 1) -> list[IntVec]:
+    """Integer points of kP in lex order."""
+    import numpy as np
+
+    prefixes, lo, hi = next(polytopes._lattice_runs(p, range(k, k + 1)))
+    lengths = hi - lo + 1
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    last = np.repeat(lo, lengths) + np.arange(len(first)) - first
+    rows = np.column_stack([np.repeat(prefixes, lengths, axis=0), last])
+    return [tuple(row) for row in rows.tolist()]
 
 
 def rand_weighted(rng, fan: fans.Fan, max_deg: int = 4) -> toric.ToricMetric:

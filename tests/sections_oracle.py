@@ -172,7 +172,7 @@ def _lattice_runs_per_k(p: Polytope, k: int) -> tuple[np.ndarray, np.ndarray, np
     if box is None:
         none = np.empty(0, dtype=np.int64)
         return np.empty((0, n - 1), dtype=np.int64), none, none
-    s, _, w, offsets, (a, b), wide = p._ints
+    (s, _, _, offsets), (w, (a, b), wide) = p._scaled, p._facets
     ck = [_ceil_div(k * c, s) for c in offsets]
     top = max(abs(x) for ab in box for x in ab)
     if w is None or max(top, wide * top + max(map(abs, ck))) >= 2**63:

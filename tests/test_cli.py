@@ -193,6 +193,34 @@ def test_export_plot(tmp_path):
     assert code == 2
 
 
+# on P^2: a flat model polytope, one with no integer point at k = 1, and one
+# whose box at k = 1 has over 50 million cells; the limit body needs no sections
+EXPORT_METRICS = {
+    "flat": (metric_json(2, [(0, 0), (1, 0), (2, 0)]), [[0.0, 0.0], [2.0, 0.0]]),
+    "no-section-at-k-1": (metric_json(1, [(Fraction(1, 3), Fraction(1, 3)), (Fraction(2, 3), Fraction(1, 3)),
+                                          (Fraction(1, 3), Fraction(2, 3))]), None),
+    "large": (metric_json(100000, [(0, 0), (100000, 0), (0, 100000)]),
+              [[0.0, 0.0], [0.0, 100000.0], [100000.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", EXPORT_METRICS)
+def test_export_plot_of_a_metric_writes_its_limit_body(tmp_path, name):
+    metric, want = EXPORT_METRICS[name]
+    scn = mk(tmp_path, "plot.json", {"fan": P2_FAN, "metric": metric, "flag": {"cone": [[1, 0], [0, 1]]}})
+    out = str(tmp_path / "plot_out.json")
+    code, text = run(["export-plot", "--scenario", scn, "--out", out])
+    assert code == 0, text
+    got = json.loads(open(out).read())["vertices"]
+    assert report_of(text)["outputs"]["count"] == len(got)
+    if want is None:
+        # the limit of partial-okounkov, whose first section is at k = 2
+        code, text = run(["partial-okounkov", "--scenario", scn, "--kmax", "2"])
+        assert code == 0
+        want = [[float(Fraction(x)) for x in v] for v in report_of(text)["outputs"]["limit"]["vertices"]]
+    assert got == want
+
+
 # -- verify suites ----------------------------------------------------------------
 
 def test_verify_suites_pass(tmp_path):
@@ -413,6 +441,22 @@ def test_weil_interval(tmp_path):
     iv = report_of(text)["outputs"]["interval"]
     assert iv["lo"] == "4"
     assert iv["certified"] is True
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["volume"], {"interval": {"certified": False, "lo": "4", "hi": "4"}}),
+    (["intersect"], {"interval": {"certified": False, "lo": "4", "hi": "4"}}),
+    (["okounkov"], {"body": {"provenance": "bdiv_limit", "shift": ["0", "0"], "volume": "2",
+                             "vertices": [["0", "0"], ["0", "2"], ["2", "0"]]}}),
+], ids=["volume", "intersect", "okounkov"])
+def test_weil_of_one_approximant_and_no_limit(tmp_path, argv, want):
+    # O(2) on P^2 as the only approximant: no gap to stop on and no limit to certify
+    weil = {"approximants": [metric_json(2, [(0, 0), (2, 0), (0, 2)])]}
+    scn = mk(tmp_path, "weil1.json", {"fan": P2_FAN, "weil": weil, "weils": [weil] * 2,
+                                      "flag": {"cone": [[1, 0], [0, 1]]}})
+    code, text = run(argv + ["--scenario", scn])
+    assert code == 0
+    assert report_of(text)["outputs"] == want
 
 
 # -- parse failures -----------------------------------------------------------------

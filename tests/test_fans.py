@@ -97,9 +97,9 @@ def test_cone_contains_matches_lp_oracle_on_random_cones(rays, points):
     a_eq = [[Fraction(r[i]) for r in rays] for i in range(3)] + [[Fraction(1)] * k]
     if lp.feasible(a_ub, [Fraction(0)] * k, a_eq, [0, 0, 0, 1]) is not None:
         with pytest.raises(ValueError, match="cone not pointed"):
-            make_fan(rays, [range(k)], 3)
+            make_fan(rays, [range(k)])
         return
-    fan = make_fan(rays, [range(len(rays))], 3)
+    fan = make_fan(rays, [range(len(rays))])
     cone = fan.cones[0]
     for v in points:
         assert fans.cone_contains(fan, cone, v) is _cone_contains_lp(fan, cone, v)

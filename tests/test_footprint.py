@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: the b-divisor pipeline and most commands run without numpy.
 
 Only the lattice-run kernel of `polytopes` and the power-row kernel of `ideals` (three or
-more generators) import numpy, inside the functions that use it.
+more generators) import numpy, inside the functions that use it. The lattice budget is
+checked before either, and `export-plot` of a metric enumerates no lattice points.
 """
 import json
 import os
@@ -46,6 +47,22 @@ for case in json.loads(Path("cases.json").read_text(encoding="utf-8")):
         code, text = cli.run(case["argv"])
         expected = Path("expected", case["id"] + ".txt").read_bytes()
         out["golden"][case["id"]] = code == case["exit"] and text.encode("utf-8") == expected
+# O(100000) on P^2: its box at k = 1 has over 50 million cells
+big = Path(sys.argv[2], "big.json")
+big.write_text(json.dumps({"fan": json.loads(Path("p2.json").read_text(encoding="utf-8"))["fan"],
+    "metric": {"divisor": {"coeffs": {"1,0": "0", "0,1": "0", "-1,-1": "100000"}},
+               "pieces": [{"slope": s} for s in (["0", "0"], ["100000", "0"], ["0", "100000"])]},
+    "flag": {"cone": [[1, 0], [0, 1]]}}),
+    encoding="utf-8")
+out["lattice-free"] = {}
+for name, argv in [("plot p2", ["export-plot", "--scenario", "p2.json"]),
+                   ("plot p1cubed", ["export-plot", "--scenario", "p1cubed.json"]),
+                   ("partial budget", ["partial-okounkov", "--scenario", str(big), "--kmax", "1"]),
+                   ("dfvol budget", ["verify", "--suite", "dfvol", "--scenario", str(big), "--kmax", "1"])]:
+    if argv[0] == "export-plot":
+        argv += ["--out", str(Path(sys.argv[2], name + ".json"))]
+    code, text = cli.run(argv)
+    out["lattice-free"][name] = [code, json.loads(text).get("error", {}).get("message")]
 out["numpy after"] = "numpy" in sys.modules
 
 p = toric.model_polytope(h)
@@ -79,16 +96,19 @@ NUMPY_KERNELS = {
     "test_ideal": {"nvars": 2, "gens": [[2, 0], [1, 1], [0, 2]]}}
 
 
-def test_pipeline_and_most_commands_run_without_numpy():
+def test_pipeline_and_most_commands_run_without_numpy(tmp_path):
     src = str(Path(toricbdiv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", _CHILD, str(GOLDEN)],
+    proc = subprocess.run([sys.executable, "-c", _CHILD, str(GOLDEN), str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["numpy at import"] is False
     assert len(out["golden"]) == 30  # 25 answers, 4 errors and one help text
     assert all(out["golden"].values()), out["golden"]
+    budget = [3, "lattice enumeration budget exceeded"]
+    assert out["lattice-free"] == {"plot p2": [0, None], "plot p1cubed": [0, None],
+                                   "partial budget": budget, "dfvol budget": budget}
     assert out["numpy after"] is False
     assert out["pipeline"] == PIPELINE
     # the kernels that load numpy answer as they did with numpy loaded at import

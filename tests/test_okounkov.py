@@ -15,8 +15,8 @@ from toricbdiv.chern import split_bundle
 
 import sections_oracle as so
 from chern_oracle import fiber_product_projectivization
-from conftest import (half_plane, lelong_numbers, minimal_metric, o_p1p1, o_p2, p1,
-                      p1cubed, p1xp1, p2, rand_weighted, rand_weighted3, scale)
+from conftest import (half_plane, lattice_points, lelong_numbers, minimal_metric, o_p1p1, o_p2,
+                      p1, p1cubed, p1xp1, p2, rand_weighted, rand_weighted3, scale)
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -120,7 +120,7 @@ def all_points_hulls(m, nu, k_max):
     m0 = okounkov._trivialization(m.line, nu)
     out = []
     for k in range(1, k_max + 1):
-        pts = polytopes.lattice_points(scale(model, k))
+        pts = lattice_points(scale(model, k))
         if not pts:
             out.append(None)
             continue

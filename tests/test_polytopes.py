@@ -17,11 +17,11 @@ import sections_oracle as so
 import volume_oracle as vo
 from toricbdiv import dd, polytopes
 from toricbdiv.polytopes import (Polytope, canonicalize, from_halfspaces,
-                                 hausdorff_linf, lattice_points, minkowski_sum,
+                                 hausdorff_linf, minkowski_sum,
                                  mixed_volume, translate, volume)
 from toricbdiv.rationals import dot
 
-from conftest import lattice_count, scale, translate_into
+from conftest import lattice_count, lattice_points, scale, translate_into
 
 coord = st.integers(min_value=-4, max_value=4)
 point2 = st.tuples(coord, coord)
@@ -273,11 +273,18 @@ def test_lattice_count_budget():
         lattice_count(canonicalize([(0, 0), (8000, 0), (0, 8000)]))
     # and that of 8000 times the unit triangle too, checked without enumerating
     unit = simplex()
-    polytopes.check_lattice_budget(unit, 7000)
+    polytopes._box(unit, 7000)
     with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
-        polytopes.check_lattice_budget(unit, 8000)
+        polytopes._box(unit, 8000)
     with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
         lattice_count(unit, 8000)
+    # the range functions check the last k's box before their first pass
+    big = canonicalize([(0, 0), (10**5, 0), (0, 10**5)])
+    for f in (polytopes.lattice_counts, lambda p, ks: list(polytopes.lattice_run_ends(p, ks))):
+        assert f(big, range(1, 1)) == []
+        with mock.patch.object(polytopes, "_lattice_runs", side_effect=AssertionError("enumerated")), \
+                pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
+            f(big, range(1, 3))
 
 
 def test_translate_into_frozen():
@@ -538,7 +545,7 @@ def test_lattice_runs_over_a_range_raise_the_first_per_k_error():
     # empty boxes at odd k; at k = 6 the box has 6 * 10^7 + 1 cells, over the
     # budget, while the box at k = 7 is empty again
     segment = canonicalize([(Fraction(1, 2), 0), (Fraction(1, 2), 10**7)])
-    polytopes.check_lattice_budget(segment, 7)
+    polytopes._box(segment, 7)
     assert polytopes.lattice_counts(segment, range(1, 6)) == [0, 2 * 10**7 + 1, 0, 4 * 10**7 + 1, 0]
     # an offset past int64 at every k whose box holds an integer, and the
     # int64 error at k = 2 before the budget error at k = 6
@@ -594,7 +601,7 @@ def test_lattice_enumeration_past_int64_fails_cleanly():
         canonicalize([(a, 0), (a + Fraction(1, a), 1), (a, 1)]),
     ]
     for p in cases:
-        polytopes.check_lattice_budget(p, 3)
+        polytopes._box(p, 3)
         for f in (lattice_count, lattice_points, run_ends):
             with pytest.raises(ValueError, match="lattice enumeration exceeds int64"):
                 f(p, 3)
