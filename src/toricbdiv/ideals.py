@@ -129,14 +129,21 @@ def multiplier_ideal_monomial(a: MonomialIdeal, c) -> MonomialIdeal:
 
 
 def volume_of_pair(h: ToricMetric, k_max: int = 20) -> tuple[Fraction, list[Fraction]]:
-    """Exact vol(L,h) = vol(P(g)) plus the normalized section-count sequence."""
+    """Exact vol(L,h) = vol(P(g)) plus the normalized section-count sequence, counted
+    once per distinct (h, k_max) per process; the list is the caller's own."""
     if k_max < 1:
         raise ValueError("k must be positive")
+    exact, seq = _volume_of_pair(h, k_max)
+    return exact, list(seq)
+
+
+@functools.lru_cache(maxsize=None)
+def _volume_of_pair(h: ToricMetric, k_max: int) -> tuple[Fraction, tuple[Fraction, ...]]:
     model = toric.model_polytope(h)
     exact = polytopes.volume(model)
     n = h.line.fan.dim
     ks = range(1, k_max + 1)
-    seq = [Fraction(c, k**n) for k, c in zip(ks, polytopes.lattice_counts(model, ks))]
+    seq = tuple(Fraction(c, k**n) for k, c in zip(ks, polytopes.lattice_counts(model, ks)))
     return exact, seq
 
 

@@ -152,14 +152,14 @@ def okounkov_of_class(d: ToricDivisor, nu: FlagValuation) -> OkounkovBody:
     return OkounkovBody(_body(d, nu), "class")
 
 
-def nu_of_metric(m: ToricMetric, nu: FlagValuation) -> Vec:
-    """Valuation vector of the metric: flag coordinates of the singularity data.
+def _nu_of_metric(m: ToricMetric, nu: FlagValuation, m0: Vec) -> Vec:
+    """Valuation vector of the metric: flag coordinates of the singularity data,
+    given the trivializing vertex m0 of its line.
 
     The b-divisor has psi = g = min_j <m_j, .>, and the flag rays form a basis,
     so its functional at v_1 + eps*v_2 + ... is the slope whose values
     (<m_j, v_1>, ..., <m_j, v_n>) are least in the lex order.
     """
-    m0 = _trivialization(m.line, nu)
     low = min((s for s, _ in m.pieces), key=lambda s: tuple(dot(s, v) for v in nu.base_cone))
     return nu.coords(vsub(low, m0))
 
@@ -180,9 +180,17 @@ def _slice_vertices(ends: list[IntVec]) -> list[IntVec]:
 
 def partial_okounkov(m: ToricMetric, nu: FlagValuation,
                      k_max: int = 20) -> tuple[list[Polytope | None], OkounkovBody]:
-    """Section hulls Delta_k for k <= k_max and their limit body."""
+    """Section hulls Delta_k for k <= k_max and their limit body, built once per
+    distinct (m, nu, k_max) per process; the list is the caller's own."""
     if k_max < 1:
         raise ValueError("k must be positive")
+    hulls, limit = _partial_okounkov(m, nu, k_max)
+    return list(hulls), limit
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_okounkov(m: ToricMetric, nu: FlagValuation,
+                      k_max: int) -> tuple[tuple[Polytope | None, ...], OkounkovBody]:
     model = toric.model_polytope(m)
     if polytopes.affine_rank(model.vertices) != m.line.fan.dim:
         raise ValueError("not nef or not big")
@@ -195,13 +203,16 @@ def partial_okounkov(m: ToricMetric, nu: FlagValuation,
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
     if all(p is None for p in hulls):
         raise ValueError("empty section space at all k <= k_max")
-    return hulls, limit_body(m, nu)
+    return tuple(hulls), _limit_body(m, nu, m0)
 
 
 def limit_body(m: ToricMetric, nu: FlagValuation) -> OkounkovBody:
     """Limit of the section hulls: the flag image M (P(g) - m0), with nu(h) as its shift."""
-    m0 = _trivialization(m.line, nu)
-    return OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", nu_of_metric(m, nu))
+    return _limit_body(m, nu, _trivialization(m.line, nu))
+
+
+def _limit_body(m: ToricMetric, nu: FlagValuation, m0: Vec) -> OkounkovBody:
+    return OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", _nu_of_metric(m, nu, m0))
 
 
 def okounkov_of_bdiv(w, nu: FlagValuation, tol=Fraction(1, 10**6)) -> OkounkovBody:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import ideal_oracle as io
 import lp_oracle as lp
-from toricbdiv import dd, ideals, toric
+from toricbdiv import dd, ideals, polytopes, toric
 from toricbdiv.ideals import (TestIdealQuery, make_ideal,
                               multiplier_ideal_monomial, unit_ideal)
 from toricbdiv.rationals import idot
@@ -428,8 +428,53 @@ def test_volume_of_pair_counts_graded_sections():
 
 @pytest.mark.parametrize("k_max", [0, -3])
 def test_volume_of_pair_requires_positive_k(k_max):
-    with pytest.raises(ValueError, match="k must be positive"):
-        ideals.volume_of_pair(minimal_metric(o_p2(1)), k_max)
+    # an identical second call raises again: no error is cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="k must be positive"):
+            ideals.volume_of_pair(minimal_metric(o_p2(1)), k_max)
+
+
+def _weighted_p2():
+    return toric.metric_with_ray_weights(o_p2(3), {(1, 0): Fraction(1, 2)})
+
+
+def test_volume_of_pair_counts_once_per_distinct_input(monkeypatch):
+    ideals._volume_of_pair.cache_clear()
+    real = polytopes.lattice_counts
+    calls = []
+
+    def once(*args):
+        if calls:
+            pytest.fail("sections counted twice")
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytopes, "lattice_counts", once)
+    # equal metrics built separately are one key
+    h1, h2 = _weighted_p2(), _weighted_p2()
+    assert h1 is not h2
+    first = ideals.volume_of_pair(h1, k_max=7)
+    assert ideals.volume_of_pair(h2, k_max=7) == first
+    assert len(calls) == 1
+
+
+def test_volume_of_pair_returns_a_fresh_list():
+    exact, seq = ideals.volume_of_pair(_weighted_p2(), k_max=5)
+    want = list(seq)
+    seq[0] = Fraction(-1)
+    again = ideals.volume_of_pair(_weighted_p2(), k_max=5)
+    assert again == (exact, want)
+
+
+def test_volume_of_pair_budget_raises_on_every_call(monkeypatch):
+    calls = []
+    real = polytopes.lattice_counts
+    monkeypatch.setattr(polytopes, "lattice_counts", lambda *args: calls.append(args) or real(*args))
+    h = minimal_metric(o_p2(10**5))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
+            ideals.volume_of_pair(h, k_max=2)
+        assert len(calls) == n
 
 
 # -- Frobenius brackets and test ideals ---------------------------------------

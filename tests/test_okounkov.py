@@ -8,9 +8,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toricbdiv import bdiv, cli, okounkov, polytopes, toric
-from toricbdiv.okounkov import (flag, nu_of_metric, okounkov_of_bdiv,
-                                okounkov_of_class, partial_okounkov,
-                                verify_okouniden)
+from toricbdiv.okounkov import (flag, okounkov_of_bdiv, okounkov_of_class,
+                                partial_okounkov, verify_okouniden)
 from toricbdiv.chern import split_bundle
 
 import sections_oracle as so
@@ -28,6 +27,11 @@ def std_flag():
 
 def hull(pts):
     return polytopes.canonicalize([tuple(Fraction(x) for x in p) for p in pts])
+
+
+def nu_of_metric(m, nu):
+    """The valuation vector nu(h): the shift of the metric's limit body."""
+    return okounkov.limit_body(m, nu).shift
 
 
 def contains_origin(p):
@@ -244,6 +248,7 @@ def _logged(log, value):
 def test_p1cubed_hull_gets_only_slice_vertices(monkeypatch):
     # at k = 20 the golden (P1)^3 scenario has 1,302 run ends, of which 124
     # are vertices of their slice x_1 = const
+    okounkov._partial_okounkov.cache_clear()
     ends, sizes = [], []
     run_ends, hull_of_ints = polytopes.lattice_run_ends, polytopes.hull_of_ints
     monkeypatch.setattr(polytopes, "lattice_run_ends",
@@ -323,18 +328,81 @@ def test_bundle_hulls_match_all_points_oracle():
 
 
 def test_partial_k_validation():
-    with pytest.raises(ValueError, match="k must be positive"):
-        partial_okounkov(minimal_metric(o_p2(1)), std_flag(), k_max=0)
+    # an identical second call raises again: no error is cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match="k must be positive"):
+            partial_okounkov(minimal_metric(o_p2(1)), std_flag(), k_max=0)
 
 
-def test_partial_empty_sections():
+def _counted(log, real):
+    return lambda *args: log.append(args) or real(*args)
+
+
+def test_partial_empty_sections(monkeypatch):
     t0 = (Fraction(3, 7), Fraction(3, 7))
     pieces = [(t0, 0),
               ((t0[0] + Fraction(1, 9), t0[1]), 0),
               ((t0[0], t0[1] + Fraction(1, 9)), 0)]
     h = toric.metric(o_p2(1), pieces)
-    with pytest.raises(ValueError, match="empty section space at all k <= k_max"):
-        partial_okounkov(h, std_flag(), k_max=3)
+    calls = []
+    monkeypatch.setattr(polytopes, "lattice_run_ends", _counted(calls, polytopes.lattice_run_ends))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="empty section space at all k <= k_max"):
+            partial_okounkov(h, std_flag(), k_max=3)
+        assert len(calls) == n
+
+
+def test_partial_budget_raises_on_every_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(polytopes, "lattice_run_ends", _counted(calls, polytopes.lattice_run_ends))
+    h = minimal_metric(o_p2(10**5))
+    for n in (1, 2):
+        with pytest.raises(ValueError, match="lattice enumeration budget exceeded"):
+            partial_okounkov(h, std_flag(), k_max=2)
+        assert len(calls) == n
+
+
+def _weighted_p2():
+    return toric.metric_with_ray_weights(o_p2(3), {(1, 0): Fraction(1, 2)})
+
+
+def test_partial_sections_built_once_per_distinct_input(monkeypatch):
+    okounkov._partial_okounkov.cache_clear()
+    real = polytopes.lattice_run_ends
+    calls = []
+
+    def once(*args):
+        if calls:
+            pytest.fail("sections enumerated twice")
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytopes, "lattice_run_ends", once)
+    # equal metrics and flags built separately are one key
+    h1, h2 = _weighted_p2(), _weighted_p2()
+    assert h1 is not h2
+    hulls, limit = partial_okounkov(h1, std_flag(), k_max=6)
+    assert partial_okounkov(h2, std_flag(), k_max=6) == (hulls, limit)
+    assert len(calls) == 1
+
+
+def test_partial_returns_a_fresh_list():
+    hulls, limit = partial_okounkov(_weighted_p2(), std_flag(), k_max=4)
+    want = list(hulls)
+    hulls.clear()
+    again, limit_again = partial_okounkov(_weighted_p2(), std_flag(), k_max=4)
+    assert again == want and limit_again == limit
+
+
+def test_partial_finds_the_trivializing_vertex_once_per_miss(monkeypatch):
+    okounkov._partial_okounkov.cache_clear()
+    calls = []
+    monkeypatch.setattr(okounkov, "_trivialization", _counted(calls, okounkov._trivialization))
+    h = _weighted_p2()
+    for k_max, n in ((5, 1), (5, 1), (6, 2)):
+        _, limit = partial_okounkov(h, std_flag(), k_max)
+        assert len(calls) == n
+    assert limit == okounkov.limit_body(h, std_flag())
 
 
 # -- b-divisor bodies ----------------------------------------------------------------
