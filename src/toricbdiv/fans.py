@@ -7,7 +7,7 @@ from typing import Iterable, Sequence
 
 from . import dd
 from .linalg import rank
-from .rationals import IntVec, Vec, dot, idot, int_row, primitive, vec
+from .rationals import IntVec, Vec, dot, idot, index, int_row, primitive, vec
 
 Cone = tuple[int, ...]
 
@@ -55,7 +55,8 @@ def make_fan(rays: Iterable[Sequence], cones: Iterable[Iterable[int]]) -> Fan:
     n = len(prim[0])
     if any(len(r) != n for r in prim):
         raise ValueError("dimension mismatch")
-    cones = [list(c) for c in cones]
+    # an index is an int, never a bool: true would pick ray 1
+    cones = [[index(i) for i in c] for c in cones]
     # a negative index would silently pick a ray from the end of the list
     if any(not 0 <= i < len(prim) for c in cones for i in c):
         raise ValueError("cone index out of range")

@@ -4,13 +4,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import dd, polytopes, toric
-from .rationals import idot, rat
+from .rationals import idot, index, rat
 from .toric import ToricMetric
 
 _POWER_BUDGET = 30_000_000
@@ -43,18 +42,11 @@ def _antichain(vectors: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...
     return tuple(sorted(keep, reverse=True))
 
 
-def _index(x) -> int:
-    """x if it is an int (operator.index), never a bool, a float such as 1.5 or a string."""
-    if isinstance(x, bool):
-        raise TypeError("an ideal's nvars and exponents are integers, not bool")
-    return operator.index(x)
-
-
 def make_ideal(nvars: int, gens: Iterable[Sequence[int]]) -> MonomialIdeal:
-    nvars = _index(nvars)
+    nvars = index(nvars)
     norm = []
     for g in gens:
-        t = tuple(_index(x) for x in g)
+        t = tuple(index(x) for x in g)
         if len(t) != nvars or any(x < 0 for x in t):
             raise ValueError("invalid exponent vector")
         norm.append(t)

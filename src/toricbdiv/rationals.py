@@ -1,6 +1,7 @@
 """Exact rational scalars and vectors used throughout the library."""
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -12,14 +13,22 @@ IntVec = tuple[int, ...]
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, 'p/q' strings and Fractions to an exact rational."""
+    """Coerce ints, 'p/q' strings and Fractions to an exact rational; never a bool
+    or a float."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to a rational")
+
+
+def index(x) -> int:
+    """x if it is an int (operator.index), never a bool, a float such as 1.5 or a string."""
+    if isinstance(x, bool):
+        raise TypeError("an integer is expected, not bool")
+    return operator.index(x)
 
 
 def fmt(x: Fraction) -> str:

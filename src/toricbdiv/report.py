@@ -83,6 +83,26 @@ def ray_of(key: str, where: str) -> tuple[int, ...]:
         raise CliError(2, f"bad ray '{key}' in {where}")
 
 
+# parsed inputs by (parser, fan or None, the JSON value in file order)
+_parsed: dict[tuple, Any] = {}
+
+
+def _once(parse, fan: Fan | None, data, where: str):
+    """parse(data, where), or parse(fan, data, where) when a fan is given, once per
+    distinct JSON value per process. The key is the value as parsed, in file order
+    (no sort_keys), never a path or where, which only shapes error messages. Every
+    stored object is immutable, and an error is never stored: a bad input raises
+    again, naming the where of that call."""
+    key = (parse, fan, json.dumps(data))
+    try:
+        return _parsed[key]
+    except KeyError:
+        pass
+    value = parse(data, where) if fan is None else parse(fan, data, where)
+    _parsed[key] = value
+    return value
+
+
 def _fan(data, where: str) -> Fan:
     try:
         return fans.make_fan(data["rays"], data["cones"])
@@ -91,15 +111,23 @@ def _fan(data, where: str) -> Fan:
 
 
 def fan_of(scn: dict, where: str) -> Fan:
-    return _fan(need(scn, "fan", where), where)
+    return _once(_fan, None, need(scn, "fan", where), where)
 
 
 def divisor_of(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
+    return _once(_divisor, fan, data, where)
+
+
+def _divisor(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
     coeffs = need(data, "coeffs", where)
     if isinstance(coeffs, dict):
-        coeffs = {ray_of(k, where): rat_of(v, where) for k, v in coeffs.items()}
-        if any(len(ray) != fan.dim for ray in coeffs):
+        rays = {ray_of(k, where): rat_of(v, where) for k, v in coeffs.items()}
+        if any(len(ray) != fan.dim for ray in rays):
             raise CliError(2, f"ray of length {fan.dim} expected in {where}")
+        # keys such as "1,0" and "01,0" read as one ray; toric.divisor refuses the rest
+        if len(rays) < len(coeffs):
+            raise ValueError("ray given twice")
+        coeffs = rays
     elif isinstance(coeffs, list):
         if len(coeffs) != len(fan.rays):
             raise CliError(2, f"{len(fan.rays)} coefficients expected in {where}")
@@ -110,11 +138,15 @@ def divisor_of(fan: Fan, data: dict, where: str) -> toric.ToricDivisor:
 
 
 def metric_of(fan: Fan, data: dict, where: str) -> toric.ToricMetric:
+    return _once(_metric, fan, data, where)
+
+
+def _metric(fan: Fan, data: dict, where: str) -> toric.ToricMetric:
     divisor = need(data, "divisor", where)
     pieces = need_list(data, "pieces", where)
     if not pieces:
         raise CliError(3, "model polytope empty")
-    line = divisor_of(fan, divisor, where)
+    line = _divisor(fan, divisor, where)
     parsed = []
     for i, piece in enumerate(pieces):
         at = f"{where} pieces[{i}]"
@@ -141,14 +173,17 @@ def weil_of(fan: Fan, data: dict, where: str) -> bdiv.WeilNefB:
 
 
 def flag_of(fan: Fan, scn: dict, where: str) -> okounkov.FlagValuation:
-    data = need(scn, "flag", where)
+    return _once(_flag, fan, need(scn, "flag", where), where)
+
+
+def _flag(fan: Fan, data: dict, where: str) -> okounkov.FlagValuation:
     try:
-        cone = [[int(x) for x in ray] for ray in need(data, "cone", where)]
+        cone = [[_int(x) for x in ray] for ray in need(data, "cone", where)]
         if len(cone) != fan.dim or any(len(ray) != fan.dim for ray in cone):
             raise ValueError(f"cone must be {fan.dim} rays of length {fan.dim}")
         order = data.get("order")
         if order is not None:
-            order = [[int(x) for x in row] for row in order]
+            order = [[_int(x) for x in row] for row in order]
             if len(order) != len(cone) or any(len(row) != len(cone) for row in order):
                 raise ValueError(f"order must be {len(cone)} x {len(cone)}")
     except (ValueError, TypeError) as exc:
@@ -157,6 +192,10 @@ def flag_of(fan: Fan, scn: dict, where: str) -> okounkov.FlagValuation:
 
 
 def ideal_of(data: dict, where: str) -> ideals.MonomialIdeal:
+    return _once(_ideal, None, data, where)
+
+
+def _ideal(data: dict, where: str) -> ideals.MonomialIdeal:
     try:
         nvars = _int(data["nvars"])
         return ideals.make_ideal(nvars, [[_int(x) for x in g] for g in data["gens"]])
@@ -182,4 +221,4 @@ def chain_of(scn: dict, where: str) -> list[Fan]:
     chain = need(scn, "chain", where)
     if not isinstance(chain, list):
         raise CliError(2, f"chain must be a list of fans in {where}")
-    return [_fan(f, f"{where} chain[{i}]") for i, f in enumerate(chain)]
+    return [_once(_fan, None, f, f"{where} chain[{i}]") for i, f in enumerate(chain)]

@@ -45,10 +45,15 @@ def divisor(fan: Fan, coeffs) -> ToricDivisor:
     """Build a divisor from a ray->coefficient mapping or a ray-aligned sequence."""
     if isinstance(coeffs, Mapping):
         out = [Fraction(0)] * len(fan.rays)
+        seen = set()
         for key, val in coeffs.items():
             i = fan.ray_index(tuple(int(x) for x in key))
             if i is None:
                 raise ValueError("ray not in fan")
+            # keys such as (1, 0) and (2, 0) name one ray: neither may win by its order
+            if i in seen:
+                raise ValueError("ray given twice")
+            seen.add(i)
             out[i] = rat(val)
         vals = tuple(out)
     else:

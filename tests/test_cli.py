@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toricbdiv
-from toricbdiv import cli, fans
+from toricbdiv import cli, fans, report
 from toricbdiv.cli import run
 from toricbdiv.report import CliError
 
@@ -527,6 +527,50 @@ def test_malformed_scenario_is_input_error(tmp_path, edit, message):
     assert message in report_of(text)["error"]["message"]
 
 
+@pytest.mark.parametrize("coeffs", [
+    pytest.param({"1,0": "0", "2,0": "-1", "0,1": "0", "-1,-1": "3"}, id="primitive-first"),
+    pytest.param({"2,0": "-1", "1,0": "0", "0,1": "0", "-1,-1": "3"}, id="multiple-first"),
+    pytest.param({"1,0": "0", "01,0": "-1", "0,1": "0", "-1,-1": "3"}, id="same-tuple"),
+])
+def test_a_ray_named_twice_is_a_precondition_error_in_either_order(tmp_path, coeffs):
+    scn = {"fan": P2_FAN, "metric": {"divisor": {"coeffs": coeffs}, "pieces": [{"slope": ["0", "0"]}]}}
+    code, text = run(["volume", "--scenario", mk(tmp_path, "twice.json", scn)])
+    assert code == 3, text
+    assert report_of(text)["error"]["message"] == "ray given twice"
+
+
+@pytest.mark.parametrize("argv, edit, message", [
+    pytest.param(["volume"], lambda s: s["fan"]["rays"].__setitem__(0, [True, 0]),
+                 "cannot coerce bool", id="fan-ray-true"),
+    pytest.param(["volume"], lambda s: s["fan"]["cones"].__setitem__(0, [0, True]),
+                 "not bool", id="cone-index-true"),
+    pytest.param(["volume"], lambda s: s["fan"]["cones"].__setitem__(0, [0, 1.0]),
+                 "bad fan in", id="cone-index-float"),
+    pytest.param(["volume"], lambda s: s["metric"]["divisor"]["coeffs"].update({"0,1": True}),
+                 "bad rational 'True'", id="coeff-true"),
+    pytest.param(["volume"], lambda s: s["metric"]["divisor"].update({"coeffs": [True, 0, 0]}),
+                 "bad rational 'True'", id="coeff-list-true"),
+    pytest.param(["volume"], lambda s: s["metric"]["pieces"].append({"slope": [True, "0"]}),
+                 "bad rational 'True'", id="slope-true"),
+    pytest.param(["volume"], lambda s: s["metric"]["pieces"][0].update({"offset": True}),
+                 "bad rational 'True'", id="offset-true"),
+    pytest.param(["okounkov"], lambda s: s.update({"flag": {"cone": [[1, 0], [0, 1.5]]}}),
+                 "bad integer '1.5'", id="flag-cone-float"),
+    pytest.param(["okounkov"], lambda s: s.update({"flag": {"cone": [[1, 0], [0, True]]}}),
+                 "bad integer 'True'", id="flag-cone-true"),
+    pytest.param(["okounkov"], lambda s: s.update(
+        {"flag": {"cone": [[1, 0], [0, 1]], "order": [[0, 1], [1.9, 0]]}}),
+                 "bad integer '1.9'", id="flag-order-float"),
+])
+def test_json_booleans_and_floats_are_not_integers(tmp_path, argv, edit, message):
+    scn = {"fan": json.loads(json.dumps(P2_FAN)), "metric": metric_json(3, [(0, 0), (1, 0)]),
+           "flag": {"cone": [[1, 0], [0, 1]]}}
+    edit(scn)
+    code, text = run(argv + ["--scenario", mk(tmp_path, "bad.json", scn)])
+    assert code == 2, text
+    assert message in report_of(text)["error"]["message"]
+
+
 def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
     base = {"fan": P2_FAN, "metric": metric_json(3, [(0, 0), (1, 0)])}
     cases = [(["okounkov"], {"flag": {"cone": [[1, 0], ["x", 1]]}}, "bad flag"),
@@ -879,6 +923,7 @@ def test_a_repeated_run_builds_no_fan_again(tmp_path, monkeypatch):
     monkeypatch.setattr(fans, "dd", SimpleNamespace(
         extreme_rays=lambda rows, dim: calls.append(dim) or real(rows, dim)))
     fans._checked_fan.cache_clear()
+    report._parsed.clear()
     first = run(["volume", "--scenario", scn])
     assert first[0] == 0 and calls
     calls.clear()
