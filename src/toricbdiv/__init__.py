@@ -16,7 +16,6 @@ from .okounkov import (FlagValuation, OkounidenReport, OkounkovBody, flag,
 from .polytopes import (Polytope, canonicalize, from_halfspaces, hausdorff_linf,
                         minkowski_sum, mixed_volume, volume)
 from .toric import (ToricDivisor, ToricMetric, divisor, is_big, is_nef, metric,
-                    model_polytope, np_mass, polytope_of_divisor, tensor,
-                    volume_profile)
+                    np_mass, polytope_of_divisor, tensor, volume_profile)
 
 __version__ = "0.1.0"

@@ -61,7 +61,7 @@ def bdiv_of_metric(h: ToricMetric) -> HermBDiv:
 @functools.lru_cache(maxsize=None)
 def _determination(g: ToricMetric) -> CartierB:
     """psi = g on the fan refined by g's slopes, built once per metric."""
-    slopes = [m for m, _ in g.pieces]
+    slopes = g.body.vertices
     fan = fans.refine_by_slopes(g.line.fan, slopes)
     # psi = g = min_j <m_j, .> at each ray, on the slopes scaled by their lcm s
     ints, s = int_row([x for m in slopes for x in m])
@@ -192,6 +192,6 @@ def chern_weil_line(hs: Sequence[ToricMetric]) -> ChernWeilReport:
     rhs = toric.np_mass(hs)
     mid: Fraction | None = None
     if len(built) == 1:
-        mid = math.factorial(n) * polytopes.volume(toric.model_polytope(hs[0]))
+        mid = math.factorial(n) * polytopes.volume(hs[0].body)
     ok = lhs == rhs and (mid is None or mid == lhs)
     return ChernWeilReport(lhs, rhs, mid, "equal" if ok else "gap")

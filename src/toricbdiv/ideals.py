@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from . import dd, polytopes, toric
+from . import dd, polytopes
 from .rationals import idot, index, rat
 from .toric import ToricMetric
 
@@ -131,12 +131,10 @@ def volume_of_pair(h: ToricMetric, k_max: int = 20) -> tuple[Fraction, list[Frac
 
 @functools.lru_cache(maxsize=None)
 def _volume_of_pair(h: ToricMetric, k_max: int) -> tuple[Fraction, tuple[Fraction, ...]]:
-    model = toric.model_polytope(h)
-    exact = polytopes.volume(model)
     n = h.line.fan.dim
     ks = range(1, k_max + 1)
-    seq = tuple(Fraction(c, k**n) for k, c in zip(ks, polytopes.lattice_counts(model, ks)))
-    return exact, seq
+    seq = tuple(Fraction(c, k**n) for k, c in zip(ks, polytopes.lattice_counts(h.body, ks)))
+    return polytopes.volume(h.body), seq
 
 
 @dataclass(frozen=True)

@@ -160,7 +160,7 @@ def _nu_of_metric(m: ToricMetric, nu: FlagValuation, m0: Vec) -> Vec:
     so its functional at v_1 + eps*v_2 + ... is the slope whose values
     (<m_j, v_1>, ..., <m_j, v_n>) are least in the lex order.
     """
-    low = min((s for s, _ in m.pieces), key=lambda s: tuple(dot(s, v) for v in nu.base_cone))
+    low = min(m.body.vertices, key=lambda s: tuple(dot(s, v) for v in nu.base_cone))
     return nu.coords(vsub(low, m0))
 
 
@@ -191,13 +191,12 @@ def partial_okounkov(m: ToricMetric, nu: FlagValuation,
 @functools.lru_cache(maxsize=None)
 def _partial_okounkov(m: ToricMetric, nu: FlagValuation,
                       k_max: int) -> tuple[tuple[Polytope | None, ...], OkounkovBody]:
-    model = toric.model_polytope(m)
-    if polytopes.affine_rank(model.vertices) != m.line.fan.dim:
+    if polytopes.affine_rank(m.body.vertices) != m.line.fan.dim:
         raise ValueError("not nef or not big")
     m0 = _trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
     ks = range(1, k_max + 1)
-    for k, ends in zip(ks, polytopes.lattice_run_ends(model, ks)):
+    for k, ends in zip(ks, polytopes.lattice_run_ends(m.body, ks)):
         # the flag map is affine, so the vertices of the run ends' slices span the hull
         pts = _slice_vertices(ends)
         hulls.append(_flag_hull(pts, nu, m0, k) if pts else None)
@@ -212,7 +211,7 @@ def limit_body(m: ToricMetric, nu: FlagValuation) -> OkounkovBody:
 
 
 def _limit_body(m: ToricMetric, nu: FlagValuation, m0: Vec) -> OkounkovBody:
-    return OkounkovBody(_flag_image(toric.model_polytope(m), nu, m0), "partial_Gk", _nu_of_metric(m, nu, m0))
+    return OkounkovBody(_flag_image(m.body, nu, m0), "partial_Gk", _nu_of_metric(m, nu, m0))
 
 
 def okounkov_of_bdiv(w, nu: FlagValuation, tol=Fraction(1, 10**6)) -> OkounkovBody:

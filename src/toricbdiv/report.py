@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -20,6 +21,19 @@ class CliError(Exception):
         self.message = message
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice."""
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; json.loads alone would keep the last of two equal keys."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise _RepeatedKey(next(k for k in keys if keys.count(k) > 1))
+    return obj
+
+
 def load_json(path: str) -> tuple[Any, str]:
     """The parsed file and the sha256 of its bytes, from one read."""
     try:
@@ -30,11 +44,13 @@ def load_json(path: str) -> tuple[Any, str]:
     try:
         # a text-mode read turned \r\n and \r into \n: parse errors keep their line numbers
         text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-        return json.loads(text), hashlib.sha256(raw).hexdigest()
+        return json.loads(text, object_pairs_hook=_object), hashlib.sha256(raw).hexdigest()
     except UnicodeDecodeError as exc:
         raise CliError(2, f"parse error in {path}: invalid UTF-8 at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise CliError(2, f"parse error in {path}: line {exc.lineno} column {exc.colno}")
+    except _RepeatedKey as exc:
+        raise CliError(2, f"parse error in {path}: key '{exc}' given twice")
 
 
 def need(data: dict, key: str, where: str):
@@ -57,13 +73,16 @@ def rat_of(value, where: str) -> Fraction:
         raise CliError(2, f"bad rational '{value}' in {where}")
 
 
+# an optional sign and ASCII digits: int() alone also takes "1_0", " 1" and other scripts' digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _int(value) -> int:
     """int_of without its where: ValueError for anything else."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _INTEGER.fullmatch(value):
+        return int(value)
     raise ValueError(f"bad integer '{value}'")
 
 
@@ -78,7 +97,7 @@ def int_of(value, where: str) -> int:
 def ray_of(key: str, where: str) -> tuple[int, ...]:
     """A ray given as a map key of comma-separated integers, such as "-1,0"."""
     try:
-        return tuple(int(x) for x in key.split(","))
+        return tuple(_int(x) for x in key.split(","))
     except ValueError:
         raise CliError(2, f"bad ray '{key}' in {where}")
 

@@ -1,9 +1,9 @@
 """Toric divisors and PL metrics: polytopes, masses, volumes along refinements.
 
 Sign conventions: psi_D(v_rho) = -a_rho, P_D = {m : <m, v_rho> >= -a_rho}, and the
-Lelong number along a ray is nu_rho = g(v_rho) - psi_D(v_rho) >= 0. Metric pieces
-are affine <m_j, v> + c_j; every derived quantity uses the recession slopes, so the
-model polytope is the convex hull of the slopes.
+Lelong number along a ray is nu_rho = g(v_rho) - psi_D(v_rho) >= 0. A metric is
+g = min_j <m_j, v> over its slopes m_j, and every invariant reads only the model
+polytope P(g), their hull (Botero 2019), so a metric holds its line and P(g).
 """
 from __future__ import annotations
 
@@ -19,8 +19,6 @@ from .fans import Fan
 from .linalg import solve
 from .polytopes import Polytope
 from .rationals import Vec, dot, idot, int_row, rat, vec
-
-Piece = tuple[Vec, Fraction]
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,15 @@ def is_big(d: ToricDivisor) -> bool:
 
 @dataclass(frozen=True)
 class ToricMetric:
-    """PL concave metric g = min_j(<m_j, v> + c_j) on the line bundle O(D): the
-    Hermitian toric line (O(D), g) that the masses, b-divisors and bodies take."""
+    """PL concave metric g = min_{m in P(g)} <m, v> on O(D), held as its model
+    polytope P(g): the Hermitian toric line that the masses, b-divisors and bodies
+    take. Metrics that differ only in slopes inside P(g) or constants are equal."""
     line: ToricDivisor
-    pieces: tuple[Piece, ...]
+    body: Polytope
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.line, self.pieces))
+        return hash((self.line, self.body))
 
     def __hash__(self) -> int:
         return self._hash
@@ -144,22 +143,23 @@ class ToricMetric:
     def g(self, v: Sequence) -> Fraction:
         """Recession value min_j <m_j, v>: the slope of the metric at infinity."""
         x = vec(v)
-        return min(dot(m, x) for m, _ in self.pieces)
+        return min(dot(m, x) for m in self.body.vertices)
+
+
+def _metric_on(line: ToricDivisor, body: Polytope) -> ToricMetric:
+    """The metric of body P(g) on the line, once every vertex lies in P_D."""
+    if not _in_polytope(line, body.vertices):
+        raise ValueError("negative Lelong number")
+    return ToricMetric(line, body)
 
 
 def metric(line: ToricDivisor, pieces: Iterable[tuple[Sequence, object]]) -> ToricMetric:
-    norm: list[Piece] = sorted({(vec(m), rat(c)) for m, c in pieces})
-    if not norm:
+    """The metric of pairs (m_j, c_j) on the line: only the slopes m_j are read,
+    as no invariant depends on the constants c_j."""
+    slopes = [m for m, _ in pieces]
+    if not slopes:
         raise ValueError("metric needs at least one piece")
-    if not _in_polytope(line, [m for m, _ in norm]):
-        raise ValueError("negative Lelong number")
-    return ToricMetric(line, tuple(norm))
-
-
-@lru_cache(maxsize=None)
-def model_polytope(h: ToricMetric) -> Polytope:
-    """P(g): the hull of the recession slopes."""
-    return polytopes.canonicalize([m for m, _ in h.pieces])
+    return _metric_on(line, polytopes.canonicalize(slopes))
 
 
 def metric_with_ray_weights(d: ToricDivisor, weights: Mapping) -> ToricMetric:
@@ -170,11 +170,8 @@ def metric_with_ray_weights(d: ToricDivisor, weights: Mapping) -> ToricMetric:
         if d.fan.ray_index(ray) is None:
             raise ValueError("ray not in fan")
         w[ray] = rat(val)
-    rows = []
-    for r, a in zip(d.fan.rays, d.coeffs):
-        rows.append((vec(r), -a + w.get(r, Fraction(0))))
-    p = polytopes.from_halfspaces(rows, d.fan.dim)
-    return metric(d, [(v, 0) for v in p.vertices])
+    rows = [(vec(r), -a + w.get(r, Fraction(0))) for r, a in zip(d.fan.rays, d.coeffs)]
+    return _metric_on(d, polytopes.from_halfspaces(rows, d.fan.dim))
 
 
 def on_one_fan(d1: ToricDivisor, d2: ToricDivisor) -> tuple[Fan, Sequence[Fraction], Sequence[Fraction]]:
@@ -193,10 +190,8 @@ def divisor_sum(d1: ToricDivisor, d2: ToricDivisor) -> ToricDivisor:
 
 
 def tensor(h1: ToricMetric, h2: ToricMetric) -> ToricMetric:
-    """Product metric: divisors add, pieces add pairwise."""
-    pieces = [(tuple(x + y for x, y in zip(m1, m2)), c1 + c2)
-              for m1, c1 in h1.pieces for m2, c2 in h2.pieces]
-    return metric(divisor_sum(h1.line, h2.line), pieces)
+    """Product metric: divisors add, and P(g1 + g2) = P(g1) + P(g2)."""
+    return _metric_on(divisor_sum(h1.line, h2.line), polytopes.minkowski_sum(h1.body, h2.body))
 
 
 def hermitian(metric_: ToricMetric) -> ToricMetric:
@@ -212,8 +207,7 @@ def np_mass(hs: Sequence[ToricMetric]) -> Fraction:
     n = hs[0].line.fan.dim
     if any(h.line.fan.dim != n for h in hs):
         raise ValueError("dimension/fan mismatch")
-    bodies = [model_polytope(h) for h in hs]
-    return math.factorial(n) * polytopes.mixed_volume(bodies)
+    return math.factorial(n) * polytopes.mixed_volume([h.body for h in hs])
 
 
 def volume_profile(h: ToricMetric, chain: Sequence[Fan]) -> list[Fraction]:

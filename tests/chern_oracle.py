@@ -105,11 +105,11 @@ def fiber_product_projectivization(
         line = toric.divisor(fan, coeffs)
         pieces = []
         for j in range(b.rank):
-            for slope, off_c in b.summands[j].pieces:
+            for slope in b.summands[j].body.vertices:
                 lifted_slope = list(_embed(slope, total, 0))
                 if j > 0:
                     lifted_slope[off + j - 1] = Fraction(1)
-                pieces.append((tuple(lifted_slope), off_c))
+                pieces.append((tuple(lifted_slope), 0))
         lines.append(toric.metric(line, pieces))
     return fan, lines
 

@@ -196,7 +196,7 @@ def partial_hulls_by_run_ends(m: toric.ToricMetric, nu: okounkov.FlagValuation,
                               k_max: int) -> list[Polytope | None]:
     """The section hulls Delta_k of `okounkov.partial_okounkov`, from the flag
     hull of every lattice run end of kP."""
-    model = toric.model_polytope(m)
+    model = m.body
     m0 = okounkov._trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
     ks = range(1, k_max + 1)
@@ -250,7 +250,7 @@ def lattice_run_ends(p: Polytope) -> list[IntVec]:
 
 def partial_hulls(m: toric.ToricMetric, nu: okounkov.FlagValuation, k_max: int) -> list[Polytope | None]:
     """The section hulls Delta_k of `okounkov.partial_okounkov`, on `Fraction`s."""
-    model = toric.model_polytope(m)
+    model = m.body
     m0 = okounkov._trivialization(m.line, nu)
     hulls: list[Polytope | None] = []
     for k in range(1, k_max + 1):

@@ -52,7 +52,7 @@ def test_01_chern_weil_volume_vs_counting():
             exact, seq = ideals.volume_of_pair(h, k_max=60)
             assert mass == 2 * exact
             # Ehrhart boundary bound at k = 60 with the instance constant
-            c_inst = 2 * (perim_l1(toric.model_polytope(h)) / 2 + 1)
+            c_inst = 2 * (perim_l1(h.body) / 2 + 1)
             assert abs(2 * seq[59] - mass) <= c_inst / 60
             checked += 1
     elapsed = time.monotonic() - t0
@@ -78,7 +78,7 @@ def test_02_mixed_mass_two_pipelines():
         mass = toric.np_mass(hs)
         # both sides below run the library's facet formula; the inclusion-exclusion
         # oracle on the model polytopes is the independent second route
-        models = [toric.model_polytope(h) for h in hs]
+        models = [h.body for h in hs]
         assert mass == math.factorial(n) * volume_oracle.mixed_volume(models), mass
         bs = [b_of_metric(h) for h in hs]
         polar = Fraction(0)
@@ -357,9 +357,9 @@ def test_09_tensor_igoodness():
         fan = p2() if i % 2 else p1xp1()
         h1, h2 = rand_weighted(rng, fan), rand_weighted(rng, fan)
         h12 = toric.tensor(h1, h2)
-        p1m = toric.model_polytope(h1)
-        p2m = toric.model_polytope(h2)
-        assert toric.model_polytope(h12) == polytopes.minkowski_sum(p1m, p2m)
+        p1m = h1.body
+        p2m = h2.body
+        assert h12.body == polytopes.minkowski_sum(p1m, p2m)
         for h in (h1, h2, h12):
             rep = bdiv.chern_weil_line([h, h])
             assert rep.verdict == "equal"

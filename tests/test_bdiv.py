@@ -325,7 +325,7 @@ def test_weighted_metric_intersection_runs_no_dd_past_its_hull(name, monkeypatch
     real = dd.extreme_rays
     for _ in range(6):
         h = _weighted(rng, name)
-        fan, slopes = h.line.fan, [m for m, _ in h.pieces]
+        fan, slopes = h.line.fan, h.body.vertices
         assert fan.halfspaces
         bdiv._determination.cache_clear()
         toric.polytope_of_divisor.cache_clear()
@@ -495,7 +495,7 @@ def test_vol_equals_model_polytope_volume():
     for _ in range(8):
         h = rand_weighted(rng, p2())
         b = bdiv_of_metric(h).cartier
-        assert vol(b) == 2 * polytopes.volume(toric.model_polytope(h))
+        assert vol(b) == 2 * polytopes.volume(h.body)
 
 
 def test_vol_tensor_bilinearity():

@@ -294,7 +294,7 @@ def test_chern_number_of_a_power_matches_the_root_expansion():
     e1 = [minimal_metric(o(1, 1, 1)), minimal_metric(o(1, 2, 0)),
           toric.metric_with_ray_weights(o(1, 1, 2), {(0, 0, 1): 1})]
     table = {"E0": split_bundle(e0), "E1": split_bundle(e1)}
-    p, q = [[toric.model_polytope(h) for h in e] for e in (e0, e1)]
+    p, q = [[h.body for h in e] for e in (e0, e1)]
     cube = sum(volume_oracle.mixed_volume([p[i], p[j], p[k]])
                for i in range(3) for j in range(3) for k in range(3))
     want = 6 * (cube - volume_oracle.mixed_volume(q))

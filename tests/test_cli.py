@@ -571,6 +571,52 @@ def test_json_booleans_and_floats_are_not_integers(tmp_path, argv, edit, message
     assert message in report_of(text)["error"]["message"]
 
 
+@pytest.mark.parametrize("text, key", [
+    pytest.param('{"fan": %s, "metric": {"divisor": {"coeffs": {"1,0": "0", "0,1": "0", '
+                 '"-1,-1": "1", "-1,-1": "3"}}, "pieces": [{"slope": ["0", "0"]}]}}', "-1,-1",
+                 id="nested"),
+    pytest.param('{"fan": {"rays": [], "cones": []}, "fan": %s, "metric": {"divisor": '
+                 '{"coeffs": ["3", "0", "0"]}, "pieces": [{"slope": ["0", "0"]}]}}', "fan",
+                 id="top-level"),
+])
+def test_a_key_given_twice_is_a_parse_error(tmp_path, text, key):
+    # json.loads alone keeps the last value, which ran volume to exit 0
+    path = tmp_path / "twice.json"
+    path.write_text(text % json.dumps(P2_FAN) + "\n", encoding="utf-8")
+    code, out = run(["volume", "--scenario", str(path)])
+    assert code == 2, out
+    assert report_of(out)["error"]["message"] == f"parse error in {path}: key '{key}' given twice"
+
+
+@pytest.mark.parametrize("key", ["1_0,0", " 1,0", "1,0 ", "\u0661,0", "1,\u0660", "+-1,0", ","])
+def test_a_ray_key_takes_only_ascii_digits(tmp_path, key):
+    # int() alone reads "1_0" as 10, strips spaces and reads other scripts' digits
+    coeffs = {key: "0", "0,1": "0", "-1,-1": "3"}
+    scn = {"fan": P2_FAN, "metric": {"divisor": {"coeffs": coeffs}, "pieces": [{"slope": ["0", "0"]}]}}
+    code, text = run(["volume", "--scenario", mk(tmp_path, "ray.json", scn)])
+    assert code == 2, text
+    assert report_of(text)["error"]["message"].startswith(f"bad ray '{key}' in ")
+
+
+@pytest.mark.parametrize("exponent", ["1_0", " 1", "\u0661", "1.0", ""])
+def test_an_ideal_exponent_takes_only_ascii_digits(tmp_path, exponent):
+    ideal = mk(tmp_path, "ideal.json", {"nvars": 2, "gens": [[exponent, "0"], ["0", "1"]]})
+    code, text = run(["mideal", "--ideal", ideal, "--c", "1"])
+    assert code == 2, text
+    assert report_of(text)["error"]["message"].endswith(f"bad integer '{exponent}'")
+
+
+@pytest.mark.parametrize("key, exponent", [("+1,0", "+1"), ("01,-0", "01")])
+def test_signed_ascii_integers_still_read(tmp_path, key, exponent):
+    scn = {"fan": P2_FAN, "metric": {"divisor": {"coeffs": {key: "0", "0,1": "0", "-1,-1": "3"}},
+                                     "pieces": [{"slope": ["0", "0"]}]}}
+    code, text = run(["volume", "--scenario", mk(tmp_path, "ray.json", scn)])
+    assert code == 0, text
+    ideal = mk(tmp_path, "ideal.json", {"nvars": 1, "gens": [[exponent]]})
+    code, text = run(["mideal", "--ideal", ideal, "--c", "1"])
+    assert code == 0, text
+
+
 def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
     base = {"fan": P2_FAN, "metric": metric_json(3, [(0, 0), (1, 0)])}
     cases = [(["okounkov"], {"flag": {"cone": [[1, 0], ["x", 1]]}}, "bad flag"),

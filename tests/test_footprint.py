@@ -65,7 +65,7 @@ for name, argv in [("plot p2", ["export-plot", "--scenario", "p2.json"]),
     out["lattice-free"][name] = [code, json.loads(text).get("error", {}).get("message")]
 out["numpy after"] = "numpy" in sys.modules
 
-p = toric.model_polytope(h)
+p = h.body
 hulls, limit = okounkov.partial_okounkov(h, nu, 4)
 tst = ideals.test_ideal(ideals.TestIdealQuery(
     ideals.make_ideal(2, [[4, 0], [1, 1], [0, 5]]), Fraction(5, 4), 3))

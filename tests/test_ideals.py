@@ -422,7 +422,7 @@ def test_volume_of_pair_counts_graded_sections():
     # the sequence counts the lattice points of k times the model polytope
     for h, n in ((toric.metric_with_ray_weights(o_p2(2), {(1, 0): 1}), 2), (minimal_metric(o_p1p1(1, 2)), 2)):
         _, seq = ideals.volume_of_pair(h, k_max=9)
-        model = toric.model_polytope(h)
+        model = h.body
         assert seq == [Fraction(lattice_count(model, k), k**n) for k in range(1, 10)]
 
 

@@ -120,7 +120,7 @@ def test_partial_weighted():
 
 def all_points_hulls(m, nu, k_max):
     """Oracle: hull of every lattice point of kP through the flag map, over k."""
-    model = toric.model_polytope(m)
+    model = m.body
     m0 = okounkov._trivialization(m.line, nu)
     out = []
     for k in range(1, k_max + 1):

@@ -1,4 +1,5 @@
 """Toric divisors, PL metrics, Lelong data, masses, minimal extensions."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import toric_oracle
 import volume_oracle as vo
-from toricbdiv import fans, polytopes, report, toric
+from toricbdiv import bdiv, fans, okounkov, polytopes, report, toric
 from toricbdiv.polytopes import canonicalize, minkowski_sum, volume
 from toricbdiv.rationals import dot, vec
 
@@ -83,7 +84,7 @@ def test_metric_evaluation_and_model():
     h = toric.metric(o_p2(3), [((1, 0), 0), ((0, 1), 0), ((1, 1), 0)])
     assert h.g((1, 0)) == 0
     assert h.g((-1, -1)) == -2
-    assert toric.model_polytope(h) == canonicalize([(1, 0), (0, 1), (1, 1)])
+    assert h.body == canonicalize([(1, 0), (0, 1), (1, 1)])
 
 
 def test_minimal_metric_has_zero_lelong():
@@ -97,7 +98,7 @@ def test_weighted_metric_lelong():
     nus = lelong_numbers(h, p2())
     assert nus[(1, 0)] == 1
     assert nus[(0, 1)] == 0 and nus[(-1, -1)] == 0
-    assert toric.model_polytope(h) == canonicalize([(1, 0), (3, 0), (1, 2)])
+    assert h.body == canonicalize([(1, 0), (3, 0), (1, 2)])
 
 
 def test_lelong_after_refinement():
@@ -130,9 +131,9 @@ def test_np_mass_refinement_invariance():
     h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): 1})
     fine = fans.stellar_refine(p2(), (1, 1))
     pb = pullback(h.line, fine)
-    h_fine = toric.metric(pb, h.pieces)
+    h_fine = toric.metric(pb, [(m, 0) for m in h.body.vertices])
     assert toric.np_mass([h_fine, h_fine]) == toric.np_mass([h, h])
-    assert toric.model_polytope(h_fine) == toric.model_polytope(h)
+    assert h_fine.body == h.body
 
 
 def test_minimal_extension():
@@ -144,7 +145,7 @@ def test_minimal_extension():
     i = p2().ray_index((1, 0))
     assert ext.line.coeffs[i] == hw.line.coeffs[i] - 1
     assert all(v == 0 for v in lelong_numbers(ext, p2()).values())
-    assert toric.model_polytope(ext) == toric.model_polytope(hw)
+    assert ext.body == hw.body
 
 
 def test_minimal_extension_after_refinement():
@@ -189,8 +190,8 @@ def test_tensor_adds():
         h1 = toric.metric_with_ray_weights(o_p2(d1), {(1, 0): Fraction(1, 2)})
         h2 = minimal_metric(o_p2(d2))
         t = toric.tensor(h1, h2)
-        assert toric.model_polytope(t) == minkowski_sum(
-            toric.model_polytope(h1), toric.model_polytope(h2))
+        assert t.body == minkowski_sum(
+            h1.body, h2.body)
         v = (rng.randint(-3, 3), rng.randint(-3, 3))
         assert t.g(v) == h1.g(v) + h2.g(v)
 
@@ -200,17 +201,16 @@ def test_metric_json_round_trip():
     line = h.line
     data = {"divisor": {"coeffs": {",".join(map(str, r)): str(a)
                                    for r, a in zip(line.fan.rays, line.coeffs)}},
-            "pieces": [{"slope": [str(x) for x in m], "offset": str(c)}
-                       for m, c in h.pieces]}
+            "pieces": [{"slope": [str(x) for x in m], "offset": "0"} for m in h.body.vertices]}
     back = report.metric_of(p2(), data, "scenario")
-    assert toric.model_polytope(back) == toric.model_polytope(h)
+    assert back.body == h.body and back == h
 
 
 def test_graded_sections_frozen():
     h = minimal_metric(o_p2(2))
-    assert lattice_count(toric.model_polytope(h), 3) == 28
+    assert lattice_count(h.body, 3) == 28
     hw = toric.metric_with_ray_weights(o_p2(2), {(1, 0): 1})
-    assert lattice_count(toric.model_polytope(hw), 3) == 10
+    assert lattice_count(hw.body, 3) == 10
 
 
 _FANS = {"P2": p2, "P1xP1": p1xp1, "P1^3": p1cubed}
@@ -323,7 +323,7 @@ def test_equal_keys_hash_equal_and_as_their_field_tuples(seed, name):
     for d in (m1.line, m2.line):
         assert hash(d) == hash((d.fan, d.coeffs))
     for m in (m1, m2):
-        assert hash(m) == hash((m.line, m.pieces))
+        assert hash(m) == hash((m.line, m.body))
     assert m1 == m2 and hash(m1) == hash(m2) and hash(m1.line) == hash(m2.line)
 
 
@@ -332,16 +332,91 @@ def test_a_second_lookup_hashes_no_fraction(monkeypatch):
     calls = []
     real = Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__", lambda x: calls.append(x) or real(x))
-    toric.model_polytope.cache_clear()
-    body = toric.model_polytope(h1)
+    bdiv._determination.cache_clear()
+    b = bdiv._determination(h1)
     # the first lookup of each key reads its Fractions
     assert calls
     for h in (h1, h2):
         calls.clear()
-        assert toric.model_polytope(h) is body
+        assert bdiv._determination(h) is b
         assert bool(calls) is (h is h2)
         # the key hashed once: a second lookup, and a set of its divisor, read the kept hashes
         calls.clear()
-        assert toric.model_polytope(h) is body
+        assert bdiv._determination(h) is b
         assert len({h1.line, h.line, h}) == 2
         assert calls == []
+
+
+def _convex_point(draw, points):
+    """A rational convex combination of the points, with small weights."""
+    ws = draw(st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)).filter(any))
+    return tuple(Fraction(sum(w * p[i] for w, p in zip(ws, points))) / sum(ws) for i in range(len(points[0])))
+
+
+@st.composite
+def _metric_pieces(draw):
+    """A line O(D) on P^2, P^1xP^1 or (P^1)^3, slopes inside P_D, slopes inside
+    their hull, and an offset for every piece: (line, pieces)."""
+    name = draw(st.sampled_from(sorted(_FANS)))
+    fan = _FANS[name]()
+    degs = [draw(st.integers(1, 3)) for _ in range(fan.dim)]
+    corners = ([(0, 0), (degs[0], 0), (0, degs[0])] if name == "P2"
+               else list(itertools.product(*[(0, d) for d in degs])))
+    line = toric.divisor(fan, [-min(dot(vec(m), vec(r)) for m in corners) for r in fan.rays])
+    slopes = [_convex_point(draw, corners) for _ in range(draw(st.integers(1, 5)))]
+    # points of the hull of the slopes: never a vertex of it that was not already one
+    inner = [_convex_point(draw, slopes) for _ in range(draw(st.integers(0, 4)))]
+    # a slope given twice, with another offset
+    twice = slopes[:draw(st.integers(0, 1))]
+    pieces = [(m, draw(frac)) for m in slopes + inner + twice]
+    return line, draw(st.permutations(pieces))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@given(_metric_pieces(), st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_a_metric_reduced_to_its_body_agrees_with_the_pieces(case, points):
+    line, pieces = case
+    fan, n = line.fan, line.fan.dim
+    old, h = toric_oracle.metric(line, pieces), toric.metric(line, pieces)
+    body = toric_oracle.model_polytope(old)
+    assert h.body == body and h.body.halfspaces == body.halfspaces
+    reduced = toric.metric(line, [(v, 0) for v in body.vertices])
+    assert h == reduced and hash(h) == hash(reduced)
+    for v in list(fan.rays) + [p[:n] for p in points]:
+        assert h.g(v) == old.g(v)
+    got, want = bdiv._determination(h), toric_oracle.determination(old)
+    assert (got.fan.rays, got.fan.cones, got.values) == (want.fan.rays, want.fan.cones, want.values)
+    # the minimal metric of the line as the other bodies of a mixed mass
+    corners = [(v, 0) for v in toric.polytope_of_divisor(line).vertices]
+    base, base_old = toric.metric(line, corners), toric_oracle.metric(line, corners)
+    for k in range(n + 1):
+        got = toric.np_mass([h] * k + [base] * (n - k))
+        assert got == toric_oracle.np_mass([old] * k + [base_old] * (n - k))
+    nu = okounkov.flag([[int(i == j) for j in range(n)] for i in range(n)])
+    assert okounkov.limit_body(h, nu) == toric_oracle.limit_body(old, nu)
+    assert _outcome(okounkov.partial_okounkov, h, nu, 3) == _outcome(toric_oracle.partial_okounkov, old, nu, 3)
+
+
+@given(_metric_pieces(), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_metrics_equal_up_to_offsets_and_inner_slopes_share_one_determination(case, rng):
+    line, pieces = case
+    other = [(m, Fraction(rng.randint(-9, 9), 7)) for m, _ in pieces]
+    rng.shuffle(other)
+    # the hull's vertices alone, with no offset
+    bare = [(v, 0) for v in toric_oracle.model_polytope(toric_oracle.metric(line, pieces)).vertices]
+    h1, h2, h3 = (toric.metric(line, p) for p in (pieces, other, bare))
+    assert h1 == h2 == h3 and hash(h1) == hash(h2) == hash(h3)
+    assert h1 is not h2
+    bdiv._determination.cache_clear()
+    b = [bdiv.bdiv_of_metric(h).cartier for h in (h1, h2, h3)]
+    assert b[0] is b[1] is b[2]
+    info = bdiv._determination.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

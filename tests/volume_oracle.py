@@ -130,7 +130,7 @@ def mixed_volume(ps: Sequence[Polytope]) -> Fraction:
 def minimal_extension(m: toric.ToricMetric, fan: Fan) -> toric.ToricMetric:
     """Twist killing all Lelong numbers on the given fan: a'_rho = -g(v_rho)."""
     line = toric.divisor(fan, [-m.g(r) for r in fan.rays])
-    return toric.metric(line, m.pieces)
+    return toric.metric(line, [(v, 0) for v in m.body.vertices])
 
 
 def incarnation(b, fan: Fan) -> toric.ToricDivisor:
