@@ -1,8 +1,9 @@
-"""Cartier and Weil-nef b-divisors: incarnations, ordering, intersections, volumes.
+"""Cartier and Weil-nef b-divisors: determinations, ordering, intersections, volumes.
 
-A Cartier b-divisor is a conewise linear function psi on a determination fan;
-numerical equivalence is equality up to a global linear functional. Decreasing
-sequences of nef b-divisors have increasing psi's and shrinking polytopes.
+A Cartier b-divisor is its divisor on a determination fan, the conewise linear
+function psi_D with psi_D(v_rho) = -a_rho; numerical equivalence is equality up
+to a global linear functional. Decreasing sequences of nef b-divisors have
+increasing psi's and shrinking polytopes.
 """
 from __future__ import annotations
 
@@ -14,44 +15,22 @@ from typing import Sequence
 
 from . import dd, fans, polytopes, toric
 from .fans import Fan
-from .polytopes import Polytope
 from .rationals import fmt, idot, int_row, rat
 from .toric import ToricDivisor, ToricMetric
 
 
-@dataclass(frozen=True)
-class CartierB:
-    """Support function psi of its divisor on a determination fan: psi(v_rho) = -a_rho."""
-    incarnation: ToricDivisor
-    nef: bool
-
-    @property
-    def fan(self) -> Fan:
-        return self.incarnation.fan
-
-    @property
-    def values(self) -> tuple[Fraction, ...]:
-        return tuple(-a for a in self.incarnation.coeffs)
-
-    def psi(self, v: Sequence) -> Fraction:
-        return toric.psi_value(self.incarnation, v)
-
-    def polytope(self) -> Polytope:
-        return toric.polytope_of_divisor(self.incarnation)
-
-
-def cartier(fan: Fan, values: Sequence) -> CartierB:
+def cartier(fan: Fan, values: Sequence) -> ToricDivisor:
+    """The divisor on the fan whose psi takes the given values at its rays."""
     vals = tuple(rat(x) for x in values)
     if len(vals) != len(fan.rays):
         raise ValueError("value count mismatch")
-    d = toric.divisor(fan, [-x for x in vals])
-    return CartierB(d, toric.is_nef(d))
+    return toric.divisor(fan, [-x for x in vals])
 
 
 @dataclass(frozen=True)
 class HermBDiv:
     """The b-divisor of a Hermitian line: psi = g on the fan refined by the slopes."""
-    cartier: CartierB
+    cartier: ToricDivisor
 
 
 def bdiv_of_metric(h: ToricMetric) -> HermBDiv:
@@ -59,7 +38,7 @@ def bdiv_of_metric(h: ToricMetric) -> HermBDiv:
 
 
 @functools.lru_cache(maxsize=None)
-def _determination(g: ToricMetric) -> CartierB:
+def _determination(g: ToricMetric) -> ToricDivisor:
     """psi = g on the fan refined by g's slopes, built once per metric."""
     slopes = g.body.vertices
     fan = fans.refine_by_slopes(g.line.fan, slopes)
@@ -69,16 +48,16 @@ def _determination(g: ToricMetric) -> CartierB:
     return cartier(fan, [Fraction(min(idot(m, r) for m in rows), s) for r in fan.rays])
 
 
-def add(b1: CartierB, b2: CartierB) -> CartierB:
-    """Sum psi_1 + psi_2, on the fan of toric.on_one_fan."""
-    d = toric.divisor_sum(b1.incarnation, b2.incarnation)
-    return CartierB(d, toric.is_nef(d))
+def add(b1: ToricDivisor, b2: ToricDivisor) -> ToricDivisor:
+    """Sum psi_1 + psi_2, on the fan of toric.on_one_fan; kept because
+    perfbench/workloads.py adds its pairs through it."""
+    return toric.divisor_sum(b1, b2)
 
 
-def leq(b1: CartierB, b2: CartierB) -> bool:
+def leq(b1: ToricDivisor, b2: ToricDivisor) -> bool:
     """b1 <= b2: psi_1 - psi_2 + <m, .> >= 0 for some linear functional m, that is,
     P_{D2 - D1} = {m : <m, v_rho> >= a1_rho - a2_rho} is nonempty on one fan."""
-    fan, a1, a2 = toric.on_one_fan(b1.incarnation, b2.incarnation)
+    fan, a1, a2 = toric.on_one_fan(b1, b2)
     # m = 0 is a witness when a1 <= a2 at every ray, and needs no DD
     if all(x <= y for x, y in zip(a1, a2)):
         return True
@@ -89,11 +68,11 @@ def leq(b1: CartierB, b2: CartierB) -> bool:
 @dataclass(frozen=True)
 class WeilNefB:
     """Explicit non-increasing sequence of nef Cartier b-divisors, optional exact limit."""
-    approximants: tuple[CartierB, ...]
-    limit: CartierB | None = None
+    approximants: tuple[ToricDivisor, ...]
+    limit: ToricDivisor | None = None
 
 
-def weil(approximants: Sequence[CartierB], limit: CartierB | None = None) -> WeilNefB:
+def weil(approximants: Sequence[ToricDivisor], limit: ToricDivisor | None = None) -> WeilNefB:
     if not approximants:
         raise ValueError("empty approximant sequence")
     for b in approximants:
@@ -105,7 +84,7 @@ def weil(approximants: Sequence[CartierB], limit: CartierB | None = None) -> Wei
     return WeilNefB(tuple(approximants), limit)
 
 
-def intersect_cartier(bs: Sequence[CartierB]) -> Fraction:
+def intersect_cartier(bs: Sequence[ToricDivisor]) -> Fraction:
     """Dang-Favre intersection number: n! times the mixed volume of the polytopes."""
     if not bs:
         raise ValueError("wrong count of bodies")
@@ -115,7 +94,7 @@ def intersect_cartier(bs: Sequence[CartierB]) -> Fraction:
     for b in bs:
         if not b.nef:
             raise ValueError("intersection defined for nef inputs")
-    return math.factorial(n) * polytopes.mixed_volume([b.polytope() for b in bs])
+    return math.factorial(n) * polytopes.mixed_volume([toric.polytope_of_divisor(b) for b in bs])
 
 
 @dataclass(frozen=True)
@@ -161,7 +140,7 @@ def intersect_nef(ws: Sequence, tol) -> RatInterval:
 
 def vol(b, tol=Fraction(1, 10**6)):
     """Volume as the diagonal self-intersection; exact for Cartier, interval for Weil."""
-    if isinstance(b, CartierB):
+    if isinstance(b, ToricDivisor):
         n = b.fan.dim
         return intersect_cartier([b] * n)
     n = b.approximants[0].fan.dim

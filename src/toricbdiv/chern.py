@@ -267,7 +267,8 @@ class ParseError(ValueError):
     """A Chern expression that is not well formed, as against one too large to expand."""
 
 
-_TOKEN = re.compile(r"(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*+-])")
+# numbers and degrees in ASCII digits: \d also takes other scripts' digits
+_TOKEN = re.compile(r"(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*+-])")
 _SPACE = re.compile(r"\s*")
 
 
@@ -285,7 +286,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
-_SYM_NAME = re.compile(r"^([sc])(\d+)$")
+_SYM_NAME = re.compile(r"^([sc])([0-9]+)$")
 _MAX_DEPTH = 200  # nested parentheses, as in CPython's own parser
 
 

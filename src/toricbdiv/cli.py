@@ -17,7 +17,7 @@ from typing import Sequence
 
 from . import bdiv, chern, ideals, okounkov, polytopes, toric
 from .rationals import fmt
-from .report import (CliError, bundles_of, chain_of, divisor_of,
+from .report import (_INTEGER, CliError, bundles_of, chain_of, divisor_of,
                      fan_of, flag_of, ideal_of, int_of, load_json,
                      metric_of, metrics_of, need, need_list, rat_of, weil_of)
 
@@ -32,6 +32,14 @@ class _ArgParser(argparse.ArgumentParser):
 
     def print_help(self, file=None):
         raise _HelpRequested(self.format_help())
+
+
+def _int_arg(text: str) -> int:
+    """An int option in ASCII digits, as `report` reads integers: argparse's int also
+    takes "1_0", " 3" and other scripts' digits."""
+    if not _INTEGER.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _build_parser() -> tuple[_ArgParser, dict[str, _ArgParser]]:
@@ -56,19 +64,19 @@ def _build_parser() -> tuple[_ArgParser, dict[str, _ArgParser]]:
     sp = cmd("okounkov", out=True)
     sp.add_argument("--tol")
     sp = cmd("partial-okounkov")
-    sp.add_argument("--kmax", type=int)
+    sp.add_argument("--kmax", type=_int_arg)
     sp = cmd("mideal", scenario=False)
     sp.add_argument("--ideal", required=True)
     sp.add_argument("--c", required=True)
     sp = cmd("tideal", scenario=False)
     sp.add_argument("--ideal", required=True)
     sp.add_argument("--lam", required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--emax", type=int, default=12)
+    sp.add_argument("--p", type=_int_arg, required=True)
+    sp.add_argument("--emax", type=_int_arg, default=12)
     cmd("chern")
     sp = cmd("verify")
     sp.add_argument("--suite", required=True, choices=tuple(_SUITE_FNS))
-    sp.add_argument("--kmax", type=int)
+    sp.add_argument("--kmax", type=_int_arg)
     cmd("profile")
     cmd("export-plot", out=True)
     sp = cmd("batch", scenario=False)

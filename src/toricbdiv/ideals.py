@@ -25,9 +25,6 @@ class MonomialIdeal:
     def is_unit(self) -> bool:
         return self.gens == (tuple(0 for _ in range(self.nvars)),)
 
-    def contains_monomial(self, m: Sequence[int]) -> bool:
-        return any(all(x >= g for x, g in zip(m, gen)) for gen in self.gens)
-
     def to_json(self) -> dict:
         return {"nvars": self.nvars, "gens": [list(g) for g in self.gens]}
 

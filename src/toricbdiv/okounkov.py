@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import bdiv, polytopes, toric
-from .bdiv import CartierB
 from .linalg import det, inverse_directions
 from .polytopes import Polytope
 from .rationals import IntVec, Vec, dot, idot, int_row, rat, vec, vsub
@@ -147,7 +146,7 @@ def _body(d: ToricDivisor, nu: FlagValuation) -> Polytope:
 
 def okounkov_of_class(d: ToricDivisor, nu: FlagValuation) -> OkounkovBody:
     """Body of a nef and big class."""
-    if not (toric.is_nef(d) and toric.is_big(d)):
+    if not (d.nef and toric.is_big(d)):
         raise ValueError("not nef or not big")
     return OkounkovBody(_body(d, nu), "class")
 
@@ -217,13 +216,13 @@ def _limit_body(m: ToricMetric, nu: FlagValuation, m0: Vec) -> OkounkovBody:
 def okounkov_of_bdiv(w, nu: FlagValuation, tol=Fraction(1, 10**6)) -> OkounkovBody:
     """Body of a nef b-divisor: exact for Cartier, Hausdorff limit for Weil."""
     tol = rat(tol)
-    if isinstance(w, CartierB):
-        return OkounkovBody(_body(w.incarnation, nu), "bdiv_limit")
+    if isinstance(w, ToricDivisor):
+        return OkounkovBody(_body(w, nu), "bdiv_limit")
     if w.limit is not None:
-        return OkounkovBody(_body(w.limit.incarnation, nu), "bdiv_limit")
+        return OkounkovBody(_body(w.limit, nu), "bdiv_limit")
     prev: Polytope | None = None
     for b in w.approximants:
-        cur = _body(b.incarnation, nu)
+        cur = _body(b, nu)
         if prev is not None and polytopes.hausdorff_linf(prev, cur).value < tol:
             return OkounkovBody(cur, "bdiv_limit")
         prev = cur

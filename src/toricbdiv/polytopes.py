@@ -39,10 +39,6 @@ class Polytope:
     def __hash__(self) -> int:
         return hash((self.dim, self.vertices))
 
-    def contains(self, x: Sequence) -> bool:
-        p = vec(x)
-        return all(dot(w, p) >= c for w, c in self.halfspaces)
-
     def is_point(self) -> bool:
         return len(self.vertices) == 1
 

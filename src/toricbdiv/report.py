@@ -66,15 +66,20 @@ def need_list(data: dict, key: str, where: str) -> list:
     return value
 
 
+# an optional sign and ASCII digits: int() alone also takes "1_0", " 1" and other scripts' digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+# the same with an optional "/q": Fraction() alone also takes " 1/2 ", "1.5", "1e3" and "1_0"
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def rat_of(value, where: str) -> Fraction:
+    """A rational given as a JSON int or a string "p" or "p/q" of ASCII digits."""
     try:
+        if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+            raise ValueError(value)
         return rat(value)
     except (ValueError, TypeError, ZeroDivisionError):
         raise CliError(2, f"bad rational '{value}' in {where}")
-
-
-# an optional sign and ASCII digits: int() alone also takes "1_0", " 1" and other scripts' digits
-_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _int(value) -> int:

@@ -38,6 +38,11 @@ class ToricDivisor:
     def __hash__(self) -> int:
         return self._hash
 
+    @cached_property
+    def nef(self) -> bool:
+        """psi_D concave: each cone's functional lies in P_D; tested once per object."""
+        return _in_polytope(self, list(self.functionals.values()))
+
 
 def divisor(fan: Fan, coeffs) -> ToricDivisor:
     """Build a divisor from a ray->coefficient mapping or a ray-aligned sequence."""
@@ -93,7 +98,7 @@ def polytope_of_divisor(d: ToricDivisor) -> Polytope:
     """
     if not d.fan.complete:
         raise ValueError("fan must be complete")
-    if is_nef(d):
+    if d.nef:
         return polytopes.canonicalize(d.functionals.values())
     rows = [(vec(r), -a) for r, a in zip(d.fan.rays, d.coeffs)]
     return polytopes.from_halfspaces(rows, d.fan.dim)
@@ -110,11 +115,6 @@ def _in_polytope(d: ToricDivisor, points: Sequence[Vec]) -> bool:
     offsets = ints[k:]
     return all(idot(ints[i:i + n], r) + a >= 0
                for i in range(0, k, n) for r, a in zip(d.fan.rays, offsets))
-
-
-def is_nef(d: ToricDivisor) -> bool:
-    """psi_D concave: each cone's functional lies in P_D."""
-    return _in_polytope(d, list(d.functionals.values()))
 
 
 def is_big(d: ToricDivisor) -> bool:

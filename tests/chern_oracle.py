@@ -145,7 +145,7 @@ def eval_segre_monomial(bs: Sequence[SplitToricBundle], exps: Sequence[int]) -> 
     counted = _lines_and_counts(bs, exps)
     if counted is None:
         return Fraction(0)
-    factors: list[bdiv.CartierB] = []
+    factors: list[toric.ToricDivisor] = []
     for line, k in counted:
         factors.extend([bdiv.bdiv_of_metric(line).cartier] * k)
     return Fraction(-1) ** sum(exps) * bdiv.intersect_cartier(factors)

@@ -104,6 +104,12 @@ def complete_fan_2d(rays: Iterable[Sequence]) -> fans.Fan:
     return fans.make_fan(prim, cones)
 
 
+def in_polytope(p: Polytope, x: Sequence) -> bool:
+    """The point satisfies every halfspace of the body."""
+    v = vec(x)
+    return all(dot(w, v) >= c for w, c in p.halfspaces)
+
+
 def lattice_count(p: Polytope, k: int = 1) -> int:
     """Exact number of integer points of kP."""
     return polytopes.lattice_counts(p, range(k, k + 1))[0]
@@ -199,5 +205,10 @@ def ideal_product(a: ideals.MonomialIdeal, b: ideals.MonomialIdeal) -> ideals.Mo
     return ideals.make_ideal(a.nvars, [tuple(x + y for x, y in zip(g, h)) for g in a.gens for h in b.gens])
 
 
+def in_ideal(ideal: ideals.MonomialIdeal, m: Sequence[int]) -> bool:
+    """The monomial x^m lies in the ideal: some generator divides it."""
+    return any(all(x >= g for x, g in zip(m, gen)) for gen in ideal.gens)
+
+
 def ideal_subset(a: ideals.MonomialIdeal, b: ideals.MonomialIdeal) -> bool:
-    return all(b.contains_monomial(g) for g in a.gens)
+    return all(in_ideal(b, g) for g in a.gens)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from toricbdiv import bdiv, dd, fans
-from toricbdiv.bdiv import CartierB
+from toricbdiv import bdiv, dd, fans, toric
 from toricbdiv.fans import Fan
 from toricbdiv.linalg import rank
 from toricbdiv.rationals import IntVec, Vec, primitive, vsub
+from toricbdiv.toric import ToricDivisor
 
 
 def _fan_from_cells(cells: Iterable[Sequence[IntVec]], dim: int, complete: bool) -> Fan:
@@ -49,19 +49,20 @@ def refine_by_slopes(fan: Fan, slopes: Sequence[Vec]) -> Fan:
                            fan.dim, fan.complete)
 
 
-def add(b1: CartierB, b2: CartierB) -> CartierB:
+def add(b1: ToricDivisor, b2: ToricDivisor) -> ToricDivisor:
     """Sum psi_1 + psi_2, determined on the common refinement."""
     if b1.fan.dim != b2.fan.dim:
         raise ValueError("dimension mismatch")
     common = fans.common_refinement(b1.fan, b2.fan)
-    return bdiv.cartier(common, [b1.psi(r) + b2.psi(r) for r in common.rays])
+    return bdiv.cartier(common, [toric.psi_value(b1, r) + toric.psi_value(b2, r)
+                                 for r in common.rays])
 
 
-def leq(b1: CartierB, b2: CartierB) -> bool:
+def leq(b1: ToricDivisor, b2: ToricDivisor) -> bool:
     """b1 <= b2: psi_1 - psi_2 + <m, .> >= 0 for some linear functional m."""
     if b1.fan.dim != b2.fan.dim:
         raise ValueError("dimension mismatch")
     common = fans.common_refinement(b1.fan, b2.fan)
-    rows = [(r, b2.psi(r) - b1.psi(r)) for r in common.rays]
+    rows = [(r, toric.psi_value(b2, r) - toric.psi_value(b1, r)) for r in common.rays]
     _, rays = dd.homogenized_rays(rows, common.dim)
     return any(r[-1] > 0 for r in rays)

@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from toricbdiv import bdiv, okounkov, polytopes, toric
-from toricbdiv.bdiv import CartierB
 from toricbdiv.polytopes import (_LATTICE_BUDGET, Halfspace, HausdorffDist,
                                  Polytope, _ceil_div, _hull, canonicalize,
                                  minkowski_sum)
@@ -288,6 +287,6 @@ def nu_of_metric(m: toric.ToricMetric, nu: okounkov.FlagValuation) -> Vec:
     return _nu_of(m, bdiv.bdiv_of_metric(m).cartier, nu)
 
 
-def _nu_of(m: toric.ToricMetric, b: CartierB, nu: okounkov.FlagValuation) -> Vec:
+def _nu_of(m: toric.ToricMetric, b: toric.ToricDivisor, nu: okounkov.FlagValuation) -> Vec:
     """nu_of_metric for a metric whose b-divisor b is already built."""
-    return nu.coords(vsub(okounkov._trivialization(b.incarnation, nu), okounkov._trivialization(m.line, nu)))
+    return nu.coords(vsub(okounkov._trivialization(b, nu), okounkov._trivialization(m.line, nu)))

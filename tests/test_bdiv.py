@@ -1,4 +1,4 @@
-"""Cartier/Weil b-divisors: order, sums, incarnations, intersections, volumes."""
+"""Cartier/Weil b-divisors: order, sums, determinations, intersections, volumes."""
 import math
 import random
 from fractions import Fraction
@@ -15,17 +15,23 @@ import volume_oracle as vo
 from toricbdiv import bdiv, dd, fans, polytopes, report, toric
 from toricbdiv.bdiv import (RatInterval, add, bdiv_of_metric, cartier,
                             intersect_cartier, intersect_nef, leq, vol, weil)
+from toricbdiv.toric import polytope_of_divisor
 
 from conftest import (half_plane, minimal_metric, o_p1p1, o_p2, p1, p1cubed, p1xp1, p2,
                       pullback, rand_weighted, rand_weighted3, singularity_divisor)
 
 
-def b_of(d: toric.ToricDivisor) -> bdiv.CartierB:
+def b_of(d: toric.ToricDivisor) -> toric.ToricDivisor:
     return cartier(d.fan, [toric.psi_value(d, r) for r in d.fan.rays])
 
 
-def zero_b(fan) -> bdiv.CartierB:
+def zero_b(fan) -> toric.ToricDivisor:
     return cartier(fan, [0] * len(fan.rays))
+
+
+def _values(b: toric.ToricDivisor) -> list[Fraction]:
+    """psi at each ray of the divisor's fan: the values `cartier` takes."""
+    return [-a for a in b.coeffs]
 
 
 def coeffs(d: toric.ToricDivisor) -> dict:
@@ -48,8 +54,8 @@ def shrinking_weil(limit_deg=2, steps=12):
 def test_cartier_basics():
     b = b_of(o_p2(2))
     assert b.nef
-    assert coeffs(b.incarnation) == {(-1, -1): 2, (0, 1): 0, (1, 0): 0}
-    assert b.polytope() == toric.polytope_of_divisor(o_p2(2))
+    assert coeffs(b) == {(-1, -1): 2, (0, 1): 0, (1, 0): 0}
+    assert polytope_of_divisor(b) == polytope_of_divisor(o_p2(2))
     with pytest.raises(ValueError, match="value count mismatch"):
         cartier(p2(), [0, 0])
 
@@ -61,7 +67,7 @@ def test_bdiv_of_metric_refines_and_is_nef():
     assert (1, -1) in b.fan.rays and (-1, 1) in b.fan.rays
     # psi at every determination ray is the metric's own slope function
     for r in b.fan.rays:
-        assert b.psi(r) == h.g(r)
+        assert toric.psi_value(b, r) == h.g(r)
 
 
 def test_determination_psi_is_g_on_rational_slopes():
@@ -70,7 +76,7 @@ def test_determination_psi_is_g_on_rational_slopes():
     for h in [rand_weighted(rng, fan()) for fan in (p2, p1xp1) for _ in range(8)] \
             + [rand_weighted3(rng) for _ in range(6)]:
         b = bdiv_of_metric(h).cartier
-        assert [b.psi(r) for r in b.fan.rays] == [h.g(r) for r in b.fan.rays]
+        assert [toric.psi_value(b, r) for r in b.fan.rays] == [h.g(r) for r in b.fan.rays]
 
 
 def test_incarnation_pushforward_compatible():
@@ -83,7 +89,7 @@ def test_incarnation_pushforward_compatible():
     for key, val in cc.items():
         assert cf[key] == val
     # the added rays see the bend, the base fan does not
-    assert toric.polytope_of_divisor(d_coarse) == toric.polytope_of_divisor(o_p2(2))
+    assert polytope_of_divisor(d_coarse) == polytope_of_divisor(o_p2(2))
 
 
 def test_minimal_metric_bdiv_recovers_line():
@@ -138,16 +144,16 @@ def test_leq_invariant_under_linear_shift():
     b = b_of(o_p2(2))
     m = (1, -2)
     shifted = cartier(p2(), [v + m[0] * r[0] + m[1] * r[1]
-                             for v, r in zip(b.values, b.fan.rays)])
+                             for v, r in zip(_values(b), b.fan.rays)])
     assert leq(b, shifted) and leq(shifted, b)
-    assert b.polytope() == polytopes.translate(shifted.polytope(), [-1, 2])
+    assert polytope_of_divisor(b) == polytopes.translate(polytope_of_divisor(shifted), [-1, 2])
 
 
 def _leq_lp(b1, b2):
     """b1 <= b2 by LP: some m has <m, r> >= psi_2(r) - psi_1(r) on every common ray."""
     common = fans.common_refinement(b1.fan, b2.fan)
     a_ub = [[-Fraction(x) for x in r] for r in common.rays]
-    b_ub = [b1.psi(r) - b2.psi(r) for r in common.rays]
+    b_ub = [toric.psi_value(b1, r) - toric.psi_value(b2, r) for r in common.rays]
     return lp.feasible(a_ub, b_ub) is not None
 
 
@@ -196,7 +202,7 @@ def test_add_zero_and_line_sum():
     assert add(b, zero_b(p2())) == b
     s = add(b_of(o_p2(1)), b_of(o_p2(2)))
     assert leq(s, b_of(o_p2(3))) and leq(b_of(o_p2(3)), s)
-    assert s.polytope() == b_of(o_p2(3)).polytope()
+    assert polytope_of_divisor(s) == polytope_of_divisor(b_of(o_p2(3)))
 
 
 def test_add_is_minkowski_on_polytopes():
@@ -205,13 +211,15 @@ def test_add_is_minkowski_on_polytopes():
         h1, h2 = rand_weighted(rng, p2()), rand_weighted(rng, p2())
         b1, b2 = bdiv_of_metric(h1).cartier, bdiv_of_metric(h2).cartier
         s = add(b1, b2)
-        assert s.polytope() == polytopes.minkowski_sum(b1.polytope(), b2.polytope())
-        assert s.polytope() == add(b2, b1).polytope()
+        assert polytope_of_divisor(s) == polytopes.minkowski_sum(polytope_of_divisor(b1),
+                                                                 polytope_of_divisor(b2))
+        assert polytope_of_divisor(s) == polytope_of_divisor(add(b2, b1))
 
 
 def test_add_associative_on_polytopes():
     b1, b2, b3 = b_of(o_p2(1)), o3_weighted().cartier, zero_b(p2())
-    assert add(add(b1, b2), b3).polytope() == add(b1, add(b2, b3)).polytope()
+    assert (polytope_of_divisor(add(add(b1, b2), b3))
+            == polytope_of_divisor(add(b1, add(b2, b3))))
 
 
 _BASE = {"P2": p2, "P1xP1": p1xp1, "P1^3": p1cubed}
@@ -266,7 +274,7 @@ def test_leq_matches_common_refinement_oracle(case):
 
 def test_leq_on_a_shared_fan_reads_coefficients(monkeypatch):
     b1 = o3_weighted().cartier
-    b2 = cartier(b1.fan, [v - 1 for v in b1.values])
+    b2 = cartier(b1.fan, [v - 1 for v in _values(b1)])
     calls = []
     for module, name in ((toric, "psi_value"), (fans, "common_refinement"), (dd, "extreme_rays")):
         real = getattr(module, name)
@@ -290,7 +298,7 @@ def translated_pairs(draw):
     bumps = draw(st.lists(st.sampled_from([0, 0, 1, Fraction(1, 2)]), min_size=len(fan.rays),
                           max_size=len(fan.rays)))
     return b1, cartier(fan, [v + sum(x * y for x, y in zip(m, r)) - bump
-                             for v, r, bump in zip(b1.values, fan.rays, bumps)])
+                             for v, r, bump in zip(_values(b1), fan.rays, bumps)])
 
 
 @given(translated_pairs())
@@ -336,7 +344,7 @@ def test_weighted_metric_intersection_runs_no_dd_past_its_hull(name, monkeypatch
         intersect_cartier([b] * fan.dim)
         seen = list(calls)
         calls.clear()
-        polytopes.canonicalize(b.incarnation.functionals.values())
+        polytopes.canonicalize(b.functionals.values())
         assert seen == calls == ([] if fan.dim == 2 else [4])
         monkeypatch.undo()
 
@@ -396,7 +404,7 @@ def test_intersect_matches_volume_oracle(seed, fan, repeat):
     if repeat:
         hs[-1] = hs[0]
     bs = [bdiv_of_metric(h).cartier for h in hs]
-    expected = math.factorial(len(bs)) * vo.mixed_volume([b.polytope() for b in bs])
+    expected = math.factorial(len(bs)) * vo.mixed_volume([polytope_of_divisor(b) for b in bs])
     assert intersect_cartier(bs) == expected
 
 
@@ -420,6 +428,20 @@ def test_intersect_errors():
     assert not not_nef.nef
     with pytest.raises(ValueError, match="intersection defined for nef inputs"):
         intersect_cartier([not_nef, b_of(o_p2(1))])
+
+
+def test_nefness_is_tested_once_per_divisor(monkeypatch):
+    # intersect_cartier and weil check nefness, and polytope_of_divisor reads it
+    # on a miss: each divisor object runs the membership test once
+    b1, b2 = b_of(o_p2(2)), b_of(o_p2(1))
+    toric.polytope_of_divisor.cache_clear()
+    calls = []
+    real = toric._in_polytope
+    monkeypatch.setattr(toric, "_in_polytope", lambda d, points: calls.append(d) or real(d, points))
+    assert intersect_cartier([b1, b2]) == 2
+    assert intersect_cartier([b1, b2]) == 2
+    assert weil([b1, b2]).approximants == (b1, b2)
+    assert len(calls) == 2 and calls[0] is b1 and calls[1] is b2
 
 
 # -- Weil sequences --------------------------------------------------------------

@@ -137,7 +137,7 @@ def test_projectivize_hirzebruch():
     b = split_bundle([minimal_metric(op1(0)), minimal_metric(op1(1))])
     fan, (o1,) = fiber_product_projectivization([b])
     assert fan.rays == ((-1, 1), (0, -1), (0, 1), (1, 0))
-    assert toric.is_nef(o1.line)
+    assert o1.line.nef
 
 
 def test_projectivize_rank_one_is_identity():

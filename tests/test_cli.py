@@ -617,6 +617,77 @@ def test_signed_ascii_integers_still_read(tmp_path, key, exponent):
     assert code == 0, text
 
 
+# each of these reads as a small positive rational through Fraction() alone
+LOOSE_RATIONALS = [" 1/2 ", "1.5", "1e1", "1_0", "١/2"]
+
+
+def _rational_runs(tmp_path, value) -> dict:
+    """An argv per place the CLI reads a rational, each given the value there."""
+    line = {"1,0": "0", "0,1": "0", "-1,-1": "20"}
+
+    def volume(coeff="20", slope="0", offset="0"):
+        metric = {"divisor": {"coeffs": {**line, "-1,-1": coeff}},
+                  "pieces": [{"slope": ["0", "0"]}, {"slope": [slope, "0"], "offset": offset}]}
+        return ["volume", "--scenario", mk(tmp_path, "scn.json", {"fan": P2_FAN, "metric": metric})]
+
+    ideal = mk(tmp_path, "ideal.json", {"nvars": 2, "gens": [[1, 0], [0, 1]]})
+    return {"coeff": volume(coeff=value), "slope": volume(slope=value),
+            "offset": volume(offset=value),
+            "--c": ["mideal", "--ideal", ideal, "--c", value],
+            "--lam": ["tideal", "--ideal", ideal, "--lam", value, "--p", "2"],
+            "--tol": ["volume", "--scenario", str(GOLDEN / "p2_weil.json"), "--tol", value]}
+
+
+@pytest.mark.parametrize("place", ["coeff", "slope", "offset", "--c", "--lam", "--tol"])
+@pytest.mark.parametrize("value", LOOSE_RATIONALS)
+def test_a_rational_takes_only_ascii_digits_and_one_slash(tmp_path, value, place):
+    # Fraction() alone strips spaces and reads decimals, exponents, "1_0" and
+    # other scripts' digits
+    code, text = run(_rational_runs(tmp_path, value)[place])
+    assert code == 2, text
+    assert report_of(text)["error"]["message"].startswith(f"bad rational '{value}' in ")
+
+
+@pytest.mark.parametrize("place", ["coeff", "slope", "offset", "--c", "--lam", "--tol"])
+def test_signed_ascii_rationals_still_read(tmp_path, place):
+    for value in ["+1/2", "04/2", "3"]:
+        code, text = run(_rational_runs(tmp_path, value)[place])
+        assert code == 0, (value, text)
+
+
+def _int_option_runs(tmp_path, value) -> dict:
+    ideal = mk(tmp_path, "ideal.json", {"nvars": 2, "gens": [[1, 0], [0, 1]]})
+    return {"--kmax": ["partial-okounkov", "--scenario", str(GOLDEN / "p2.json"), "--kmax", value],
+            "--p": ["tideal", "--ideal", ideal, "--lam", "1/2", "--p", value],
+            "--emax": ["tideal", "--ideal", ideal, "--lam", "1/2", "--p", "2", "--emax", value]}
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--kmax", "1_0"), ("--kmax", " 3"), ("--kmax", "٣"),
+    ("--p", "1_1"), ("--p", " 3"), ("--p", "٣"),
+    ("--emax", "1_0"), ("--emax", " 3"), ("--emax", "٣"),
+])
+def test_an_int_option_takes_only_ascii_digits(tmp_path, option, value):
+    # argparse's int strips spaces and reads "1_0" and other scripts' digits
+    code, text = run(_int_option_runs(tmp_path, value)[option])
+    assert code == 2, text
+    assert report_of(text)["error"]["message"] == f"argument {option}: invalid int value: {value!r}"
+    code, text = run(_int_option_runs(tmp_path, "+3")[option])
+    assert code == 0, text
+
+
+@pytest.mark.parametrize("expr, position", [
+    ("٣*c1(E)^2", 0), ("s١(E)^2", 0), ("c1(E)^٢", 6), ("c1(E)*c١(E)", 6),
+])
+def test_a_chern_expression_takes_only_ascii_digits(tmp_path, expr, position):
+    # \d also matches other scripts' digits: each of these read as a degree-2 expression
+    scn = json.loads((GOLDEN / "p2.json").read_text(encoding="utf-8"))
+    scn["expression"] = expr
+    code, text = run(["chern", "--scenario", mk(tmp_path, "p2.json", scn)])
+    assert code == 2, text
+    assert report_of(text)["error"]["message"] == f"parse error at position {position}"
+
+
 def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
     base = {"fan": P2_FAN, "metric": metric_json(3, [(0, 0), (1, 0)])}
     cases = [(["okounkov"], {"flag": {"cone": [[1, 0], ["x", 1]]}}, "bad flag"),

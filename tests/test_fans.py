@@ -273,7 +273,7 @@ def test_slopes_linear_on_every_cone_give_the_fan_back(case):
     # each ray's halfspace touches conv(m_j), which on a product of projective
     # spaces or a complete 2-d fan makes D nef; then g = psi_D is linear on each
     # cone, and the fan itself comes back
-    assert toric.is_nef(d)
+    assert d.nef
     got = refine_by_slopes(base, slopes)
     assert got is base
     assert got == fan_oracle.refine_by_slopes(base, slopes)

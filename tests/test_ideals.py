@@ -1,4 +1,5 @@
 """Monomial multiplier ideals, section counting, Frobenius brackets, test ideals."""
+import functools
 import itertools
 import math
 import random
@@ -17,8 +18,8 @@ from toricbdiv.ideals import (TestIdealQuery, make_ideal,
                               multiplier_ideal_monomial, unit_ideal)
 from toricbdiv.rationals import idot
 
-from conftest import (ideal_product, ideal_subset, lattice_count, minimal_metric,
-                      o_p1p1, o_p2)
+from conftest import (ideal_product, ideal_subset, in_ideal, lattice_count,
+                      minimal_metric, o_p1p1, o_p2)
 
 TestIdealQuery.__test__ = False  # not a test class despite the name
 
@@ -73,7 +74,7 @@ def _bracket_oracle(ideal, p, e, box=12):
     out = []
     for b in itertools.product(range(box), repeat=n):
         a = tuple(q * x + q - 1 for x in b)
-        if ideal.contains_monomial(a):
+        if in_ideal(ideal, a):
             out.append(b)
     return make_ideal(n, out)
 
@@ -101,7 +102,7 @@ def test_multiplier_against_interior_oracle():
             mult = multiplier_ideal_monomial(ideal, c)
             for m in itertools.product(range(5), repeat=2):
                 expect = tuple(x + 1 for x in m)
-                assert mult.contains_monomial(m) == _in_interior_of_scaled_newton(
+                assert in_ideal(mult, m) == _in_interior_of_scaled_newton(
                     expect, ideal.gens, c), (ideal.gens, c, m)
 
 
@@ -133,7 +134,7 @@ def test_multiplier_against_interior_oracle_in_three_variables():
         for m in itertools.product(range(3), repeat=3):
             x = tuple(v + 1 for v in m)
             on_facet += any(off > 0 and idot(w, x) == c * off for w, off in facets)
-            assert mult.contains_monomial(m) == _in_interior_of_scaled_newton(
+            assert in_ideal(mult, m) == _in_interior_of_scaled_newton(
                 x, ideal.gens, c), (ideal.gens, c, m)
         assert on_facet, (ideal.gens, c)
 
@@ -252,15 +253,16 @@ def test_box_scan_calls_member_where_the_graded_scan_does(case):
     # about the columns whose point at last coordinate 0 the graded scan tests.
     bounds, gens = case
     ideal = make_ideal(len(bounds), gens)
+    member = functools.partial(in_ideal, ideal)
     floors, members = [], []
     got = _outcome(_recording(ideals._minimal_in_box, floors), bounds, _ideal_floor(ideal), "x")
-    assert got == _outcome(_recording(io._minimal_in_box, members), bounds, ideal.contains_monomial, "x")
-    assert got == _outcome(io._walk_in_box, bounds, ideal.contains_monomial, "x")
+    assert got == _outcome(_recording(io._minimal_in_box, members), bounds, member, "x")
+    assert got == _outcome(io._walk_in_box, bounds, member, "x")
     asked = [prefix for prefix, _ in floors]
     assert len(asked) == len(set(asked))
     assert set(asked) == _columns_at_zero(m for m, _ in members)
     if bounds:
-        _check_floors(floors, ideal.contains_monomial, 9)
+        _check_floors(floors, member, 9)
 
 
 @pytest.mark.parametrize("gens, n_pow, q", [

@@ -72,7 +72,7 @@ def model_polytope(h: ToricMetric) -> Polytope:
     return polytopes.canonicalize([m for m, _ in h.pieces])
 
 
-def determination(g: ToricMetric) -> bdiv.CartierB:
+def determination(g: ToricMetric) -> ToricDivisor:
     """psi = g on the fan refined by every slope of g."""
     slopes = [m for m, _ in g.pieces]
     fan = fans.refine_by_slopes(g.line.fan, slopes)

@@ -20,7 +20,7 @@ from itertools import product
 from typing import Sequence
 
 from toricbdiv import fans, polytopes, toric
-from toricbdiv.bdiv import CartierB, WeilNefB
+from toricbdiv.bdiv import WeilNefB
 from toricbdiv.fans import Fan
 from toricbdiv.linalg import det
 from toricbdiv.polytopes import (Polytope, _chain2d, affine_rank, canonicalize,
@@ -137,7 +137,7 @@ def incarnation(b, fan: Fan) -> toric.ToricDivisor:
     """Divisor with a_rho = -psi(v_rho) on the given complete fan."""
     if isinstance(b, WeilNefB):
         b = b.limit if b.limit is not None else b.approximants[-1]
-    return pullback(b.incarnation, fan)
+    return pullback(b, fan)
 
 
 def volume_profile(h: toric.ToricMetric, chain: Sequence[Fan]) -> list[Fraction]:
@@ -153,7 +153,7 @@ def volume_profile(h: toric.ToricMetric, chain: Sequence[Fan]) -> list[Fraction]
     return out
 
 
-def incarnation_volumes(b: CartierB, chain: Sequence[Fan]) -> list[Fraction]:
+def incarnation_volumes(b: toric.ToricDivisor, chain: Sequence[Fan]) -> list[Fraction]:
     """n!-normalized volumes of the incarnation divisors along a refinement chain."""
     for fine, coarse in zip(chain[1:], chain):
         if not fans.refines(fine, coarse):
