@@ -124,17 +124,14 @@ def intersect_nef(ws: Sequence, tol) -> RatInterval:
     for k in range(budget):
         row = [s.approximants[min(k, len(s.approximants) - 1)] for s in seqs]
         val = intersect_cartier(row)
-        if prev is not None and abs(prev - val) < tol:
-            gap = prev - val
+        # a lone approximant has converged: with no previous value its gap is 0
+        gap = Fraction(0) if prev is None else prev - val
+        if budget == 1 or prev is not None and abs(gap) < tol:
             if all(s.limit is not None for s in seqs):
                 lo = intersect_cartier([s.limit for s in seqs])
                 return RatInterval(lo, val, True)
             return RatInterval(val - gap, val, False)
         prev = val
-    if budget == 1:
-        if all(s.limit is not None for s in seqs):
-            return RatInterval(intersect_cartier([s.limit for s in seqs]), prev, True)
-        return RatInterval(prev, prev, False)
     raise ValueError("tolerance not reached in budget")
 
 

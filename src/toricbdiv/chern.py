@@ -269,7 +269,8 @@ class ParseError(ValueError):
 
 # numbers and degrees in ASCII digits: \d also takes other scripts' digits
 _TOKEN = re.compile(r"(?P<num>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_]\w*)|(?P<op>[()^*+-])")
-_SPACE = re.compile(r"\s*")
+# ASCII whitespace only: \s also takes no-break, ideographic and other spaces
+_SPACE = re.compile(r"[ \t\n\r]*")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

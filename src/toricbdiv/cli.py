@@ -356,10 +356,14 @@ def _cmd_batch(args):
     for entry in runs:
         if not (isinstance(entry, list) and all(isinstance(x, str) for x in entry)):
             raise CliError(2, f"manifest entries must be argv lists in {args.manifest}")
-        try:
-            code, text = _dispatch(entry)
-        except _HelpRequested:
-            code, text = 2, _error_text(entry[0], CliError(2, "help is not available in batch"))
+        if entry[:1] == ["batch"]:
+            # a manifest that names itself would run until the stack ran out
+            code, text = 2, _error_text("batch", CliError(2, "batch is not available in batch"))
+        else:
+            try:
+                code, text = _dispatch(entry)
+            except _HelpRequested:
+                code, text = 2, _error_text(entry[0], CliError(2, "help is not available in batch"))
         worst = max(worst, code)
         entries.append({"argv": entry, "exit": code, "report": json.loads(text)})
     inputs = {"manifest": digest}

@@ -223,11 +223,10 @@ def okounkov_of_bdiv(w, nu: FlagValuation, tol=Fraction(1, 10**6)) -> OkounkovBo
     prev: Polytope | None = None
     for b in w.approximants:
         cur = _body(b, nu)
-        if prev is not None and polytopes.hausdorff_linf(prev, cur).value < tol:
+        # a lone approximant has converged
+        if len(w.approximants) == 1 or prev is not None and polytopes.hausdorff_linf(prev, cur).value < tol:
             return OkounkovBody(cur, "bdiv_limit")
         prev = cur
-    if len(w.approximants) == 1:
-        return OkounkovBody(prev, "bdiv_limit")
     raise ValueError("tolerance not reached")
 
 

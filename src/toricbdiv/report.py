@@ -49,6 +49,8 @@ def load_json(path: str) -> tuple[Any, str]:
         raise CliError(2, f"parse error in {path}: invalid UTF-8 at byte {exc.start}")
     except json.JSONDecodeError as exc:
         raise CliError(2, f"parse error in {path}: line {exc.lineno} column {exc.colno}")
+    except RecursionError:
+        raise CliError(2, f"parse error in {path}: nesting too deep")
     except _RepeatedKey as exc:
         raise CliError(2, f"parse error in {path}: key '{exc}' given twice")
 

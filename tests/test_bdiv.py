@@ -460,6 +460,15 @@ def test_intersect_nef_single_cartier():
     assert out == RatInterval(Fraction(9), Fraction(9), True)
 
 
+@pytest.mark.parametrize("tol", [Fraction(1, 100), Fraction(0)])
+def test_intersect_nef_lone_approximant_converges_at_once(tol):
+    # with no previous value the gap is 0, whatever the tolerance
+    w = weil([b_of(o_p2(3))])
+    assert intersect_nef([w, w], tol) == RatInterval(Fraction(9), Fraction(9), False)
+    w = weil([b_of(o_p2(3))], b_of(o_p2(2)))
+    assert intersect_nef([w, w], tol) == RatInterval(Fraction(4), Fraction(9), True)
+
+
 def test_intersect_nef_with_limit_certifies():
     w = shrinking_weil()
     out = intersect_nef([w, w], Fraction(1, 100))

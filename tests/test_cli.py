@@ -688,6 +688,19 @@ def test_a_chern_expression_takes_only_ascii_digits(tmp_path, expr, position):
     assert report_of(text)["error"]["message"] == f"parse error at position {position}"
 
 
+@pytest.mark.parametrize("expr", [
+    "c1(E)\u00a0^\u00a02", "c1(E)\u3000*\u2003c1(E)", "c1(E)\f^ 2", "c1(E)\v^ 2",
+])
+def test_a_chern_expression_takes_only_ascii_whitespace(tmp_path, expr):
+    # \s also matches no-break, ideographic, em, form-feed and vertical-tab
+    # spaces: each of these read as c1(E)^2, value 4
+    scn = json.loads((GOLDEN / "p2.json").read_text(encoding="utf-8"))
+    scn["expression"] = expr
+    code, text = run(["chern", "--scenario", mk(tmp_path, "p2.json", scn)])
+    assert code == 2, text
+    assert report_of(text)["error"]["message"] == "parse error at position 5"
+
+
 def test_malformed_flag_chain_and_bundles_are_input_errors(tmp_path):
     base = {"fan": P2_FAN, "metric": metric_json(3, [(0, 0), (1, 0)])}
     cases = [(["okounkov"], {"flag": {"cone": [[1, 0], ["x", 1]]}}, "bad flag"),
@@ -971,6 +984,40 @@ def test_batch_isolates_a_help_entry(tmp_path, capsys):
     assert runs[2]["report"]["outputs"]["gens"] == [[0]]
     # the help text goes nowhere: stdout holds only what main() prints
     assert capsys.readouterr().out == ""
+
+
+def test_batch_refuses_a_batch_entry(tmp_path, capsys):
+    # a manifest that names itself ran about 110 levels deep, to a RecursionError
+    ideal = mk(tmp_path, "x.json", {"nvars": 1, "gens": [[1]]})
+    manifest = tmp_path / "self.json"
+    manifest.write_text(json.dumps([["batch", str(manifest)],
+                                    ["mideal", "--ideal", ideal, "--c", "1/2"]]), encoding="utf-8")
+    code, text = run(["batch", str(manifest)])
+    assert code == 2
+    runs = report_of(text)["outputs"]["runs"]
+    assert [r["exit"] for r in runs] == [2, 0]
+    assert runs[0]["report"] == {"command": "batch",
+                                 "error": {"code": 2, "message": "batch is not available in batch"}}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [1_000, 100_000])
+def test_deeply_nested_json_is_a_parse_error(tmp_path, capsys, depth):
+    # json.loads raises RecursionError past the interpreter's recursion limit
+    scn = tmp_path / "deep.json"
+    scn.write_text('{"fan": ' + "[" * depth + "]" * depth + "}", encoding="utf-8")
+    manifest = tmp_path / "runs.json"
+    manifest.write_text("[" * depth + "]" * depth, encoding="utf-8")
+    for argv, path in ((["volume", "--scenario", str(scn)], scn), (["batch", str(manifest)], manifest)):
+        code, text = run(argv)
+        assert code == 2, text
+        assert report_of(text)["error"]["message"] == f"parse error in {path}: nesting too deep"
+    entry = mk(tmp_path, "entry.json", [["volume", "--scenario", str(scn)]])
+    code, text = run(["batch", entry])
+    assert code == 2
+    assert report_of(text)["outputs"]["runs"][0]["report"]["error"]["message"] == \
+        f"parse error in {scn}: nesting too deep"
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_help_is_printed_with_exit_zero(capsys):

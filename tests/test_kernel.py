@@ -1,8 +1,9 @@
 """Exact rational kernel: parsing, linear algebra, extreme rays, and the test oracles."""
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_kernel as fk
@@ -213,4 +214,41 @@ def test_extreme_rays_match_fraction_kernel_on_lifted_flat_polytopes(case):
     # points on the hyperplane x_n = <a, x'> + b, lifted by a last coordinate 1, as canonicalize does
     pts, a, b = case
     rows = [list(p) + [sum((u * v for u, v in zip(a, p)), b), Fraction(1)] for p in pts]
+    _check_extreme_rays(rows, len(rows[0]))
+
+
+@st.composite
+def lifted_box_points(draw):
+    """Rows (p, 1) for the points p of the box {0,1,2}^3 or {0,1}^4, in any order,
+    or of a subset of it: many points share each facet of their hull."""
+    n, side = draw(st.sampled_from([(4, 2), (3, 3)]))
+    box = list(itertools.product(range(side), repeat=n))
+    pts = draw(st.one_of(st.lists(st.sampled_from(box), min_size=1, max_size=len(box), unique=True),
+                         st.permutations(box)))
+    return [list(p) + [1] for p in pts]
+
+
+@st.composite
+def pyramids(draw):
+    """Rows (r.r) w - (w.r) r, all orthogonal to one apex ray r, and at times the
+    base row r: r is then tight on every row but the base."""
+    n = draw(st.integers(3, 4))
+    apex = draw(st.lists(row_ints, min_size=n, max_size=n).filter(any))
+    rr = sum(a * a for a in apex)
+    sides = draw(st.lists(st.lists(row_ints, min_size=n, max_size=n), min_size=1, max_size=8))
+    rows = [[rr * x - sum(u * a for u, a in zip(w, apex)) * a for x, a in zip(w, apex)] for w in sides]
+    if draw(st.booleans()):
+        rows.append(apex)
+    return draw(st.permutations(rows))
+
+
+@given(st.one_of(lifted_box_points(), pyramids()))
+@example([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [1, -1, 1, 0], [-1, 1, 1, 0], [1, 1, -1, 0],
+          [0, 0, 0, 1]])
+@example([list(p) + [1] for p in itertools.product(range(2), repeat=4)])
+@settings(max_examples=150, deadline=None)
+def test_extreme_rays_match_fraction_kernel_at_high_incidence(rows):
+    # the other draws have at most n + 3 or 6 rows, so few rows meet at a ray.
+    # The explicit examples run first: a DD without its adjacency test returns
+    # too many rays on each at once, but takes minutes on a whole {0,1,2}^3 box
     _check_extreme_rays(rows, len(rows[0]))

@@ -434,6 +434,12 @@ def test_bdiv_body_without_limit_stops_by_tol():
     assert polytopes.hausdorff_linf(lim, out.body).value < Fraction(1, 100)
 
 
+def test_bdiv_body_of_a_lone_approximant():
+    b = b_of(o_p2(3))
+    out = okounkov_of_bdiv(bdiv.weil([b]), std_flag(), tol=Fraction(0))
+    assert out == okounkov_of_bdiv(b, std_flag())
+
+
 def test_bdiv_body_tolerance_error():
     w = bdiv.weil([b_of(o_p2(3)), b_of(o_p2(2))])
     with pytest.raises(ValueError, match="tolerance not reached"):
