@@ -1,15 +1,17 @@
 """Segre/Chern calculus: formal graded ring plus numeric evaluation on split bundles.
 
 Symbols s_i(B) and c_i(B) with exact rational coefficients; s_0 = c_0 = 1 and
-s_i = 0 for i < 0 are baked into normalization. Expanding an expression is
-charged against a work budget before it runs. Numeric Segre monomials are
-computed on the base fan: for a split bundle with summand classes x_j,
-c(E) = prod (1 + x_j), so s_a(E) = (-1)^a h_a(x), and a degree-n monomial in
-the x_j is the non-pluripolar mass of those summands (the Cayley trick: the
-model polytope of the O(1) line on the projectivization is the Cayley
-polytope of the summands' models). By the Chern-Weil formula these equal the
-b-divisor intersection numbers of the O(1) lines on the fiber product of the
-projectivizations, which tests/chern_oracle.py keeps as the oracle.
+s_i = 0 for i < 0 are baked into normalization. The parse of an expression
+as a whole, and its Segre rewrite as a whole, each keep one running total of
+the symbols they write against a work budget; the ring's own arithmetic is
+unbudgeted. Numeric Segre monomials are computed on the base fan: for a split
+bundle with summand classes x_j, c(E) = prod (1 + x_j), so s_a(E) =
+(-1)^a h_a(x), and a degree-n monomial in the x_j is the non-pluripolar mass
+of those summands (the Cayley trick: the model polytope of the O(1) line on
+the projectivization is the Cayley polytope of the summands' models). By the
+Chern-Weil formula these equal the b-divisor intersection numbers of the O(1)
+lines on the fiber product of the projectivizations, which
+tests/chern_oracle.py keeps as the oracle.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from typing import Mapping, Sequence
 
 from . import toric
@@ -62,7 +64,6 @@ class GradedElem:
         return self + other.scale(-1)
 
     def __mul__(self, other: "GradedElem") -> "GradedElem":
-        _charge(_mul_work(self, other))
         acc: dict[Mono, Fraction] = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
@@ -73,10 +74,8 @@ class GradedElem:
     def __pow__(self, k: int) -> "GradedElem":
         if k < 0:
             raise ValueError("negative power")
-        out, work = one(), k
+        out = one()
         for _ in range(k):
-            work += _mul_work(out, self)
-            _charge(work)
             out = out * self
         return out
 
@@ -108,8 +107,9 @@ class GradedElem:
             lambda s: chern_from_segre(s[2], s[1]) if s[0] == "c" else None)
 
 
-# Symbols one expansion may write: c_m in the other kind writes its 2^(m-1)
-# compositions of m, a product every pair of terms, a power each of its products.
+# Symbols the parse of one expression, or its Segre rewrite, may write in all:
+# c_m in the other kind writes its 2^(m-1) compositions of m, and each product,
+# of factors or of a power's steps, every pair of terms.
 _EXPAND_BUDGET = 1 << 18
 
 
@@ -128,19 +128,9 @@ def graded(acc: Mapping[Mono, Fraction] | dict) -> GradedElem:
     clean: dict[Mono, Fraction] = {}
     for mono, c in acc.items():
         c = rat(c)
-        if c == 0:
+        if c == 0 or any(i < 0 for _, _, i in mono):
             continue
-        kept = []
-        dead = False
-        for kind, b, i in mono:
-            if i < 0:
-                dead = True
-                break
-            if i > 0:
-                kept.append((kind, b, i))
-        if dead:
-            continue
-        key = tuple(sorted(kept))
+        key = tuple(sorted(sym for sym in mono if sym[2] > 0))
         clean[key] = clean.get(key, Fraction(0)) + c
     return GradedElem(tuple(sorted((m, c) for m, c in clean.items() if c != 0)))
 
@@ -163,30 +153,20 @@ def symbol(kind: str, bundle: str, i: int) -> GradedElem:
     return graded({((kind, bundle, i),): Fraction(1)})
 
 
-def _compositions(m: int, t: int):
-    """Ordered tuples of t positive integers summing to m."""
-    for cuts in combinations(range(1, m), t - 1):
-        prev = 0
-        parts = []
-        for c in list(cuts) + [m]:
-            parts.append(c - prev)
-            prev = c
-        yield tuple(parts)
-
-
 def _universal(m: int, bundle: str, kind: str) -> GradedElem:
     # c_m = sum over compositions of m of (-1)^(number of parts) s_parts, and
     # symmetrically for s_m in the c's: the relation c(t)s(t) = 1 is symmetric.
+    # A composition is a subset of the cut points 1..m-1, here a bit mask.
     if m < 0:
         return zero()
     if m == 0:
         return one()
     _charge(m << (m - 1))
     acc: dict[Mono, Fraction] = {}
-    for t in range(1, m + 1):
-        for alpha in _compositions(m, t):
-            key = tuple(sorted((kind, bundle, i) for i in alpha))
-            acc[key] = acc.get(key, Fraction(0)) + Fraction(-1) ** t
+    for cuts in range(1 << (m - 1)):
+        ends = [j for j in range(1, m) if cuts >> (j - 1) & 1] + [m]
+        key = tuple(sorted((kind, bundle, b - a) for a, b in zip([0] + ends, ends)))
+        acc[key] = acc.get(key, 0) + (-1) ** len(ends)
     return graded(acc)
 
 
@@ -299,6 +279,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.i = 0
         self.depth = 0
+        self.work = 0  # symbols written so far, charged against the budget
 
     def peek(self):
         return self.toks[self.i]
@@ -322,25 +303,31 @@ class _Parser:
             sign = 1 if self.take()[1] == "+" else -1
 
     def term(self) -> GradedElem:
-        # a chain of products is charged as a whole, as a power is
-        out, work = self.factor(), 0
-        while self.peek()[:2] == ("op", "*"):
+        # the one multiplication loop, for products and a power's steps alike;
+        # each step adds what it writes to the whole expression's running total
+        out = one()
+        while True:
+            base, k = self.factor()
+            for _ in range(k):
+                self.work += _mul_work(out, base)
+                _charge(self.work)
+                out = out * base
+            if self.peek()[:2] != ("op", "*"):
+                return out
             self.take()
-            rhs = self.factor()
-            work += _mul_work(out, rhs)
-            _charge(work)
-            out = out * rhs
-        return out
 
-    def factor(self) -> GradedElem:
-        out = self.atom()
+    def factor(self) -> tuple[GradedElem, int]:
+        """An atom and the product of its exponents, each charged as it is read."""
+        base, k = self.atom(), 1
         while self.peek()[:2] == ("op", "^"):
             self.take()
             tok = self.take("num")
             if "/" in tok[1]:
                 raise ParseError(f"parse error at position {tok[2]}")
-            out = out ** int(tok[1])
-        return out
+            k *= int(tok[1])
+            self.work += k
+            _charge(self.work)
+        return base, k
 
     def atom(self) -> GradedElem:
         # a run of unary minuses is one sign, and each '(' costs four frames

@@ -39,9 +39,6 @@ class Polytope:
     def __hash__(self) -> int:
         return hash((self.dim, self.vertices))
 
-    def is_point(self) -> bool:
-        return len(self.vertices) == 1
-
     @functools.cached_property
     def _volume(self) -> Fraction:
         """Euclidean volume, computed once per body."""
@@ -203,10 +200,6 @@ def minkowski_sum(p: Polytope, q: Polytope) -> Polytope:
     # the hull pass discards non-extreme pairwise sums, no prefilter needed
     if p.dim != q.dim:
         raise ValueError("dimension mismatch")
-    if p.is_point():
-        return translate(q, p.vertices[0])
-    if q.is_point():
-        return translate(p, q.vertices[0])
     return canonicalize({vadd(a, b) for a in p.vertices for b in q.vertices})
 
 

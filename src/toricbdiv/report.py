@@ -130,6 +130,8 @@ def _once(parse, fan: Fan | None, data, where: str):
 
 
 def _fan(data, where: str) -> Fan:
+    if not isinstance(data, dict):
+        raise CliError(2, f"bad fan in {where}: fan must be an object")
     try:
         return fans.make_fan(data["rays"], data["cones"])
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
@@ -222,6 +224,8 @@ def ideal_of(data: dict, where: str) -> ideals.MonomialIdeal:
 
 
 def _ideal(data: dict, where: str) -> ideals.MonomialIdeal:
+    if not isinstance(data, dict):
+        raise CliError(2, f"bad ideal in {where}: ideal must be an object")
     try:
         nvars = _int(data["nvars"])
         return ideals.make_ideal(nvars, [[_int(x) for x in g] for g in data["gens"]])

@@ -314,6 +314,13 @@ def test_chern_number_frozen():
         chern_number(table, "c2(F)")
 
 
+def test_graded_arithmetic_is_unbudgeted():
+    # the budget bounds what a CLI expression expands, not the ring's own
+    # arithmetic: this power's steps write past 2^18 symbols in all
+    p = symbol("c", "E", 1) ** 1000
+    assert p.terms == (((("c", "E", 1),) * 1000, Fraction(1)),)
+
+
 # -- parser -------------------------------------------------------------------------
 
 def test_parse_shapes():

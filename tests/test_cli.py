@@ -392,6 +392,16 @@ def test_non_integer_ideal_entries_are_input_errors(tmp_path, kind, ideal):
 
 
 @pytest.mark.parametrize("kind", sorted(_IDEAL_COMMANDS))
+@pytest.mark.parametrize("ideal", [[[1, 0]], "x", 3, None], ids=["list", "string", "number", "null"])
+def test_ideal_that_is_not_an_object_is_named(tmp_path, kind, ideal):
+    # these echoed Python's TypeError text, such as "'int' object is not subscriptable"
+    path = _ideal_file(tmp_path, kind, ideal)
+    code, text = run(_IDEAL_COMMANDS[kind](path))
+    assert code == 2, text
+    assert report_of(text)["error"]["message"] == f"bad ideal in {path}: ideal must be an object"
+
+
+@pytest.mark.parametrize("kind", sorted(_IDEAL_COMMANDS))
 def test_ideal_entries_may_be_strings_of_integers(tmp_path, kind):
     # int_of's rule: a JSON integer or a string of one
     answers = []
@@ -806,12 +816,21 @@ def test_malformed_golden_scenarios_exit_without_traceback(tmp_path, golden, arg
                  id="product-chain"),
     pytest.param(" + ".join(f"c1(A{i})" for i in range(2000)) + " + c2(E) - "
                  + " - ".join(f"c1(A{i})" for i in range(2000)), 0, "1", id="long-sum"),
+    pytest.param(" + ".join(["(s1(E)+s2(E)+s3(E)+s4(E)+s5(E))^12"] * 100), 3,
+                 "chern expression budget exceeded", id="sum-of-100-powers"),
+    pytest.param(" + ".join(["(s1(E)+s2(E)+s3(E)+s4(E)+s5(E))^12"] * 10), 3,
+                 "chern expression budget exceeded", id="sum-of-10-powers"),
+    pytest.param(" + ".join(["*".join(["c1(E)"] * 700)] * 3), 3,
+                 "chern expression budget exceeded", id="sum-of-product-chains"),
 ])
 def test_chern_expansion_budget(tmp_path, expr, code, answer):
     # c_m in the s's spells 2^(m-1) compositions and a power or a chain of
     # products sorts ever longer monomials, so each charges the budget before it
     # expands (without it they took 26 s, over 40 s and 2.8 s); a symbol that
-    # cancels at parse is never expanded, and a long sum is added up once
+    # cancels at parse is never expanded, and a long sum is added up once. The
+    # parse keeps one total for the whole expression, so a sum of terms that
+    # each fit is charged as a whole (charged term by term, 100 powers ran ~16 s
+    # and 10 powers or 3 chains ended in "exponent-sum mismatch")
     scn = json.loads((GOLDEN / "p2.json").read_text(encoding="utf-8"))
     scn["expression"] = expr
     t0 = time.monotonic()
@@ -860,6 +879,19 @@ def test_ray_in_no_cone_is_input_error(tmp_path):
         code, text = run(["volume", "--scenario", scn])
     assert code == 2
     assert report_of(text)["error"] == {"code": 2, "message": f"bad fan in {scn}: ray in no cone"}
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("fan", [[[1]], [1, 2], "x", 3, None],
+                         ids=["list-of-lists", "list", "string", "number", "null"])
+def test_fan_that_is_not_an_object_is_named(tmp_path, fan):
+    # these echoed Python's TypeError text, such as "list indices must be integers or slices, not str"
+    scn = mk(tmp_path, "fan.json", {"fan": fan, "metric": metric_json(3, [(0, 0), (1, 0)])})
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, text = run(["volume", "--scenario", scn])
+    assert code == 2
+    assert report_of(text)["error"] == {"code": 2, "message": f"bad fan in {scn}: fan must be an object"}
     assert "Traceback" not in err.getvalue()
 
 

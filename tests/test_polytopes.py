@@ -46,7 +46,7 @@ def test_canonicalize_drops_interior_point():
 
 def test_canonicalize_single_point():
     p = canonicalize([(0, 0)])
-    assert p.is_point() and p.vertices == ((0, 0),)
+    assert len(p.vertices) == 1 and p.vertices == ((0, 0),)
     assert volume(p) == 0
 
 

@@ -178,6 +178,47 @@ def test_every_public_method_is_named():
     assert _unnamed_methods(modules, callers) == []
 
 
+def _identifiers(node: ast.AST) -> Counter:
+    """Each name, attribute and imported name the tree spells."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def _private_defs(tree: ast.Module) -> list[ast.AST]:
+    """Private functions, classes and methods at any depth; dunders are not private."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
+def _unnamed_private(modules: dict[str, ast.Module]) -> list[str]:
+    """Private defs of the modules that nothing in the modules names outside the def itself."""
+    named = sum(map(_identifiers, modules.values()), Counter())
+    return [f"{module}.{node.name}" for module, tree in modules.items() for node in _private_defs(tree)
+            if named[node.name] == _identifiers(node)[node.name]]
+
+
+def test_unnamed_private_names_are_caught():
+    modules = {
+        "geo": ast.parse("def _used(): pass\ndef _dead(): pass\n"
+                         "def _loop(n):\n    return _loop(n - 1)\n"
+                         "def _imported(): pass\n"
+                         "class _Shape:\n    def _area(self): pass\n    def _gone(self): pass\n"
+                         "    def __len__(self): return 0\n"
+                         "def public(s):\n    return _used(), s._area(), _Shape\n"),
+        "alg": ast.parse("from .geo import _imported\n"),
+    }
+    # a call inside the def's own body names nothing, a dunder is not private
+    assert _unnamed_private(modules) == ["geo._dead", "geo._loop", "geo._gone"]
+
+
+def test_every_private_src_name_is_named():
+    # a private helper that nothing in src/ names is dead code, or scaffolding for tests/
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    assert sum(len(_private_defs(tree)) for tree in modules.values()) > 0
+    assert _unnamed_private(modules) == []
+
+
 def _is_dataclass(cls: ast.ClassDef) -> bool:
     for deco in cls.decorator_list:
         target = deco.func if isinstance(deco, ast.Call) else deco

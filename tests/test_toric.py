@@ -196,6 +196,17 @@ def test_tensor_adds():
         assert t.g(v) == h1.g(v) + h2.g(v)
 
 
+def test_tensor_with_a_one_vertex_metric_translates():
+    # a one-vertex body's pairwise sums are the other body moved by that vertex
+    h = toric.metric_with_ray_weights(o_p2(2), {(1, 0): Fraction(1, 2)})
+    pt = toric.metric(o_p2(1), [((Fraction(1, 3), Fraction(1, 4)), 0)])
+    assert len(pt.body.vertices) == 1
+    moved = polytopes.translate(h.body, pt.body.vertices[0])
+    for t in (toric.tensor(h, pt), toric.tensor(pt, h)):
+        assert t.body == moved
+        assert sorted(t.body.halfspaces) == sorted(moved.halfspaces)
+
+
 def test_metric_json_round_trip():
     h = toric.metric_with_ray_weights(o_p2(3), {(1, 0): Fraction(1, 2)})
     line = h.line
